@@ -15,8 +15,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
+import os
 import resource
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -42,8 +46,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(_parse_float(p) for p in text.split(",") if p.strip())
 
 
 def _parse_str_list(text: str) -> tuple[str, ...]:
@@ -73,28 +84,28 @@ _DEFAULT_SWEEP = tuple(round(0.25 + 0.05 * k, 2) for k in range(11))
 # key -> (parser, default); emit side is derived from the value type
 _SCHEMA = {
     "model.L": (int, 12),
-    "model.g": (float, 0.5),
-    "model.h": (float, 0.3),
-    "plan.dt": (float, 0.4),
+    "model.g": (_parse_float, 0.5),
+    "model.h": (_parse_float, 0.3),
+    "plan.dt": (_parse_float, 0.4),
     "plan.n_steps": (int, 100),
     "plan.shots": (int, 0),
     "plan.seed": (int, 0),
     "plan.axes": (_parse_str_list, ("x", "y")),
     "noise.enabled": (_parse_bool, False),
-    "noise.p1": (float, 0.001),
-    "noise.p2": (float, 0.01),
-    "noise.p01": (float, 0.02),
-    "noise.p10": (float, 0.02),
+    "noise.p1": (_parse_float, 0.001),
+    "noise.p2": (_parse_float, 0.01),
+    "noise.p01": (_parse_float, 0.02),
+    "noise.p10": (_parse_float, 0.02),
     "noise.trajectories": (int, 100),
     "noise.mitigate": (_parse_bool, True),
     "spectro.window": (str, "hann"),
     "spectro.pad_factor": (int, 8),
-    "spectro.min_height_frac": (float, 0.05),
+    "spectro.min_height_frac": (_parse_float, 0.05),
     "spectro.n_low": (int, 6),
     "spectro.trace": (str, ""),
     "spectro.join_ed": (_parse_bool, True),
     "sweep.g_list": (_parse_float_list, _DEFAULT_SWEEP),
-    "correlate.threshold": (float, 0.02),
+    "correlate.threshold": (_parse_float, 0.02),
     "ed.n_low": (int, 6),
     "output.dir": (str, "out"),
     "output.format": (str, "csv"),
@@ -588,18 +599,68 @@ def main(argv=None) -> int:
         return 2
 
     # all computation succeeded; only now touch the filesystem
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in sorted(files):
-        (out_dir / name).write_text(files[name])
     stats = {
         "command": args.command,
         "elapsed_s": round(time.monotonic() - started, 3),
-        "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "max_rss_kb": _peak_rss_kb(),
         "files": sorted(files),
     }
-    (out_dir / "run_stats.json").write_text(json.dumps(stats, sort_keys=True, indent=2) + "\n")
-    print(f"isingspec {args.command}: wrote {len(files) + 1} files to {out_dir}")
+    files["run_stats.json"] = json.dumps(stats, sort_keys=True, indent=2) + "\n"
+    try:
+        _write_files(out_dir, files)
+    except OSError as exc:
+        print(f"isingspec: error: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return 2
+    print(f"isingspec {args.command}: wrote {len(files)} files to {out_dir}")
     return 0
+
+
+def _peak_rss_kb() -> int:
+    """Peak RSS of this process and its finished children, in kB.
+
+    VmHWM resets at exec, so unlike ru_maxrss of RUSAGE_SELF it does not
+    inherit the high-water mark of the process that started this one.
+    ru_maxrss is the fallback where /proc is missing.
+    """
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    try:
+        with open("/proc/self/status") as fh:
+            own = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        pass
+    return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+
+
+def _write_files(out_dir: Path, files: dict[str, str]) -> None:
+    """Write all files into out_dir, or nothing.
+
+    The files are staged in a temporary directory beside out_dir and then
+    renamed into place. On failure the staging directory and any parent
+    directories this call created are removed again.
+    """
+    missing = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    stage = None
+    try:
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+        for name in sorted(files):
+            (stage / name).write_text(files[name])
+        if out_dir.exists():
+            for name in sorted(files):
+                os.replace(stage / name, out_dir / name)
+            stage.rmdir()
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            stage.chmod(0o777 & ~umask)  # mkdtemp makes it private
+            stage.rename(out_dir)
+    except OSError:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        for d in missing:  # deepest first
+            if d.is_dir():
+                d.rmdir()
+        raise
 
 
 if __name__ == "__main__":

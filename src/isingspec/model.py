@@ -14,6 +14,7 @@ j-1 of the basis index (little-endian).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 AXES = ("x", "y", "z")
@@ -38,7 +39,7 @@ def validate(L: int, g: float, h: float) -> ValidationReport:
     """Classify raw chain parameters as ok / warn / error.
 
     Errors are reserved for parameters the engine cannot represent (L out of
-    range). Couplings outside the confining-quench regime g <= 1, h < 1 are
+    range, non-finite couplings). Couplings outside the confining-quench regime g <= 1, h < 1 are
     permitted but flagged, since the physics targeted here (two-kink bound
     states after a quench from the polarized state) lives in that regime.
     """
@@ -48,6 +49,8 @@ def validate(L: int, g: float, h: float) -> ValidationReport:
         return ValidationReport(
             "error", (f"L={L} outside supported range [{L_MIN}, {L_MAX}]",)
         )
+    if not (math.isfinite(g) and math.isfinite(h)):
+        return ValidationReport("error", (f"couplings must be finite, got g={g}, h={h}",))
     msgs = []
     if g < 0 or h < 0:
         msgs.append(
@@ -140,8 +143,8 @@ class QuenchPlan:
     noise: "object | None" = None  # NoiseParams; kept loose to avoid import cycle
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.shots < 0:

@@ -30,6 +30,9 @@ DEFAULT_P01 = 0.02
 DEFAULT_P10 = 0.02
 
 _PAULI_CYCLE = ("x", "y", "z")
+# a lab-frame Pauli P acts on x-frame amplitudes as H P H: X <-> Z, Y -> -Y
+# (the sign is a global phase)
+_FRAME_PAULI = {"z": {"x": "x", "y": "y", "z": "z"}, "x": {"x": "z", "y": "y", "z": "x"}}
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,40 @@ class NoiseParams:
         return not (self.has_gate_noise or self.has_readout_error)
 
 
+def draw_gate_paulis(
+    gate_kind: str,
+    sites: tuple[int, ...],
+    params: NoiseParams,
+    rng: np.random.Generator,
+) -> list[tuple[int, str]]:
+    """Draw the stochastic Paulis that follow one gate, as (site, axis) pairs.
+
+    Per touched site, in order: one uniform draw against p1 (one-site gates)
+    or p2 (two-site gates), then, on a hit, one integer picking x, y or z.
+    """
+    if gate_kind == "1q":
+        p = params.p1
+    elif gate_kind == "2q":
+        p = params.p2
+    else:
+        raise ValueError(f"gate_kind must be '1q' or '2q', got {gate_kind!r}")
+    if p <= 0.0:
+        return []
+    paulis = []
+    for site in sites:
+        if rng.random() < p:
+            paulis.append((site, _PAULI_CYCLE[rng.integers(3)]))
+    return paulis
+
+
+def apply_paulis(state: StateVector, paulis) -> StateVector:
+    """Apply lab-frame (site, axis) Paulis to the state in its own frame, in place."""
+    frame_axis = _FRAME_PAULI[state.frame]
+    for site, axis in paulis:
+        statevec.apply_matrix1(state, statevec.PAULI[frame_axis[axis]], site)
+    return state
+
+
 def apply_gate_noise(
     state: StateVector,
     gate_kind: str,
@@ -81,19 +118,7 @@ def apply_gate_noise(
     rng: np.random.Generator,
 ) -> StateVector:
     """Insert stochastic Paulis on the touched sites, in place."""
-    if gate_kind == "1q":
-        p = params.p1
-    elif gate_kind == "2q":
-        p = params.p2
-    else:
-        raise ValueError(f"gate_kind must be '1q' or '2q', got {gate_kind!r}")
-    if p <= 0.0:
-        return state
-    for site in sites:
-        if rng.random() < p:
-            axis = _PAULI_CYCLE[rng.integers(3)]
-            statevec.apply_matrix1(state, statevec.PAULI[axis], site)
-    return state
+    return apply_paulis(state, draw_gate_paulis(gate_kind, sites, params, rng))
 
 
 def apply_readout_error(

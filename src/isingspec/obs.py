@@ -3,10 +3,12 @@
 G(r, t) = (1/L) sum_i [ <sx_i sx_{i+r}> - <sx_i><sx_{i+r}> ]
 
 is translation-averaged over the ring, for separations r = 1 .. L//2 (beyond
-L//2 the periodic distance wraps back: G(r) = G(L-r)). After rotating every
-site with H, sx becomes diagonal, so both exact and sampled estimates reduce
-to weighted bit statistics of the rotated distribution; one x-basis rotation
-(or one shared sample block) serves all pairs.
+L//2 the periodic distance wraps back: G(r) = G(L-r)). In the x basis sx is
+diagonal, so both exact and sampled estimates reduce to bit statistics of
+the x-basis distribution p. Exactly, sum_i <sx_i sx_{i+r}> = p . t_r with the
+int8 table t_r(s) = L - 2 popcount(s XOR rot^r(s)), the same popcount kernel
+that gives the Trotter engine its bond diagonal; sampled, one shared bit
+matrix serves all pairs.
 """
 
 from __future__ import annotations
@@ -19,25 +21,9 @@ from . import statevec
 from .statevec import StateVector
 
 
-def _xbasis_probs(state: StateVector) -> np.ndarray:
-    return statevec.measurement_probabilities(state, "x")
-
-
-def _pair_stats_from_probs(probs: np.ndarray, L: int):
-    """Single-site means m_i and a pair-correlation callable c(i, j), 0-indexed."""
-    idx = np.arange(probs.size)
-    bits = [((idx >> b) & 1).astype(np.uint8) for b in range(L)]
-    m = np.array([1.0 - 2.0 * float(probs @ b) for b in bits])
-
-    def corr(i: int, j: int) -> float:
-        # z_i z_j = 1 - 2 (bit_i XOR bit_j)
-        return 1.0 - 2.0 * float(probs @ (bits[i] ^ bits[j]))
-
-    return m, corr
-
-
 def _pair_stats_from_bits(bits: np.ndarray):
-    """Same interface as above, from a sampled (shots, L) bit matrix."""
+    """Single-site means m_i and a pair-correlation callable c(i, j), 0-indexed,
+    from a sampled (shots, L) bit matrix."""
     m = 1.0 - 2.0 * bits.mean(axis=0)
 
     def corr(i: int, j: int) -> float:
@@ -76,11 +62,25 @@ def connected_xx(state: StateVector, r: int) -> float:
     return float(correlator_profile(state)[r - 1])
 
 
-def correlator_profile(state: StateVector) -> np.ndarray:
-    """Exact G(r) for all r = 1 .. L//2, shape (L//2,)."""
-    probs = _xbasis_probs(state)
-    m, corr = _pair_stats_from_probs(probs, state.L)
-    return _profile(m, corr, state.L, None)
+def correlator_tables(L: int) -> list[np.ndarray]:
+    """t_r(s) = sum_i z_i z_{i+r} = L - 2 popcount(s XOR rot^r(s)) for r = 1 .. L//2, int8."""
+    return [L - 2 * statevec.ring_xor_popcount(L, r).astype(np.int8) for r in range(1, L // 2 + 1)]
+
+
+def correlator_profile(state: StateVector, tables: list[np.ndarray] | None = None) -> np.ndarray:
+    """Exact G(r) for all r = 1 .. L//2, shape (L//2,).
+
+    tables are correlator_tables(state.L); a caller that evaluates many
+    states of one size builds them once and passes them in.
+    """
+    L = state.L
+    if tables is None:
+        tables = correlator_tables(L)
+    probs = statevec.measurement_probabilities(state, "x")
+    m = 1.0 - 2.0 * statevec.bit_marginals(probs, L)
+    pair_sums = np.array([float(probs @ t) for t in tables])
+    disconnected = np.array([float(m @ np.roll(m, -r)) for r in range(1, L // 2 + 1)])
+    return (pair_sums - disconnected) / L
 
 
 def correlator_profile_from_bits(

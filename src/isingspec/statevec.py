@@ -8,9 +8,22 @@ Conventions, fixed project-wide:
   * sampling axis x applies H, axis y applies S-dagger then H, axis z nothing,
     before reading out the computational basis.
 
+A StateVector holds its amplitudes in one of two frames. Frame "z" is the
+computational basis. Frame "x" is the Hadamard frame: the amplitudes are
+psi_x = H^{(x)L} psi, so index s labels the product of sx eigenstates with
+bit 0 <-> +1. The Trotter engine runs in the x frame, where the polarized
+start state is |0...0>, every sx sx bond is diagonal, and x-basis outcome
+probabilities are |psi_x|^2 without a rotated copy. Measurements and
+expectations honour the frame; the raw kernels (apply_matrix1/2, apply_gate,
+the fused site blocks and the phase diagonals) act on the stored amplitudes
+as they are.
+
 Gate application is in place via bit-masked stride views; any site pair is
-allowed for two-site gates. Exact time evolution uses a dense eigensystem of
-H up to L = 14 and a matrix-free Lanczos exponential beyond.
+allowed for two-site gates. The x-frame kernels fuse the same 2x2 matrix on
+4 neighbouring sites into one 16x16 block and apply blocks and diagonals in
+place over cache-sized chunks, so a step allocates a few chunks, never a
+state-sized temporary. Exact time evolution uses a dense eigensystem of H up
+to L = 14 and a matrix-free Lanczos exponential beyond.
 """
 
 from __future__ import annotations
@@ -32,20 +45,29 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 S_DAGGER = np.array([[1, 0], [0, -1j]], dtype=complex)
-# combined pre-rotation for y-axis readout: apply S-dagger, then H
-_Y_ROTATION = HADAMARD @ S_DAGGER
-_MEAS_ROTATION = {"x": HADAMARD, "y": _Y_ROTATION, "z": None}
+FRAMES = ("z", "x")
+# per-site readout pre-rotation, by frame and measured axis. In the lab frame
+# axis y applies S-dagger, then H; in the x frame the stored amplitudes are
+# already H-rotated, so each lab rotation R becomes R H.
+_MEAS_ROTATION = {
+    "z": {"x": HADAMARD, "y": HADAMARD @ S_DAGGER, "z": None},
+    "x": {"x": None, "y": HADAMARD @ S_DAGGER @ HADAMARD, "z": HADAMARD},
+}
 
 DENSE_EVOLVE_MAX = 14  # largest L for the precomputed dense propagator path
 _UNITARY_TOL = 1e-12
+CHUNK = 1 << 13  # amplitudes per in-place kernel chunk (128 KiB of complex128)
+BLOCK_SITES = 4  # sites fused into one 2**4 x 2**4 block
 
 
 class StateVector:
-    """Complex amplitudes over the 2**L computational basis states."""
+    """Complex amplitudes over the 2**L basis states of a frame ("z" or "x")."""
 
-    __slots__ = ("L", "amplitudes")
+    __slots__ = ("L", "amplitudes", "frame")
 
-    def __init__(self, L: int, amplitudes: np.ndarray):
+    def __init__(self, L: int, amplitudes: np.ndarray, frame: str = "z"):
+        if frame not in FRAMES:
+            raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
         if not 1 <= L <= L_MAX:
             raise ValueError(f"L={L} outside supported range [1, {L_MAX}]")
         amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
@@ -55,15 +77,21 @@ class StateVector:
             )
         self.L = L
         self.amplitudes = amplitudes
+        self.frame = frame
 
     def copy(self) -> "StateVector":
-        return StateVector(self.L, self.amplitudes.copy())
+        return StateVector(self.L, self.amplitudes.copy(), self.frame)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def __repr__(self):
-        return f"StateVector(L={self.L})"
+        return f"StateVector(L={self.L}, frame={self.frame!r})"
+
+
+def _require_lab(state: StateVector) -> None:
+    if state.frame != "z":
+        raise ValueError(f"needs a computational-basis (frame 'z') state, got frame {state.frame!r}")
 
 
 def init_all_plus(L: int) -> StateVector:
@@ -201,24 +229,118 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
+# ---------------------------------------------------------------------------
+# x-frame kernels: fused site blocks, popcount phase diagonals, bit marginals
+# ---------------------------------------------------------------------------
+
+
+def fuse_site_matrices(mats) -> list[tuple[int, int, np.ndarray]]:
+    """Group per-site 2x2 matrices (index = bit, None = identity) into blocks.
+
+    Returns (lowest bit, bit count, 2**k x 2**k matrix) for every run of up
+    to BLOCK_SITES neighbouring bits that holds a non-identity matrix. Within
+    a block the highest bit is the most significant factor of the Kronecker
+    product, matching the basis-index layout.
+    """
+    blocks = []
+    for lo in range(0, len(mats), BLOCK_SITES):
+        group = mats[lo : lo + BLOCK_SITES]
+        if all(m is None for m in group):
+            continue
+        block = np.ones((1, 1), dtype=complex)
+        for m in group:
+            block = np.kron(IDENTITY_2 if m is None else m, block)
+        blocks.append((lo, len(group), block))
+    return blocks
+
+
+def _apply_block(amps: np.ndarray, m: np.ndarray, lo: int, k: int) -> None:
+    """amps <- (I x m x I) amps with m on bits lo .. lo+k-1, in place, by chunks.
+
+    The chunks run over the index axes the block does not touch: rows of the
+    (rest, 2**k) view for the lowest block, (rest, 2**k, 2**lo) slabs for
+    the others, split along the low columns when one slab exceeds CHUNK.
+    """
+    K, C = 1 << k, 1 << lo
+    if C == 1:
+        rows = amps.reshape(-1, K)
+        mt = m.T
+        step = max(1, CHUNK // K)
+        for a in range(0, rows.shape[0], step):
+            blk = rows[a : a + step]
+            blk[...] = blk @ mt
+        return
+    v = amps.reshape(-1, K, C)
+    a_step = max(1, CHUNK // (K * C))
+    c_step = min(C, max(1, CHUNK // K))
+    for a in range(0, v.shape[0], a_step):
+        for c in range(0, C, c_step):
+            blk = v[a : a + a_step, :, c : c + c_step]
+            blk[...] = m @ blk
+
+
+def apply_site_blocks(state: StateVector, blocks) -> StateVector:
+    """Apply fused blocks from fuse_site_matrices to the amplitudes, in place."""
+    for lo, k, m in blocks:
+        _apply_block(state.amplitudes, m, lo, k)
+    return state
+
+
+def ring_xor_popcount(L: int, r: int = 1, mask: int | None = None) -> np.ndarray:
+    """popcount((s XOR rot^r(s)) & mask) for every basis index s, as uint8.
+
+    rot^r moves site j + r onto site j around the ring, so bit j-1 of the
+    XOR is set when sites j and j + r disagree. In the x frame that counts
+    the broken sx sx bonds: sum_j sx_j sx_{j+r} = L - 2 * popcount. mask
+    selects which (j, j + r) pairs count; the default is all L.
+    """
+    full = (1 << L) - 1
+    s = np.arange(1 << L, dtype=np.uint32)
+    d = s >> np.uint32(r)
+    d |= (s << np.uint32(L - r)) & np.uint32(full)
+    d ^= s
+    if mask is not None and mask != full:
+        d &= np.uint32(mask)
+    return np.bitwise_count(d)
+
+
+def apply_phase_index(state: StateVector, index: np.ndarray, table: np.ndarray) -> StateVector:
+    """amps[s] *= table[index[s]], in place, by chunks: a diagonal stored as
+    a small phase table plus a uint8 index instead of 2**L complex phases."""
+    amps = state.amplitudes
+    for lo in range(0, amps.size, CHUNK):
+        amps[lo : lo + CHUNK] *= table[index[lo : lo + CHUNK]]
+    return state
+
+
+def bit_marginals(probs: np.ndarray, L: int) -> np.ndarray:
+    """sum_s probs[s] * bit_b(s) for every bit b, by halving the index range."""
+    out = np.empty(L)
+    q = probs
+    for b in range(L - 1, -1, -1):
+        half = q.size >> 1
+        out[b] = q[half:].sum()
+        q = q[:half] + q[half:]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Measurement
+# ---------------------------------------------------------------------------
+
+
 def expectation(state: StateVector, axis: str, site: int) -> float:
     """Exact <pauli_axis(site)> from the amplitudes."""
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     _check_site(state.L, site)
-    bit = site - 1
-    v = state.amplitudes.reshape(-1, 2, 1 << bit)
-    a0 = v[:, 0, :]
-    a1 = v[:, 1, :]
-    if axis == "z":
-        return float(np.sum(np.abs(a0) ** 2) - np.sum(np.abs(a1) ** 2))
-    inner = complex(np.sum(np.conj(a0) * a1))
-    return 2 * inner.real if axis == "x" else 2 * inner.imag
+    return float(site_expectations(state, axis)[site - 1])
 
 
 def site_expectations(state: StateVector, axis: str) -> np.ndarray:
-    """<pauli_axis> for every site, shape (L,)."""
-    return np.array([expectation(state, axis, j) for j in range(1, state.L + 1)])
+    """<pauli_axis> for every site, shape (L,): bit marginals of the outcome
+    probabilities in that basis."""
+    return 1.0 - 2.0 * bit_marginals(measurement_probabilities(state, axis), state.L)
 
 
 def _normalize_axes(axes, L: int) -> tuple[str, ...]:
@@ -240,18 +362,21 @@ def measurement_probabilities(state: StateVector, axes) -> np.ndarray:
     """Outcome probabilities after rotating each site's axis onto z.
 
     axes is a single axis character (applied to all sites) or one per site.
+    The per-site rotations depend on the state's frame; when none is needed
+    (x in the x frame, z in the lab frame) the probabilities come straight
+    from the amplitudes, otherwise from one copy rotated by fused blocks.
     """
     axes = _normalize_axes(axes, state.L)
-    work = state.copy()
-    for site, ax in enumerate(axes, start=1):
-        rot = _MEAS_ROTATION[ax]
-        if rot is not None:
-            apply_matrix1(work, rot, site)
-    p = np.abs(work.amplitudes) ** 2
+    rotations = _MEAS_ROTATION[state.frame]
+    blocks = fuse_site_matrices([rotations[ax] for ax in axes])
+    amps = apply_site_blocks(state.copy(), blocks).amplitudes if blocks else state.amplitudes
+    p = np.abs(amps)
+    np.square(p, out=p)
     total = p.sum()
     if not math.isfinite(total) or total <= 0:
         raise ValueError("state has no probability mass; was it initialized?")
-    return p / total
+    p /= total
+    return p
 
 
 def _sample_indices(probs: np.ndarray, shots: int, rng: np.random.Generator):
@@ -337,6 +462,7 @@ def hamiltonian_action(params: ModelParams):
 
 
 def energy_expectation(state: StateVector, params: ModelParams) -> float:
+    _require_lab(state)
     if state.L != params.L:
         raise ValueError("state size does not match params.L")
     apply = hamiltonian_action(params)
@@ -432,6 +558,7 @@ def exact_evolve(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
+    _require_lab(state)
     if state.L != params.L:
         raise ValueError("state size does not match params.L")
     L = params.L
@@ -474,6 +601,7 @@ _HEADER = struct.Struct("<3d")  # L, step index, dt -- all as doubles
 
 def dump_snapshot(state: StateVector, path, step_index: int = 0, dt: float = 0.0) -> None:
     """Write header (L, step index, dt as doubles) + little-endian re/im pairs."""
+    _require_lab(state)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(float(state.L), float(step_index), float(dt)))
         fh.write(np.ascontiguousarray(state.amplitudes, dtype="<c16").tobytes())

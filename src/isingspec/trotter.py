@@ -9,10 +9,23 @@ U_odd the bond rotations exp(i dt sx sx) on bonds (1,2), (3,4), ... and
 U_even those on (2,3), (4,5), ..., (L,1). For odd L the wrap bond (L,1)
 joins the even layer so the two layers still cover all L bonds.
 
-run_quench starts from |->,...,->, applies U_step n_steps times and records
-observables after every step (and at t = 0), exactly for shots = 0 or through
-sampled per-axis measurement blocks otherwise. Gate and readout noise, when
-configured, are interleaved per gate / per shot and averaged over trajectories.
+build_step writes that step as a gate list and decompose_to_native lowers it
+to CNOTs; they describe the circuit. run_quench does not apply the gate list.
+It evolves the state in the x frame (Hadamard-rotated basis, see statevec),
+where the polarized start state |+...+> is |0...0> and every sx sx bond is
+diagonal. The bonds commute, so U_odd * U_even is the single diagonal
+exp(i dt (L - 2 popcount(s XOR rot(s)))), stored as a uint8 popcount index
+plus a phase table; U_1q becomes H u1 H on every site, fused 4 sites at a
+time into 16x16 blocks (frame_layers).
+
+run_quench applies U_step n_steps times and records observables after every
+step (and at t = 0), exactly for shots = 0 or through sampled per-axis
+measurement blocks otherwise. With gate noise the bond layers stay separate
+diagonals (odd, even, and on an odd ring the wrap bond on its own), and the
+Paulis drawn per gate, in gate-list order, are applied after the layer their
+gate belongs to; gates within a layer act on disjoint sites, so the Paulis
+commute past the rest of it. Readout noise is applied per shot, and noisy
+observables are averaged over trajectories.
 """
 
 from __future__ import annotations
@@ -81,6 +94,60 @@ def build_step(params: ModelParams, dt: float) -> TrotterStep:
     for j in odds + evens:
         gates.append(statevec.xx_rotation_gate(dt, j, j % L + 1))
     return TrotterStep(gates, dt, L)
+
+
+@dataclass(frozen=True)
+class FrameLayer:
+    """One layer of mutually commuting gates, acting on x-frame amplitudes.
+
+    Either blocks (fused H u1 H site blocks) or diagonal (a uint8 popcount
+    index and its phase table) is set. gates lists each gate's sites in
+    gate-list order; gate noise draws follow that order.
+    """
+
+    kind: str  # "1q" | "2q": which noise rate the gates draw
+    gates: tuple[tuple[int, ...], ...]
+    blocks: tuple = ()
+    diagonal: tuple[np.ndarray, np.ndarray] | None = None
+
+    def apply(self, state: StateVector) -> StateVector:
+        if self.diagonal is None:
+            return statevec.apply_site_blocks(state, self.blocks)
+        return statevec.apply_phase_index(state, *self.diagonal)
+
+
+def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False) -> list[FrameLayer]:
+    """The step [U_1q; U_odd; U_even] as x-frame layers, in application order.
+
+    U_1q is absent at g = h = 0. Without split_bonds one diagonal carries all
+    L bonds. With it the bond layers of the gate list stay apart, so gate
+    noise can sit between them; on an odd ring the wrap bond (L, 1) shares
+    site L with (L-1, L) and gets a diagonal of its own.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    L = params.L
+    layers = []
+    if params.g != 0.0 or params.h != 0.0:
+        u1 = single_site_step_matrix(params.g, params.h, dt)
+        m = statevec.HADAMARD @ u1 @ statevec.HADAMARD
+        blocks = tuple(statevec.fuse_site_matrices([m] * L))
+        layers.append(FrameLayer("1q", tuple((j,) for j in range(1, L + 1)), blocks=blocks))
+    odds, evens = _bond_layers(L)
+    if not split_bonds:
+        groups = [odds + evens]
+    elif L % 2 == 1:
+        groups = [odds, evens[:-1], evens[-1:]]
+    else:
+        groups = [odds, evens]
+    for group in groups:
+        # sum over the group's bonds of z_j z_{j+1} = n - 2 * (broken bonds)
+        n = len(group)
+        index = statevec.ring_xor_popcount(L, 1, sum(1 << (j - 1) for j in group))
+        table = np.exp(1j * dt * (n - 2.0 * np.arange(n + 1)))
+        gates = tuple((j, j % L + 1) for j in group)
+        layers.append(FrameLayer("2q", gates, diagonal=(index, table)))
+    return layers
 
 
 def _xx_angle(gate: Gate) -> float:
@@ -172,13 +239,14 @@ def _provenance(params: ModelParams, plan: QuenchPlan, record_correlator: bool) 
 class _Recorder:
     """Accumulates per-site traces for one trajectory at a time."""
 
-    def __init__(self, params, plan, record_correlator, shots, mitigation):
+    def __init__(self, params, plan, record_correlator, shots, mitigation, tables):
         self.params = params
         self.plan = plan
         self.L = params.L
         self.shots = shots
         self.record_correlator = record_correlator
         self.mitigation = mitigation  # per-site (1 - 2 p_eff) factors or None
+        self.tables = tables  # obs.correlator_tables(L) for the exact correlator
         n_rec = plan.n_steps + 1
         self.per_site = {ax: np.zeros((n_rec, self.L)) for ax in plan.measured_axes}
         self.correlator = np.zeros((n_rec, self.L // 2)) if record_correlator else None
@@ -188,7 +256,7 @@ class _Recorder:
             for ax in self.plan.measured_axes:
                 self.per_site[ax][k] = statevec.site_expectations(state, ax)
             if self.correlator is not None:
-                self.correlator[k] = obs.correlator_profile(state)
+                self.correlator[k] = obs.correlator_profile(state, self.tables)
             return
         axis_seeds = meas_ss.spawn(len(self.plan.measured_axes))
         for ax, ss in zip(self.plan.measured_axes, axis_seeds):
@@ -217,7 +285,7 @@ class _Recorder:
 def run_quench(
     params: ModelParams, plan: QuenchPlan, record_correlator: bool = False
 ) -> QuenchRecord:
-    """Trotter-evolve the polarized state and record observables per step.
+    """Trotter-evolve the polarized state in the x frame and record observables per step.
 
     shots = 0 records exact expectations; otherwise each recorded time point
     spends `shots` samples per measured axis (split across noise trajectories
@@ -231,10 +299,11 @@ def run_quench(
     if nz is not None and nz.is_null:
         nz = None  # all-zero noise must follow the noiseless path bit for bit
     L = params.L
-    step = build_step(params, plan.dt)
-    gate_kinds = [("1q" if len(g.sites) == 1 else "2q", g.sites) for g in step.gates]
+    gate_noise = nz is not None and nz.has_gate_noise
+    layers = frame_layers(params, plan.dt, split_bonds=gate_noise)
+    tables = obs.correlator_tables(L) if record_correlator and plan.shots == 0 else None
 
-    n_traj = nz.trajectories if (nz is not None and nz.has_gate_noise) else 1
+    n_traj = nz.trajectories if gate_noise else 1
     mitigation = None
     if nz is not None and nz.has_readout_error and nz.mitigate and plan.shots > 0:
         mitigation = np.full(L, 1.0 - 2.0 * nz.p_eff)
@@ -259,14 +328,17 @@ def run_quench(
         gate_ss, meas_root = traj_seeds[t].spawn(2)
         gate_rng = np.random.default_rng(gate_ss)
         meas_seeds = meas_root.spawn(n_rec)
-        rec = _Recorder(params, plan, record_correlator, shots_t, mitigation)
-        state = statevec.init_all_plus(L)
+        rec = _Recorder(params, plan, record_correlator, shots_t, mitigation, tables)
+        # |+...+> is |0...0> in the x frame
+        state = StateVector(L, statevec.zero_state(L).amplitudes, frame="x")
         rec.record(state, 0, meas_seeds[0], nz)
         for k in range(1, plan.n_steps + 1):
-            for gate, (kind, sites) in zip(step.gates, gate_kinds):
-                statevec.apply_gate(state, gate)
-                if nz is not None and nz.has_gate_noise:
-                    noise_mod.apply_gate_noise(state, kind, sites, nz, gate_rng)
+            for layer in layers:
+                layer.apply(state)
+                if gate_noise:
+                    for sites in layer.gates:
+                        paulis = noise_mod.draw_gate_paulis(layer.kind, sites, nz, gate_rng)
+                        noise_mod.apply_paulis(state, paulis)
             rec.record(state, k, meas_seeds[k], nz)
         w = shots_t if plan.shots > 0 else 1.0
         weight_total += w

@@ -304,3 +304,29 @@ def test_run_stats_sidecar(tmp_path):
     assert stats["command"] == "quench"
     assert stats["max_rss_kb"] > 0
     assert "trace.csv" in stats["files"]
+
+
+@pytest.mark.parametrize("line", ["model.g = nan", "model.h = inf", "plan.dt = inf"])
+def test_non_finite_physics_exits_1_and_writes_nothing(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model.L = 4\nplan.n_steps = 3\n{line}\noutput.dir = {tmp_path / 'out'}\n")
+    res = run_cli("quench", "--config", str(cfg))
+    assert res.returncode == 1, res.stderr
+    assert "finite" in res.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
+
+
+@pytest.mark.parametrize("out", ["afile/sub", "afile"])
+def test_output_dir_on_a_regular_file_exits_2_and_creates_nothing(tmp_path, out):
+    (tmp_path / "afile").write_text("")
+    f = write_config(
+        tmp_path / "run.cfg",
+        **{"model.L": 4, "plan.n_steps": 3, "output.dir": tmp_path / out},
+    )
+    before = sorted(tmp_path.rglob("*"))
+    res = run_cli("quench", "--config", f)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "cannot write" in res.stderr
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_text() == ""

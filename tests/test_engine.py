@@ -1,0 +1,136 @@
+"""The x-frame Trotter engine against dense references and a gate-by-gate replay."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import oracles
+from isingspec import noise, obs, statevec as sv, trotter
+from isingspec.model import ModelParams, QuenchPlan
+from isingspec.noise import NoiseParams
+
+fields = st.one_of(st.just(0.0), st.floats(0.0, 1.5))
+
+
+def dense_correlator(psi: np.ndarray, L: int) -> np.ndarray:
+    """G(r) = (1/L) sum_i [<X_i X_{i+r}> - <X_i><X_{i+r}>] from dense operators."""
+    xpsi = [oracles.op_at(oracles.X, j, L) @ psi for j in range(1, L + 1)]
+    m = [float(np.real(np.vdot(psi, v))) for v in xpsi]
+    out = []
+    for r in range(1, L // 2 + 1):
+        acc = 0.0
+        for i in range(L):
+            j = (i + r) % L
+            acc += float(np.real(np.vdot(xpsi[i], xpsi[j]))) - m[i] * m[j]
+        out.append(acc / L)
+    return np.array(out)
+
+
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(L=st.integers(2, 9), g=fields, h=fields,
+       dt=st.floats(0.0, 0.8, exclude_min=True))
+def test_exact_quench_matches_dense_step_products(L, g, h, dt):
+    n = 3
+    rec = trotter.run_quench(
+        ModelParams(L, g, h), QuenchPlan(dt=dt, n_steps=n), record_correlator=True
+    )
+    U = oracles.step_unitary(L, g, h, dt)
+    psi = np.full(2**L, 2.0 ** (-L / 2), dtype=complex)
+    for k in range(n + 1):
+        for axis in "xy":
+            expected = [oracles.site_expectation(psi, axis, j, L) for j in range(1, L + 1)]
+            assert np.abs(rec.per_site[axis][k] - expected).max() < 1e-12
+        assert np.abs(rec.correlator[k] - dense_correlator(psi, L)).max() < 1e-12
+        psi = U @ psi
+
+
+def replay_noisy_quench(params, plan, nz):
+    """run_quench's noisy exact path rebuilt from the gate list, gate by gate."""
+    L = params.L
+    step = trotter.build_step(params, plan.dt)
+    n_rec = plan.n_steps + 1
+    sums = {ax: np.zeros((n_rec, L)) for ax in "xy"}
+    corr = np.zeros((n_rec, L // 2))
+    for traj in np.random.SeedSequence(plan.seed).spawn(nz.trajectories):
+        gate_ss, _ = traj.spawn(2)
+        rng = np.random.default_rng(gate_ss)
+        state = sv.init_all_plus(L)
+        for k in range(n_rec):
+            if k > 0:
+                for gate in step.gates:
+                    sv.apply_gate(state, gate)
+                    kind = "1q" if len(gate.sites) == 1 else "2q"
+                    noise.apply_gate_noise(state, kind, gate.sites, nz, rng)
+            for ax in "xy":
+                sums[ax][k] += sv.site_expectations(state, ax)
+            corr[k] += obs.correlator_profile(state)
+    n = nz.trajectories
+    return {ax: v / n for ax, v in sums.items()}, corr / n
+
+
+@pytest.mark.parametrize("L", [6, 7])
+def test_noisy_quench_equals_gate_by_gate_replay(L):
+    params = ModelParams(L, 0.5, 0.3)
+    nz = NoiseParams(p1=0.05, p2=0.2, p01=0.0, p10=0.0, trajectories=5)
+    plan = QuenchPlan(dt=0.4, n_steps=6, seed=11, noise=nz)
+    rec = trotter.run_quench(params, plan, record_correlator=True)
+    per_site, corr = replay_noisy_quench(params, plan, nz)
+    for ax in "xy":
+        assert np.abs(rec.per_site[ax] - per_site[ax]).max() < 1e-12
+    assert np.abs(rec.correlator - corr).max() < 1e-12
+    # the noise really acted: the trace is not the noiseless one
+    ideal = trotter.run_quench(params, QuenchPlan(dt=0.4, n_steps=6))
+    assert np.abs(rec.per_site["y"] - ideal.per_site["y"]).max() > 1e-3
+
+
+def test_mixed_axis_probabilities_match_dense_rotations():
+    rng = np.random.default_rng(9)
+    L = 6
+    amps = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
+    state = sv.StateVector(L, amps / np.linalg.norm(amps))
+    axes = ("x", "y", "z", "y", "x", "y")
+    rotation = {"x": sv.HADAMARD, "y": sv.HADAMARD @ sv.S_DAGGER, "z": np.eye(2)}
+    psi = state.amplitudes
+    for j, ax in enumerate(axes, start=1):
+        psi = oracles.op_at(rotation[ax], j, L) @ psi
+    assert np.abs(sv.measurement_probabilities(state, axes) - np.abs(psi) ** 2).max() < 1e-12
+
+
+def test_x_frame_measurements_match_the_lab_frame():
+    rng = np.random.default_rng(5)
+    L = 5
+    amps = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
+    lab = sv.StateVector(L, amps / np.linalg.norm(amps))
+    hadamards = np.eye(2**L, dtype=complex)
+    for j in range(1, L + 1):
+        hadamards = oracles.op_at(sv.HADAMARD, j, L) @ hadamards
+    framed = sv.StateVector(L, hadamards @ lab.amplitudes, frame="x")
+    for axes in ("x", "y", "z", ("x", "y", "z", "y", "x")):
+        diff = sv.measurement_probabilities(framed, axes) - sv.measurement_probabilities(lab, axes)
+        assert np.abs(diff).max() < 1e-12
+    for axis in "xyz":
+        diff = sv.site_expectations(framed, axis) - sv.site_expectations(lab, axis)
+        assert np.abs(diff).max() < 1e-12
+    assert np.abs(obs.correlator_profile(framed) - obs.correlator_profile(lab)).max() < 1e-12
+    with pytest.raises(ValueError, match="frame"):
+        sv.exact_evolve(framed, ModelParams(L, 0.5, 0.3), dt=0.1, n_steps=1)
+
+
+def test_noiseless_step_allocates_under_a_quarter_of_the_state():
+    L = 16
+    layers = trotter.frame_layers(ModelParams(L, 0.5, 0.3), 0.4)
+    state = sv.StateVector(L, sv.zero_state(L).amplitudes, frame="x")
+    for layer in layers:  # warm up: first calls may allocate lazily
+        layer.apply(state)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for layer in layers:
+            layer.apply(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < state.amplitudes.nbytes / 4

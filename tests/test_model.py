@@ -75,3 +75,16 @@ def test_plan_defaults():
     assert plan.seed == 0
     assert plan.noise is None
     assert tuple(plan.measured_axes) == ("x", "y")
+
+
+def test_validate_rejects_non_finite_couplings():
+    for g, h in ((float("nan"), 0.3), (0.5, float("inf")), (-float("inf"), 0.3)):
+        assert validate(12, g, h).severity == "error"
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(12, float("nan"), 0.3)
+
+
+def test_plan_requires_a_finite_step():
+    for dt in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            QuenchPlan(dt=dt, n_steps=10)
