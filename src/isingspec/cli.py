@@ -23,14 +23,12 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, edsolver, obs, spectro, trotter
-from .model import ModelParams, QuenchPlan
-from .noise import NoiseParams
+from .model import ModelParams, NoiseParams, QuenchPlan
 
 
 class ConfigError(ValueError):
@@ -322,79 +320,39 @@ def render_peaks_json(peaks, levels, prov: dict) -> str:
 
 # ----------------------------------------------------------------- commands
 
-def _spectrum_from_trace(cfg: RunConfig, trace_text: str):
-    """Shared quench-trace -> (spectrum, labelled peaks, levels, prov) path."""
-    prov, times, cols = parse_trace_csv(trace_text)
-    if "sigma_y" not in cols:
-        raise ValueError("trace has no sigma_y column; spectroscopy needs it")
-    series = spectro.TimeSeries(times, cols["sigma_y"], meta=dict(prov))
-    spectrum = spectro.power_spectrum(
-        series, window=cfg["spectro.window"], pad_factor=cfg["spectro.pad_factor"]
-    )
-    peaks = spectro.find_peaks(spectrum, min_height_frac=cfg["spectro.min_height_frac"])
-    levels = None
-    if cfg["spectro.join_ed"] and all(f"model.{k}" in prov for k in ("L", "g", "h")):
-        params = ModelParams(
-            int(prov["model.L"]), float(prov["model.g"]), float(prov["model.h"])
-        )
-        levels = edsolver.solve_sector(params, n_low=cfg["spectro.n_low"])
-        peaks = spectro.match_peaks(peaks, levels)
-    sprov = dict(prov)
-    sprov.update(
-        {
-            "spectro.window": cfg["spectro.window"],
-            "spectro.pad_factor": cfg["spectro.pad_factor"],
-            "d_omega": float(spectrum.d_omega),
-        }
-    )
-    return spectrum, peaks, levels, sprov
-
-
-def _quench_payload(cfg: RunConfig, *, g=None, seed=None, correlator=False) -> dict:
-    params = cfg.model_params(g=g)
-    plan = cfg.quench_plan(seed=seed)
-    record = trotter.run_quench(params, plan, record_correlator=correlator)
-    prov = _run_provenance(cfg, "quench", g=g, seed=seed)
-    out = {
-        "record": record,
-        "prov": prov,
-        "trace.csv": render_trace_csv(record, prov, cfg["output.per_site"]),
-    }
+def _trace_files(cfg: RunConfig, record, prov: dict) -> dict[str, str]:
+    files = {"trace.csv": render_trace_csv(record, prov, cfg["output.per_site"])}
     if cfg["output.format"] in ("json", "both"):
-        out["trace.json"] = render_trace_json(record, prov)
-    return out
+        files["trace.json"] = render_trace_json(record, prov)
+    return files
 
 
-def _sweep_point_payload(cfg: RunConfig, index: int, g: float) -> dict:
-    """One sweep point run through the exact quench + spectrum file path."""
-    seed = cfg["plan.seed"] + index
-    q = _quench_payload(cfg, g=g, seed=seed)
-    spectrum, peaks, levels, sprov = _spectrum_from_trace(cfg, q["trace.csv"])
-    point = {
-        "g": g,
-        "eta": spectro.eta(g, cfg["model.h"]),
-        "extracted": {
-            p.label: (float(p.omega), float(spectrum.d_omega) / 2.0)
-            for p in peaks
-            if p.label != "unassigned"
-        },
+def _spectrum_files(cfg: RunConfig, prov: dict, spectrum, peaks, levels) -> dict[str, str]:
+    sprov = {
+        **prov,
+        "spectro.window": cfg["spectro.window"],
+        "spectro.pad_factor": cfg["spectro.pad_factor"],
+        "d_omega": float(spectrum.d_omega),
     }
-    files = {"trace.csv": q["trace.csv"], "peaks.json": render_peaks_json(peaks, levels, sprov)}
-    if "trace.json" in q:
-        files["trace.json"] = q["trace.json"]
+    files = {"peaks.json": render_peaks_json(peaks, levels, sprov)}
     if cfg["output.format"] in ("csv", "both"):
         files["spectrum.csv"] = render_spectrum_csv(spectrum, sprov)
     if cfg["output.format"] in ("json", "both"):
         files["spectrum.json"] = render_spectrum_json(spectrum, sprov)
-    return {"point": point, "files": files}
+    return files
+
+
+def _spectro_settings(cfg: RunConfig) -> dict:
+    return {
+        "window": cfg["spectro.window"],
+        "pad_factor": cfg["spectro.pad_factor"],
+        "min_height_frac": cfg["spectro.min_height_frac"],
+    }
 
 
 def cmd_quench(cfg: RunConfig) -> dict[str, str]:
-    q = _quench_payload(cfg)
-    files = {"trace.csv": q["trace.csv"]}
-    if "trace.json" in q:
-        files["trace.json"] = q["trace.json"]
-    return files
+    record = trotter.run_quench(cfg.model_params(), cfg.quench_plan())
+    return _trace_files(cfg, record, _run_provenance(cfg, "quench"))
 
 
 def cmd_ed(cfg: RunConfig) -> dict[str, str]:
@@ -424,32 +382,55 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
     trace_path = Path(cfg["spectro.trace"]) if cfg["spectro.trace"] else out_dir / "trace.csv"
     if not trace_path.is_file():
         raise FileNotFoundError(f"trace file not found: {trace_path}")
-    spectrum, peaks, levels, sprov = _spectrum_from_trace(cfg, trace_path.read_text())
-    files = {"peaks.json": render_peaks_json(peaks, levels, sprov)}
-    if cfg["output.format"] in ("csv", "both"):
-        files["spectrum.csv"] = render_spectrum_csv(spectrum, sprov)
-    if cfg["output.format"] in ("json", "both"):
-        files["spectrum.json"] = render_spectrum_json(spectrum, sprov)
-    return files
+    prov, times, cols = parse_trace_csv(trace_path.read_text())
+    if "sigma_y" not in cols:
+        raise ValueError("trace has no sigma_y column; spectroscopy needs it")
+    params = None
+    if cfg["spectro.join_ed"] and all(f"model.{k}" in prov for k in ("L", "g", "h")):
+        params = ModelParams(
+            int(prov["model.L"]), float(prov["model.g"]), float(prov["model.h"])
+        )
+    spectrum, peaks, levels = spectro.analyze_series(
+        spectro.TimeSeries(times, cols["sigma_y"], meta=dict(prov)),
+        params,
+        n_low=cfg["spectro.n_low"],
+        **_spectro_settings(cfg),
+    )
+    return _spectrum_files(cfg, prov, spectrum, peaks, levels)
 
 
 def cmd_sweep(cfg: RunConfig, processes: int) -> dict[str, str]:
-    gs = list(cfg["sweep.g_list"])
+    gs = cfg["sweep.g_list"]
     if not gs:
         raise ConfigError("sweep.g_list is empty")
-    args = [(cfg, i, float(g)) for i, g in enumerate(gs)]
-    if processes > 1 and len(gs) > 1:
-        with get_context("fork").Pool(min(processes, len(gs))) as pool:
-            payloads = pool.starmap(_sweep_point_payload, args)
-    else:
-        payloads = [_sweep_point_payload(*a) for a in args]
+    if not cfg["model.h"] > 0:
+        raise ConfigError(f"sweep needs model.h > 0 to define eta, got {cfg['model.h']!r}")
+    points = spectro.eta_sweep(
+        gs,
+        cfg["model.h"],
+        cfg.model_params(),
+        cfg.quench_plan(),
+        n_low=cfg["spectro.n_low"] if cfg["spectro.join_ed"] else None,
+        processes=processes,
+        **_spectro_settings(cfg),
+    )
 
     files: dict[str, str] = {}
-    suffix = lambda i: "" if len(gs) == 1 else f"_p{i:02d}"  # noqa: E731
-    for i, payload in enumerate(payloads):
-        for name, text in payload["files"].items():
+    rows, table = [], []
+    for i, pt in enumerate(points):
+        prov = _run_provenance(cfg, "quench", g=pt.g, seed=cfg["plan.seed"] + i)
+        point_files = _trace_files(cfg, pt.record, prov)
+        point_files.update(_spectrum_files(cfg, prov, pt.spectrum, pt.peaks, pt.levels))
+        suffix = "" if len(points) == 1 else f"_p{i:02d}"
+        for name, text in point_files.items():
             stem, _, ext = name.partition(".")
-            files[f"{stem}{suffix(i)}.{ext}"] = text
+            files[f"{stem}{suffix}.{ext}"] = text
+        extracted = {k: list(v) for k, v in pt.extracted.items()}
+        cells = [repr(pt.g), repr(pt.h), repr(pt.eta)]
+        for label in ("e1", "e2", "e3"):
+            cells += [repr(v) for v in extracted[label]] if label in extracted else ["", ""]
+        rows.append(",".join(cells))
+        table.append({"g": pt.g, "h": pt.h, "eta": pt.eta, "extracted": extracted})
 
     prov = {
         "isingspec": __version__,
@@ -462,26 +443,7 @@ def cmd_sweep(cfg: RunConfig, processes: int) -> dict[str, str]:
         "plan.seed": cfg["plan.seed"],
         "sweep.g_list": cfg["sweep.g_list"],
     }
-    rows = [_provenance_line(prov), "g,h,eta,e1,e1_err,e2,e2_err,e3,e3_err"]
-    table = []
-    for payload in payloads:
-        pt = payload["point"]
-        cells = [repr(float(pt["g"])), repr(float(cfg["model.h"])), repr(float(pt["eta"]))]
-        for label in ("e1", "e2", "e3"):
-            if label in pt["extracted"]:
-                val, err = pt["extracted"][label]
-                cells += [repr(val), repr(err)]
-            else:
-                cells += ["", ""]
-        rows.append(",".join(cells))
-        table.append(
-            {
-                "g": float(pt["g"]),
-                "h": float(cfg["model.h"]),
-                "eta": float(pt["eta"]),
-                "extracted": {k: [float(v[0]), float(v[1])] for k, v in pt["extracted"].items()},
-            }
-        )
+    rows[:0] = [_provenance_line(prov), "g,h,eta,e1,e1_err,e2,e2_err,e3,e3_err"]
     files["sweep.csv"] = "\n".join(rows) + "\n"
     files["sweep.json"] = json.dumps(
         {"provenance": {k: _emit(v) for k, v in sorted(prov.items())}, "points": table},
@@ -494,9 +456,10 @@ def cmd_sweep(cfg: RunConfig, processes: int) -> dict[str, str]:
 def cmd_correlate(cfg: RunConfig) -> dict[str, str]:
     if "x" not in cfg["plan.axes"]:
         raise ConfigError("correlate needs 'x' in plan.axes")
-    q = _quench_payload(cfg, correlator=True)
-    record, prov = q["record"], dict(q["prov"])
-    prov["command"] = "correlate"
+    record = trotter.run_quench(cfg.model_params(), cfg.quench_plan(), record_correlator=True)
+    prov = _run_provenance(cfg, "quench")
+    files = _trace_files(cfg, record, prov)
+    prov = {**prov, "command": "correlate"}
     field = obs.field_from_record(record)
     fit = obs.lightcone_front(field, threshold=cfg["correlate.threshold"])
     bound = 2.0 * obs.max_group_velocity(cfg["model.g"])
@@ -517,11 +480,8 @@ def cmd_correlate(cfg: RunConfig) -> dict[str, str]:
         "radii": [int(r) for r in fit.radii],
         "sign_changes": [int(obs.oscillation_count(field, int(r))) for r in field.rs],
     }
-    files = {
-        "correlator.csv": "\n".join(rows) + "\n",
-        "front.json": json.dumps(front, sort_keys=True, indent=2) + "\n",
-    }
-    files.update({k: v for k, v in q.items() if k in ("trace.csv", "trace.json")})
+    files["correlator.csv"] = "\n".join(rows) + "\n"
+    files["front.json"] = json.dumps(front, sort_keys=True, indent=2) + "\n"
     return files
 
 

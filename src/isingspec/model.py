@@ -15,7 +15,8 @@ j-1 of the basis index (little-endian).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 AXES = ("x", "y", "z")
 
@@ -126,6 +127,48 @@ def hamiltonian_terms(params: ModelParams) -> list[PauliTerm]:
 
 
 @dataclass(frozen=True)
+class NoiseParams:
+    """Noise model knobs (see isingspec.noise). All-zero probabilities mean an
+    exactly noiseless run. The default rates are placeholders, not device data."""
+
+    p1: float = 0.001
+    p2: float = 0.01
+    p01: float = 0.02
+    p10: float = 0.02
+    trajectories: int = 100
+    mitigate: bool = True  # divide sampled expectations by (1 - 2 p_eff)
+
+    def __post_init__(self):
+        for name in ("p1", "p2", "p01", "p10"):
+            p = getattr(self, name)
+            if not 0.0 <= p < 1.0:
+                raise ValueError(f"{name}={p} must lie in [0, 1)")
+        if self.trajectories < 1:
+            raise ValueError(f"trajectories must be >= 1, got {self.trajectories}")
+        if self.p2 < self.p1:
+            warnings.warn(
+                f"p2={self.p2} < p1={self.p1}: two-site gates are usually the noisier kind",
+                stacklevel=2,
+            )
+
+    @property
+    def p_eff(self) -> float:
+        return 0.5 * (self.p01 + self.p10)
+
+    @property
+    def has_gate_noise(self) -> bool:
+        return self.p1 > 0 or self.p2 > 0
+
+    @property
+    def has_readout_error(self) -> bool:
+        return self.p01 > 0 or self.p10 > 0
+
+    @property
+    def is_null(self) -> bool:
+        return not (self.has_gate_noise or self.has_readout_error)
+
+
+@dataclass(frozen=True)
 class QuenchPlan:
     """Time grid and measurement budget for one quench run.
 
@@ -140,7 +183,7 @@ class QuenchPlan:
     shots: int = 0
     measured_axes: tuple[str, ...] = ("x", "y")
     seed: int = 0
-    noise: "object | None" = None  # NoiseParams; kept loose to avoid import cycle
+    noise: NoiseParams | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):

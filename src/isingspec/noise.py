@@ -9,71 +9,26 @@ Sampling twirls it: a random X per site per shot, undone classically, which
 symmetrizes the channel to an effective flip probability p_eff = (p01+p10)/2.
 Expectation values then shrink by (1 - 2*p_eff) and divide out exactly.
 
-Default rates below are placeholders for exercising the machinery; calibrate
-against the device at hand before reading anything physical into noisy runs.
+The knobs live in model.NoiseParams (re-exported here). Its default rates are
+placeholders for exercising the machinery; calibrate against the device at
+hand before reading anything physical into noisy runs.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import statevec
+from .model import NoiseParams
 from .statevec import StateVector
-
-DEFAULT_P1 = 0.001
-DEFAULT_P2 = 0.01
-DEFAULT_P01 = 0.02
-DEFAULT_P10 = 0.02
 
 _PAULI_CYCLE = ("x", "y", "z")
 # a lab-frame Pauli P acts on x-frame amplitudes as H P H: X <-> Z, Y -> -Y
 # (the sign is a global phase)
 _FRAME_PAULI = {"z": {"x": "x", "y": "y", "z": "z"}, "x": {"x": "z", "y": "y", "z": "x"}}
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Noise model knobs. All-zero probabilities mean an exactly noiseless run."""
-
-    p1: float = DEFAULT_P1
-    p2: float = DEFAULT_P2
-    p01: float = DEFAULT_P01
-    p10: float = DEFAULT_P10
-    trajectories: int = 100
-    mitigate: bool = True  # divide sampled expectations by (1 - 2 p_eff)
-
-    def __post_init__(self):
-        for name in ("p1", "p2", "p01", "p10"):
-            p = getattr(self, name)
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"{name}={p} must lie in [0, 1)")
-        if self.trajectories < 1:
-            raise ValueError(f"trajectories must be >= 1, got {self.trajectories}")
-        if self.p2 < self.p1:
-            warnings.warn(
-                f"p2={self.p2} < p1={self.p1}: two-site gates are usually the noisier kind",
-                stacklevel=2,
-            )
-
-    @property
-    def p_eff(self) -> float:
-        return 0.5 * (self.p01 + self.p10)
-
-    @property
-    def has_gate_noise(self) -> bool:
-        return self.p1 > 0 or self.p2 > 0
-
-    @property
-    def has_readout_error(self) -> bool:
-        return self.p01 > 0 or self.p10 > 0
-
-    @property
-    def is_null(self) -> bool:
-        return not (self.has_gate_noise or self.has_readout_error)
 
 
 def draw_gate_paulis(

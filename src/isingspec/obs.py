@@ -8,7 +8,8 @@ diagonal, so both exact and sampled estimates reduce to bit statistics of
 the x-basis distribution p. Exactly, sum_i <sx_i sx_{i+r}> = p . t_r with the
 int8 table t_r(s) = L - 2 popcount(s XOR rot^r(s)), the same popcount kernel
 that gives the Trotter engine its bond diagonal; sampled, one shared bit
-matrix serves all pairs.
+matrix serves all pairs: <z_i z_{i+r}> is the site estimate of the bit matrix
+XORed with its own roll by r.
 """
 
 from __future__ import annotations
@@ -19,39 +20,6 @@ import numpy as np
 
 from . import statevec
 from .statevec import StateVector
-
-
-def _pair_stats_from_bits(bits: np.ndarray):
-    """Single-site means m_i and a pair-correlation callable c(i, j), 0-indexed,
-    from a sampled (shots, L) bit matrix."""
-    m = 1.0 - 2.0 * bits.mean(axis=0)
-
-    def corr(i: int, j: int) -> float:
-        return 1.0 - 2.0 * float((bits[:, i] ^ bits[:, j]).mean())
-
-    return m, corr
-
-
-def _profile(m: np.ndarray, corr, L: int, factors: np.ndarray | None) -> np.ndarray:
-    """Translation-averaged connected correlator for r = 1 .. L//2.
-
-    factors, when given, are per-site readout attenuations (1 - 2 p_eff);
-    dividing them out of m_i and c_ij is the (approximate) correlator analog
-    of expectation-value readout mitigation.
-    """
-    if factors is not None:
-        m = m / factors
-    out = np.empty(L // 2)
-    for r in range(1, L // 2 + 1):
-        acc = 0.0
-        for i in range(L):
-            j = (i + r) % L
-            c = corr(i, j)
-            if factors is not None:
-                c = c / (factors[i] * factors[j])
-            acc += c - m[i] * m[j]
-        out[r - 1] = acc / L
-    return out
 
 
 def connected_xx(state: StateVector, r: int) -> float:
@@ -83,13 +51,22 @@ def correlator_profile(state: StateVector, tables: list[np.ndarray] | None = Non
     return (pair_sums - disconnected) / L
 
 
-def correlator_profile_from_bits(
-    bits: np.ndarray, mitigation_factors: np.ndarray | None = None
-) -> np.ndarray:
-    """Sampled G(r) from a shared x-basis bit matrix of shape (shots, L)."""
+def correlator_profile_from_bits(bits: np.ndarray, mitigation: float = 1.0) -> np.ndarray:
+    """Sampled G(r) for r = 1 .. L//2 from a shared x-basis bit matrix of shape (shots, L).
+
+    mitigation is the readout attenuation 1 - 2 p_eff. It divides the site
+    means once and the pair means <z_i z_{i+r}> by its square, the correlator
+    analog of expectation-value readout mitigation (approximate for G).
+    """
     L = bits.shape[1]
-    m, corr = _pair_stats_from_bits(bits)
-    return _profile(m, corr, L, mitigation_factors)
+    rs = range(1, L // 2 + 1)
+    m = statevec.estimates_from_bits(bits) / mitigation
+    # row i holds site i's terms; numpy sums axis 0 row by row, i.e. in site order
+    pairs = np.stack(
+        [statevec.estimates_from_bits(bits ^ np.roll(bits, -r, axis=1)) for r in rs], axis=1
+    )
+    disconnected = np.stack([m * np.roll(m, -r) for r in rs], axis=1)
+    return (pairs / (mitigation * mitigation) - disconnected).sum(axis=0) / L
 
 
 @dataclass

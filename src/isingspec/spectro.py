@@ -9,12 +9,16 @@ candidate set {e_n} union {e_m - e_n}.
 
 The dimensionless scaling parameter eta = 2 pi (1 - g) / h^(8/15) indexes the
 sweep points: small eta means strong confinement relative to the kink scale.
+eta_sweep is the one sweep driver: each point runs sweep_point (quench, then
+analyze_series) and returns the record, spectrum, peaks and levels in memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -236,89 +240,101 @@ def eta(g: float, h: float) -> float:
     return 2.0 * math.pi * (1.0 - g) / h ** (8.0 / 15.0)
 
 
-@dataclass
-class EtaPoint:
-    """One sweep point: labelled peaks plus the ED reference levels."""
-
-    g: float
-    h: float
-    eta: float
-    peaks: PeakSet
-    extracted: dict[str, tuple[float, float]]  # label -> (omega, uncertainty)
-    ed_gaps: np.ndarray
-    d_omega: float
-
-
-@dataclass(frozen=True)
-class _SweepTask:
-    g: float
-    h: float
-    template: ModelParams
-    plan: QuenchPlan
-    seed: int | None
-    window: str
-    pad_factor: int
-    min_height_frac: float
-    n_low: int
-    tol: float | None
-
-
-def _sweep_point(task: _SweepTask) -> EtaPoint:
-    params = replace(task.template, g=task.g, h=task.h)
-    plan = replace(task.plan, seed=task.seed)
-    record = trotter.run_quench(params, plan)
-    spectrum = power_spectrum(
-        series_from_record(record, "y"), window=task.window, pad_factor=task.pad_factor
-    )
-    found = find_peaks(spectrum, min_height_frac=task.min_height_frac)
-    levels = edsolver.solve_sector(params, n_low=task.n_low)
-    labelled = match_peaks(found, levels, tol=task.tol)
-    extracted = {
-        p.label: (p.omega, spectrum.d_omega / 2.0)
-        for p in labelled
-        if p.label != "unassigned"
-    }
-    return EtaPoint(
-        task.g, task.h, eta(task.g, task.h), labelled, extracted, levels.gaps, spectrum.d_omega
-    )
-
-
-def eta_sweep(
-    g_list,
-    h: float,
-    template: ModelParams,
-    plan: QuenchPlan,
+def analyze_series(
+    series: TimeSeries,
+    params: ModelParams | None = None,
     *,
     window: str = "hann",
     pad_factor: int = 8,
     min_height_frac: float = 0.05,
     n_low: int = 6,
     tol: float | None = None,
-    processes: int = 1,
-) -> list[EtaPoint]:
-    """Quench + spectroscopy + ED at each g; deterministic for fixed seed.
+) -> tuple[Spectrum, PeakSet, EnergyLevels | None]:
+    """Spectrum, peaks and, given the chain parameters, ED levels and labels."""
+    spectrum = power_spectrum(series, window=window, pad_factor=pad_factor)
+    peaks = find_peaks(spectrum, min_height_frac=min_height_frac)
+    levels = None
+    if params is not None:
+        levels = edsolver.solve_sector(params, n_low=n_low)
+        peaks = match_peaks(peaks, levels, tol=tol)
+    return spectrum, peaks, levels
 
-    Point i runs with seed plan.seed + i (left None when plan.seed is None),
-    so serial and parallel execution produce identical results and a
-    single-point sweep reproduces a plain quench with the same seed exactly.
+
+@dataclass
+class EtaPoint:
+    """One sweep point: the quench record, its spectrum, labelled peaks and ED levels."""
+
+    g: float
+    h: float
+    record: trotter.QuenchRecord
+    spectrum: Spectrum
+    peaks: PeakSet
+    levels: EnergyLevels | None  # None when the sweep ran without an ED reference
+
+    @property
+    def eta(self) -> float:
+        return eta(self.g, self.h)
+
+    @property
+    def d_omega(self) -> float:
+        return self.spectrum.d_omega
+
+    @property
+    def ed_gaps(self) -> np.ndarray:
+        return np.empty(0) if self.levels is None else self.levels.gaps
+
+    @property
+    def extracted(self) -> dict[str, tuple[float, float]]:
+        """label -> (omega, uncertainty of half a resolution bin), assigned peaks only."""
+        return {
+            p.label: (float(p.omega), self.d_omega / 2.0)
+            for p in self.peaks
+            if p.label != "unassigned"
+        }
+
+
+def sweep_point(
+    params: ModelParams, plan: QuenchPlan, *, n_low: int | None = 6, **settings
+) -> EtaPoint:
+    """Quench, spectrum of sigma_y, peaks and their ED match at one (g, h).
+
+    settings are further analyze_series keywords; n_low = None skips the ED
+    reference, so the peaks stay unassigned.
     """
-    g_list = list(g_list)
-    tasks = [
-        _SweepTask(
-            float(g),
-            float(h),
-            template,
-            plan,
-            None if plan.seed is None else plan.seed + i,
-            window,
-            int(pad_factor),
-            float(min_height_frac),
-            int(n_low),
-            tol,
+    record = trotter.run_quench(params, plan)
+    reference = None if n_low is None else params
+    spectrum, peaks, levels = analyze_series(
+        series_from_record(record, "y"), reference, n_low=n_low, **settings
+    )
+    return EtaPoint(params.g, params.h, record, spectrum, peaks, levels)
+
+
+def eta_sweep(
+    g_list, h: float, template: ModelParams, plan: QuenchPlan, *, processes: int = 1, **settings
+) -> list[EtaPoint]:
+    """sweep_point at each g of g_list; deterministic for a fixed seed.
+
+    settings are sweep_point keywords (window, pad_factor, min_height_frac,
+    n_low, tol). Point i runs with seed plan.seed + i (left None when
+    plan.seed is None), so serial and parallel execution produce identical
+    results and a single-point sweep reproduces a plain quench with the same
+    seed exactly. h <= 0 is rejected before any point runs. At most
+    os.cpu_count() worker processes are started; with one, the points run in
+    this process.
+    """
+    h = float(h)
+    if not h > 0:
+        raise ValueError(f"eta needs h > 0, got h={h}")
+    points = [
+        (
+            replace(template, g=float(g), h=h),
+            replace(plan, seed=None if plan.seed is None else plan.seed + i),
         )
         for i, g in enumerate(g_list)
     ]
-    if processes <= 1 or len(tasks) <= 1:
-        return [_sweep_point(t) for t in tasks]
-    with get_context("fork").Pool(min(processes, len(tasks))) as pool:
-        return pool.map(_sweep_point, tasks)
+    run = partial(sweep_point, **settings)
+    workers = min(processes, len(points), os.cpu_count() or 1)
+    if workers <= 1:
+        return [run(*point) for point in points]
+    with get_context("fork").Pool(workers) as pool:
+        return pool.starmap(run, points)

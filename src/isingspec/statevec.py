@@ -415,12 +415,8 @@ def estimates_from_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def estimates_from_indices(indices: np.ndarray, counts: np.ndarray, L: int, shots: int) -> np.ndarray:
-    """Per-site <z> estimates straight from an index histogram."""
-    weights = counts / shots
-    out = np.empty(L)
-    for b in range(L):
-        out[b] = 1.0 - 2.0 * float(weights @ ((indices >> b) & 1))
-    return out
+    """Per-site <z> estimates of an index histogram of `shots` draws, via its bit matrix."""
+    return estimates_from_bits(bits_from_indices(indices, counts, L))
 
 
 # ---------------------------------------------------------------------------

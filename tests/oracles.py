@@ -86,3 +86,22 @@ def site_expectation(psi: np.ndarray, axis: str, site: int, L: int) -> float:
 
 def mean_expectation(psi: np.ndarray, axis: str, L: int) -> float:
     return sum(site_expectation(psi, axis, j, L) for j in range(1, L + 1)) / L
+
+
+def sampled_correlator(bits: np.ndarray, mitigation: float = 1.0) -> np.ndarray:
+    """Pair-loop G(r), r = 1 .. L//2, from a (shots, L) matrix of x-basis bits.
+
+    Each bit b is the outcome z = 1 - 2b. Site means are divided by the
+    mitigation factor and pair means by its square, as in readout mitigation.
+    """
+    z = 1.0 - 2.0 * np.asarray(bits, dtype=float)
+    L = z.shape[1]
+    m = z.mean(axis=0) / mitigation
+    out = []
+    for r in range(1, L // 2 + 1):
+        acc = 0.0
+        for i in range(L):
+            j = (i + r) % L
+            acc += float(np.mean(z[:, i] * z[:, j])) / mitigation**2 - m[i] * m[j]
+        out.append(acc / L)
+    return np.array(out)

@@ -238,6 +238,18 @@ def test_sweep_table_has_one_row_per_point(tmp_path):
     assert [pt["g"] for pt in doc["points"]] == [0.4, 0.6]
 
 
+@pytest.mark.parametrize("h", ["0.0", "-0.2"])
+def test_sweep_without_a_longitudinal_field_is_a_config_error(tmp_path, h):
+    f = write_config(
+        tmp_path / "s.cfg", **dict(SWEEP_BASE, **{"model.h": h}),
+        **{"sweep.g_list": "0.4, 0.6", "output.dir": tmp_path / "out"},
+    )
+    res = run_cli("sweep", "--config", f)
+    assert res.returncode == 1, res.stderr
+    assert "config error" in res.stderr and "model.h > 0" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- correlate
 
 def test_correlate_outputs(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from isingspec import obs, statevec as sv, trotter
 from isingspec.model import ModelParams, QuenchPlan
 from isingspec.obs import CorrelatorField
@@ -58,6 +60,22 @@ def test_profile_from_bits_converges():
     bits = sv.bits_from_indices(idx, counts, 6)
     prof = obs.correlator_profile_from_bits(bits)
     assert np.abs(prof - 1.0).max() < 0.02
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    L=st.integers(2, 9),
+    shots=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    p_one=st.floats(0.0, 1.0),
+    mitigation=st.one_of(st.just(1.0), st.floats(0.2, 1.0)),
+)
+def test_sampled_correlator_matches_the_pair_loop(L, shots, seed, p_one, mitigation):
+    bits = (np.random.default_rng(seed).random((shots, L)) < p_one).astype(np.uint8)
+    got = obs.correlator_profile_from_bits(bits, mitigation)
+    want = oracles.sampled_correlator(bits, mitigation)
+    assert got.shape == (L // 2,)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_field_from_record_requires_the_correlator():

@@ -235,6 +235,28 @@ def test_single_point_sweep_matches_a_plain_quench():
     assert [p.omega for p in point.peaks] == [p.omega for p in direct]
 
 
+def test_sweep_workers_are_capped_at_the_cpu_count(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU sweep must not start a pool")
+
+    monkeypatch.setattr(spectro.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(spectro, "get_context", no_pool)
+    template = ModelParams(4, 0.5, 0.3)
+    plan = QuenchPlan(dt=0.2, n_steps=40, seed=3)
+    points = spectro.eta_sweep([0.3, 0.5, 0.7], 0.3, template, plan, processes=3)
+    assert [p.g for p in points] == [0.3, 0.5, 0.7]
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1])
+def test_sweep_rejects_h_at_or_below_zero_before_any_quench(monkeypatch, h):
+    def no_quench(*args, **kwargs):
+        raise AssertionError("no quench may run for h <= 0")
+
+    monkeypatch.setattr(trotter, "run_quench", no_quench)
+    with pytest.raises(ValueError, match="h > 0"):
+        spectro.eta_sweep([0.4, 0.6], h, ModelParams(4, 0.5, 0.3), QuenchPlan(dt=0.2, n_steps=40))
+
+
 def test_series_from_record_carries_the_grid():
     record = trotter.run_quench(ModelParams(4, 0.5, 0.3), QuenchPlan(dt=0.4, n_steps=16))
     series = spectro.series_from_record(record, "y")
