@@ -3,10 +3,8 @@
 from .model import (
     AXES,
     ModelParams,
-    PauliTerm,
     QuenchPlan,
     ValidationReport,
-    hamiltonian_terms,
     validate,
 )
 from .statevec import (

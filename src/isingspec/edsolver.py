@@ -3,9 +3,10 @@
 The quench starts from the translation-invariant polarized state, so all the
 dynamics (and the meson levels it resolves) live in the k = 0 momentum sector.
 Basis states are translation orbits, labelled by their lexicographically
-smallest bit pattern; an orbit of period R enters with weight sqrt(R)/L so the
-sector Hamiltonian stays real symmetric at k = 0. The machinery carries a
-general momentum index internally, but only k = 0 is exposed and tested.
+smallest bit pattern. The orbit state of period R is the equal-weight sum of
+its R members, normalized by 1/sqrt(R), so the sector Hamiltonian is real
+symmetric. statevec.exact_evolve evolves in the same basis with the same
+matrix.
 
 At h = 0 the chain maps to free fermions; free_fermion_oracle reproduces the
 full many-body spectrum from the single-particle dispersion
@@ -43,15 +44,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SectorBasis:
-    """Translation-orbit basis of one momentum sector (k in units of 2 pi / L)."""
+    """Translation-orbit basis of the zero-momentum sector."""
 
     L: int
-    momentum: int
     reps: np.ndarray      # orbit representatives, ascending
     periods: np.ndarray   # orbit period R per representative
     rep_of: np.ndarray    # any state -> its representative (size 2**L)
     index_of: np.ndarray  # representative -> basis index, -1 elsewhere
-    shift_of: np.ndarray  # any state -> translations to reach its representative
 
     @property
     def dim(self) -> int:
@@ -63,36 +62,25 @@ def _translate(states: np.ndarray, L: int, mask: int) -> np.ndarray:
     return ((states << 1) & mask) | (states >> (L - 1))
 
 
-def _build_basis(L: int, momentum: int) -> SectorBasis:
+def build_zero_momentum_basis(L: int) -> SectorBasis:
+    """All translation-orbit representatives; dimension = binary necklace count."""
     if not 2 <= L <= BASIS_L_MAX:
         raise ValueError(f"L={L} outside supported range [2, {BASIS_L_MAX}]")
     dim_full = 1 << L
     mask = dim_full - 1
     states = np.arange(dim_full, dtype=np.int64)
     rep = states.copy()
-    shift = np.zeros(dim_full, dtype=np.int64)
     period = np.zeros(dim_full, dtype=np.int64)
     rot = states
     for l in range(1, L + 1):
         rot = _translate(rot, L, mask)
-        smaller = rot < rep
-        rep[smaller] = rot[smaller]
-        shift[smaller] = l
+        np.minimum(rep, rot, out=rep)
         fresh = (period == 0) & (rot == states)
         period[fresh] = l
     reps = states[rep == states]
-    periods = period[reps]
-    if momentum % L != 0:
-        keep = (momentum * periods) % L == 0
-        reps, periods = reps[keep], periods[keep]
     index_of = np.full(dim_full, -1, dtype=np.int64)
     index_of[reps] = np.arange(reps.size)
-    return SectorBasis(L, momentum % L, reps, periods, rep, index_of, shift)
-
-
-def build_zero_momentum_basis(L: int) -> SectorBasis:
-    """All translation-orbit representatives; dimension = binary necklace count."""
-    return _build_basis(L, 0)
+    return SectorBasis(L, reps, period[reps], rep, index_of)
 
 
 def assemble_sector_hamiltonian(
@@ -101,8 +89,6 @@ def assemble_sector_hamiltonian(
     """Real symmetric sector matrix; entry (b, a) = c * sqrt(R_a / R_b)."""
     if params.L != basis.L:
         raise ValueError(f"params.L={params.L} does not match basis.L={basis.L}")
-    if basis.momentum != 0:
-        raise NotImplementedError("only the k = 0 sector is assembled")
     L, g, h = params.L, params.g, params.h
     reps = basis.reps
     dim = basis.dim

@@ -90,43 +90,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class PauliTerm:
-    """One product term c * P_{s1} * P_{s2} ... acting on named sites/axes."""
-
-    coefficient: float
-    factors: tuple[tuple[int, str], ...]  # ((site, axis), ...), sites 1-indexed
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("a Pauli term needs at least one factor")
-        if len(self.factors) > 2:
-            raise ValueError("chain Hamiltonian terms act on at most two sites")
-        sites = [s for s, _ in self.factors]
-        if len(set(sites)) != len(sites):
-            raise ValueError(f"duplicate site in factors {self.factors}")
-        for site, axis in self.factors:
-            if site < 1:
-                raise ValueError(f"sites are 1-indexed, got {site}")
-            if axis not in AXES:
-                raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-
-
-def hamiltonian_terms(params: ModelParams) -> list[PauliTerm]:
-    """Expand H into Pauli product terms.
-
-    Order is fixed (bonds, transverse fields, longitudinal fields) so that
-    consumers iterate deterministically. Terms with zero coefficient are
-    omitted: at g = h = 0 only the L bond terms remain.
-    """
-    terms = [PauliTerm(-1.0, ((a, "x"), (b, "x"))) for a, b in params.bonds()]
-    if params.g != 0.0:
-        terms.extend(PauliTerm(-params.g, ((j, "z"),)) for j in range(1, params.L + 1))
-    if params.h != 0.0:
-        terms.extend(PauliTerm(-params.h, ((j, "x"),)) for j in range(1, params.L + 1))
-    return terms
-
-
-@dataclass(frozen=True)
 class NoiseParams:
     """Noise model knobs (see isingspec.noise). All-zero probabilities mean an
     exactly noiseless run. The default rates are placeholders, not device data."""

@@ -22,8 +22,9 @@ Gate application is in place via bit-masked stride views; any site pair is
 allowed for two-site gates. The x-frame kernels fuse the same 2x2 matrix on
 4 neighbouring sites into one 16x16 block and apply blocks and diagonals in
 place over cache-sized chunks, so a step allocates a few chunks, never a
-state-sized temporary. Exact time evolution uses a dense eigensystem of H up
-to L = 14 and a matrix-free Lanczos exponential beyond.
+state-sized temporary. Exact time evolution runs in the k = 0 translation
+sector on the orbit basis and sector matrix that edsolver builds for ED;
+only the returned snapshots are expanded to 2**L amplitudes.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
-from .model import AXES, L_MAX, ModelParams, hamiltonian_terms
+from . import edsolver
+from .model import AXES, L_MAX, ModelParams
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -54,7 +54,6 @@ _MEAS_ROTATION = {
     "x": {"x": None, "y": HADAMARD @ S_DAGGER @ HADAMARD, "z": HADAMARD},
 }
 
-DENSE_EVOLVE_MAX = 14  # largest L for the precomputed dense propagator path
 _UNITARY_TOL = 1e-12
 CHUNK = 1 << 13  # amplitudes per in-place kernel chunk (128 KiB of complex128)
 BLOCK_SITES = 4  # sites fused into one 2**4 x 2**4 block
@@ -140,8 +139,9 @@ class Gate:
             raise ValueError(f"duplicate gate targets {self.sites}")
         if m.shape != (2**n, 2**n):
             raise ValueError(f"matrix shape {m.shape} does not match {n} site(s)")
-        dev = np.abs(m @ m.conj().T - np.eye(2**n)).max()
-        if dev > _UNITARY_TOL:
+        with np.errstate(invalid="ignore"):  # inf entries give NaN, rejected below
+            dev = np.abs(m @ m.conj().T - np.eye(2**n)).max()
+        if not dev <= _UNITARY_TOL:
             raise ValueError(f"gate matrix is not unitary (deviation {dev:.2e})")
 
 
@@ -420,117 +420,25 @@ def estimates_from_indices(indices: np.ndarray, counts: np.ndarray, L: int, shot
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian action and exact evolution
+# Energy and exact evolution
 # ---------------------------------------------------------------------------
 
 
-def _flip_axes(L: int, sites: tuple[int, ...]) -> tuple[int, ...]:
-    # site j <-> bit j-1 <-> axis L-1-(j-1) of the (2,)*L view
-    return tuple(L - site for site in sites)
+def energy_expectation(state: StateVector, params: ModelParams) -> float:
+    """<H> of the normalized state, from outcome probabilities in two bases.
 
-
-def hamiltonian_action(params: ModelParams):
-    """Matrix-free H application: returns apply(psi) -> H psi.
-
-    sz terms are diagonal; every sx factor flips its bit, which on the
-    (2,)*L-shaped view is an axis reversal (a numpy view, no copy).
+    The z marginals give the g term; the x-basis probabilities give the
+    bonds (sum_j sx_j sx_{j+1} = L - 2 * ring_xor_popcount) and the h term.
     """
     L, g, h = params.L, params.g, params.h
-    dim = 1 << L
-    shape = (2,) * L
-    zsum = L - 2.0 * np.bitwise_count(np.arange(dim)).astype(np.float64)
-    diag = -g * zsum
-    bond_axes = [_flip_axes(L, bond) for bond in params.bonds()]
-    site_axes = [_flip_axes(L, (j,)) for j in range(1, L + 1)]
-
-    def apply(psi: np.ndarray) -> np.ndarray:
-        out = diag * psi
-        pv = psi.reshape(shape)
-        ov = out.reshape(shape)
-        for ax in bond_axes:
-            ov -= np.flip(pv, axis=ax)
-        if h != 0.0:
-            for ax in site_axes:
-                ov -= h * np.flip(pv, axis=ax)
-        return out
-
-    return apply
-
-
-def energy_expectation(state: StateVector, params: ModelParams) -> float:
-    _require_lab(state)
-    if state.L != params.L:
+    if state.L != L:
         raise ValueError("state size does not match params.L")
-    apply = hamiltonian_action(params)
-    return float(np.real(np.vdot(state.amplitudes, apply(state.amplitudes))))
-
-
-def dense_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Dense real-symmetric H assembled from the Pauli term list."""
-    L = params.L
-    dim = 1 << L
-    out = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    for term in hamiltonian_terms(params):
-        mask = 0
-        zsites = []
-        for site, axis in term.factors:
-            if axis == "x":
-                mask |= 1 << (site - 1)
-            elif axis == "z":
-                zsites.append(site)
-            else:
-                raise ValueError("dense assembly supports x/z factors only")
-        vals = np.full(dim, term.coefficient)
-        for site in zsites:
-            vals = vals * (1.0 - 2.0 * ((idx >> (site - 1)) & 1))
-        out[idx ^ mask, idx] += vals
-    return out
-
-
-@lru_cache(maxsize=2)
-def _dense_eigensystem(params: ModelParams):
-    evals, evecs = np.linalg.eigh(dense_hamiltonian(params))
-    return evals, evecs
-
-
-def _lanczos_expm(apply_h, psi: np.ndarray, dt: float, tol: float, m_max: int = 90) -> np.ndarray:
-    """exp(-i dt H) psi by a Lanczos Krylov approximation with posterior error bound."""
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
-        return psi.copy()
-    vecs = [psi / nrm]
-    alphas: list[float] = []
-    betas: list[float] = []
-    for m in range(1, m_max + 1):
-        w = apply_h(vecs[-1])
-        if len(vecs) > 1:
-            w -= betas[-1] * vecs[-2]
-        a = float(np.real(np.vdot(vecs[-1], w)))
-        w -= a * vecs[-1]
-        # full reorthogonalization: cheap at these Krylov sizes, avoids ghost modes
-        for v in vecs:
-            w -= np.vdot(v, w) * v
-        alphas.append(a)
-        b = float(np.linalg.norm(w))
-        t_mat = np.diag(alphas).astype(complex)
-        if len(betas) > 0:
-            off = np.array(betas)
-            t_mat += np.diag(off, 1) + np.diag(off, -1)
-        u = scipy.linalg.expm(-1j * dt * t_mat)[:, 0]
-        err = abs(dt) * b * abs(u[-1])
-        if b < 1e-14 or err < tol:
-            out = np.zeros_like(psi)
-            for coeff, v in zip(u, vecs):
-                out += coeff * v
-            out *= nrm
-            return out
-        betas.append(b)
-        vecs.append(w / b)
-    raise RuntimeError(
-        f"Lanczos exponential did not reach tolerance {tol} within {m_max} iterations "
-        f"(last estimate {err:.2e})"
-    )
+    pz = measurement_probabilities(state, "z")
+    px = measurement_probabilities(state, "x")
+    z_sum = L - 2.0 * bit_marginals(pz, L).sum()
+    x_sum = L - 2.0 * bit_marginals(px, L).sum()
+    bond_sum = L - 2.0 * float(px @ ring_xor_popcount(L))
+    return float(-bond_sum - g * z_sum - h * x_sum)
 
 
 def exact_evolve(
@@ -539,17 +447,20 @@ def exact_evolve(
     dt: float,
     n_steps: int,
     record_every: int = 1,
-    krylov_tol: float = 1e-10,
 ) -> list[StateVector]:
     """Evolve under exp(-i H dt) per step; returns snapshots at t_k = k*dt.
 
     Snapshots are recorded at k = 0, record_every, 2*record_every, ... and
-    always at k = n_steps. Up to L = 14 the dense eigensystem of H is computed
-    once and applied per snapshot; beyond that a matrix-free Lanczos
-    exponential steps the state with tolerance krylov_tol.
+    always at k = n_steps. H commutes with translations, so a translation-
+    invariant state stays in the k = 0 sector: the evolution runs on the
+    orbit coefficients c_a = sqrt(R_a) psi(rep_a) under the sector matrix
+    that ED uses, with a dense eigensystem up to edsolver.DENSE_EIG_MAX
+    dims and scipy's expm_multiply above. Only the returned snapshots are
+    expanded to 2**L amplitudes, psi(s) = c_rep(s) / sqrt(R_rep(s)). A state
+    that is not translation invariant raises ValueError.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if record_every < 1:
@@ -558,33 +469,38 @@ def exact_evolve(
     if state.L != params.L:
         raise ValueError("state size does not match params.L")
     L = params.L
+    basis = edsolver.build_zero_momentum_basis(L)
+    amps = state.amplitudes
+    if np.abs(amps - amps[basis.rep_of]).max() > 1e-12:
+        raise ValueError("exact_evolve needs a translation-invariant state")
+    orbit = basis.index_of[basis.rep_of]  # basis index of every state's orbit
+    root_periods = np.sqrt(basis.periods.astype(np.float64))
+    c0 = root_periods * amps[basis.reps]
     recorded = list(range(0, n_steps + 1, record_every))
     if recorded[-1] != n_steps:
         recorded.append(n_steps)
 
-    if L <= DENSE_EVOLVE_MAX:
-        evals, evecs = _dense_eigensystem(params)
-        amps = state.amplitudes
-        c0 = evecs.T @ amps.real + 1j * (evecs.T @ amps.imag)
+    def expand(c: np.ndarray) -> StateVector:
+        return StateVector(L, (c / root_periods)[orbit])
+
+    mat = edsolver.assemble_sector_hamiltonian(params, basis)
+    if basis.dim <= edsolver.DENSE_EIG_MAX:
+        evals, evecs = np.linalg.eigh(mat.toarray())
+        w0 = evecs.T @ c0.real + 1j * (evecs.T @ c0.imag)
         snapshots = []
-        chunk = 128
-        for lo in range(0, len(recorded), chunk):
-            ks = np.array(recorded[lo : lo + chunk])
-            coeffs = np.exp(-1j * np.outer(evals, ks * dt)) * c0[:, None]
-            block = evecs @ coeffs.real + 1j * (evecs @ coeffs.imag)
-            snapshots.extend(
-                StateVector(L, np.ascontiguousarray(block[:, i])) for i in range(len(ks))
-            )
+        for k in recorded:
+            w = np.exp(-1j * dt * k * evals) * w0
+            snapshots.append(expand(evecs @ w.real + 1j * (evecs @ w.imag)))
         return snapshots
 
-    apply_h = hamiltonian_action(params)
-    snapshots = [state.copy()]
-    psi = state.amplitudes.copy()
-    rec = set(recorded)
-    for k in range(1, n_steps + 1):
-        psi = _lanczos_expm(apply_h, psi, dt, krylov_tol)
-        if k in rec:
-            snapshots.append(StateVector(L, psi.copy()))
+    from scipy.sparse.linalg import expm_multiply
+
+    generator = -1j * dt * mat
+    snapshots = [expand(c0)]
+    c = c0
+    for prev, k in zip(recorded, recorded[1:]):
+        c = expm_multiply((k - prev) * generator, c)
+        snapshots.append(expand(c))
     return snapshots
 
 

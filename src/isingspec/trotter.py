@@ -82,8 +82,8 @@ def single_site_step_matrix(g: float, h: float, dt: float) -> np.ndarray:
 
 def build_step(params: ModelParams, dt: float) -> TrotterStep:
     """Gate list [U_1q; U_odd; U_even] for one first-order step."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     L = params.L
     gates: list[Gate] = []
     if params.g != 0.0 or params.h != 0.0:
@@ -123,8 +123,8 @@ def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False) -> l
     noise can sit between them; on an odd ring the wrap bond (L, 1) shares
     site L with (L-1, L) and gets a diagonal of its own.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     L = params.L
     layers = []
     if params.g != 0.0 or params.h != 0.0:

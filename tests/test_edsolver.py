@@ -114,3 +114,19 @@ def test_sector_matrix_is_symmetric():
     mat = edsolver.assemble_sector_hamiltonian(p, basis)
     arr = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
     assert np.abs(arr - arr.T).max() < 1e-12
+
+
+@pytest.mark.parametrize("L", [6, 7])
+def test_sector_matrix_is_the_dense_hamiltonian_projected_onto_k0(L):
+    p = ModelParams(L, 0.45, 0.25)
+    basis = edsolver.build_zero_momentum_basis(L)
+    mask = (1 << L) - 1
+    # columns of V are the normalized equal-weight sums over each orbit
+    V = np.zeros((2**L, basis.dim))
+    for a, rep in enumerate(basis.reps):
+        orbit = {int(((rep << s) | (rep >> (L - s))) & mask) for s in range(L)}
+        V[sorted(orbit), a] = 1.0 / np.sqrt(len(orbit))
+    projected = V.T @ oracles.hamiltonian(L, p.g, p.h) @ V
+    mat = edsolver.assemble_sector_hamiltonian(p, basis)
+    arr = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
+    assert np.abs(arr - projected).max() < 1e-12

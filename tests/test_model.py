@@ -5,7 +5,6 @@ from isingspec.model import (
     L_MIN,
     ModelParams,
     QuenchPlan,
-    hamiltonian_terms,
     validate,
 )
 
@@ -51,15 +50,6 @@ def test_params_reject_bad_length():
         ModelParams(1, 0.5, 0.3)
     with pytest.raises(ValueError):
         ModelParams(L_MAX + 2, 0.5, 0.3)
-
-
-def test_hamiltonian_terms_count_and_coefficients():
-    p = ModelParams(6, 0.5, 0.3)
-    terms = hamiltonian_terms(p)
-    # L bonds + L transverse + L longitudinal, all with a leading minus sign
-    assert len(terms) == 3 * p.L
-    coeffs = sorted({t.coefficient for t in terms})
-    assert coeffs == [-1.0, -0.5, -0.3]
 
 
 def test_plan_validates_step_and_count():

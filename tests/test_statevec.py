@@ -1,15 +1,30 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 import oracles
-from isingspec import statevec as sv
+from isingspec import edsolver, statevec as sv
 from isingspec.model import ModelParams
+
+# test-local states are named st, so the strategies module keeps its name
+fields = strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 1.5))
 
 
 def random_state(L: int, rng) -> sv.StateVector:
     amps = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
     amps /= np.linalg.norm(amps)
     return sv.StateVector(L, amps)
+
+
+def random_invariant_state(L: int, rng) -> sv.StateVector:
+    """Random k = 0 orbit coefficients, expanded to a translation-invariant state."""
+    basis = edsolver.build_zero_momentum_basis(L)
+    coeffs = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    coeffs /= np.linalg.norm(coeffs)
+    orbit = basis.index_of[basis.rep_of]
+    return sv.StateVector(L, (coeffs / np.sqrt(basis.periods))[orbit])
 
 
 def test_all_plus_state():
@@ -32,6 +47,16 @@ def test_gate_constructor_rejects_non_unitary():
         sv.Gate(np.array([[1.0, 0.0], [1.0, 1.0]]), (1,))
     with pytest.raises(ValueError):
         sv.Gate(np.eye(4), (2, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gate_constructor_rejects_non_finite_matrices(bad):
+    with pytest.raises(ValueError, match="not unitary"):
+        sv.Gate(np.full((2, 2), bad), (1,))
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="not unitary"):
+        sv.Gate(m, (1, 2))
 
 
 def test_single_qubit_gates_match_dense_embedding():
@@ -169,14 +194,17 @@ def test_bits_from_indices_round_trip():
     assert sv.estimates_from_bits(bits).shape == (3,)
 
 
-def test_hamiltonian_action_matches_dense_matrix():
+def test_energy_expectation_matches_dense_hamiltonian():
+    # random states that are not translation invariant, so every term counts
     rng = np.random.default_rng(31)
     p = ModelParams(6, 0.45, 0.25)
     dense = oracles.hamiltonian(p.L, p.g, p.h)
-    apply_h = sv.hamiltonian_action(p)
-    psi = random_state(p.L, rng).amplitudes
-    assert np.abs(apply_h(psi) - dense @ psi).max() < 1e-12
-    assert np.abs(sv.dense_hamiltonian(p) - dense.real).max() < 1e-12
+    for _ in range(5):
+        psi = random_state(p.L, rng).amplitudes
+        expected = float(np.real(np.vdot(psi, dense @ psi)))
+        assert sv.energy_expectation(sv.StateVector(p.L, psi), p) == pytest.approx(
+            expected, abs=1e-12
+        )
 
 
 def test_energy_expectation_of_polarized_state():
@@ -189,12 +217,31 @@ def test_energy_expectation_of_polarized_state():
 def test_exact_evolve_matches_dense_expm():
     rng = np.random.default_rng(41)
     p = ModelParams(6, 0.6, 0.2)
-    st = random_state(p.L, rng)
+    st = random_invariant_state(p.L, rng)
     snaps = sv.exact_evolve(st, p, dt=0.3, n_steps=5)
     assert len(snaps) == 6
     for k in (1, 3, 5):
         expected = oracles.evolve(st.amplitudes, p.L, p.g, p.h, 0.3 * k)
         assert np.abs(snaps[k].amplitudes - expected).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(L=strategies.integers(2, 9), g=fields, h=fields, dt=strategies.floats(0.01, 1.0))
+def test_sector_evolution_of_the_polarized_state_matches_dense_expm(L, g, h, dt):
+    p = ModelParams(L, g, h)
+    start = sv.init_all_plus(L)
+    snaps = sv.exact_evolve(start, p, dt=dt, n_steps=3)
+    for k, snap in enumerate(snaps):
+        expected = oracles.evolve(start.amplitudes, L, g, h, dt * k)
+        assert np.abs(snap.amplitudes - expected).max() < 1e-10
+
+
+def test_exact_evolve_rejects_a_state_that_is_not_translation_invariant():
+    p = ModelParams(5, 0.5, 0.3)
+    with pytest.raises(ValueError, match="translation-invariant"):
+        sv.exact_evolve(sv.basis_state(5, 1), p, dt=0.1, n_steps=1)
+    with pytest.raises(ValueError, match="translation-invariant"):
+        sv.exact_evolve(random_state(5, np.random.default_rng(2)), p, dt=0.1, n_steps=1)
 
 
 def test_exact_evolve_record_every_keeps_last_step():
@@ -205,14 +252,30 @@ def test_exact_evolve_record_every_keeps_last_step():
 
 
 def test_exact_evolve_lanczos_path_conserves_energy():
-    # L = 15 exceeds the dense cutoff, so this exercises the Krylov stepper
-    p = ModelParams(15, 0.5, 0.3)
-    st = sv.init_all_plus(15)
-    e0 = sv.energy_expectation(st, p)
-    snaps = sv.exact_evolve(st, p, dt=0.05, n_steps=4, record_every=4)
-    drift = abs(sv.energy_expectation(snaps[-1], p) - e0)
-    assert drift < 1e-8
-    assert abs(snaps[-1].norm() - 1.0) < 1e-10
+    # the k = 0 sector has 2,192 dims at L = 15 (dense eigensystem) and
+    # 4,116 at L = 16, above DENSE_EIG_MAX, which takes expm_multiply
+    for L in (15, 16):
+        p = ModelParams(L, 0.5, 0.3)
+        st = sv.init_all_plus(L)
+        e0 = sv.energy_expectation(st, p)
+        snaps = sv.exact_evolve(st, p, dt=0.05, n_steps=4, record_every=4)
+        drift = abs(sv.energy_expectation(snaps[-1], p) - e0)
+        assert drift < 1e-8
+        assert abs(snaps[-1].norm() - 1.0) < 1e-10
+
+
+def test_exact_evolve_at_14_sites_stays_in_the_sector():
+    # a full-space dense H at L = 14 would take 2.1 GB; the sector has 1,182 dims
+    p = ModelParams(14, 0.5, 0.3)
+    st = sv.init_all_plus(14)
+    tracemalloc.start()
+    try:
+        snaps = sv.exact_evolve(st, p, dt=0.1, n_steps=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(snaps) == 5
+    assert peak < 200e6
 
 
 def test_snapshot_dump_and_load_round_trip(tmp_path):

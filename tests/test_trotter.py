@@ -162,3 +162,14 @@ def test_sampled_quench_reproducible_and_near_exact():
     exact = trotter.run_quench(p, QuenchPlan(dt=0.4, n_steps=8))
     se = 1.0 / np.sqrt(p.L * plan.shots)
     assert np.abs(a.sigma_y - exact.sigma_y).max() < 6 * se
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.1])
+def test_step_builders_and_exact_evolution_reject_a_bad_dt(dt):
+    p = ModelParams(4, 0.5, 0.3)
+    with pytest.raises(ValueError, match="dt"):
+        trotter.build_step(p, dt)
+    with pytest.raises(ValueError, match="dt"):
+        trotter.frame_layers(p, dt)
+    with pytest.raises(ValueError, match="dt"):
+        sv.exact_evolve(sv.init_all_plus(4), p, dt=dt, n_steps=1)
