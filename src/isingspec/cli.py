@@ -32,7 +32,15 @@ from .model import ModelParams, NoiseParams, QuenchPlan
 
 
 class ConfigError(ValueError):
-    """Malformed config text, unknown key, or a value of the wrong type."""
+    """Malformed config text, unknown key, or a value of the wrong type or range."""
+
+
+def _from_config(cls, *args, **kwargs):
+    """cls(*args, **kwargs), where a value the constructor rejects is a ConfigError."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_bool(text: str) -> bool:
@@ -127,14 +135,16 @@ class RunConfig:
         return RunConfig(out)
 
     def model_params(self, g: float | None = None) -> ModelParams:
-        return ModelParams(
+        return _from_config(
+            ModelParams,
             self["model.L"], self["model.g"] if g is None else g, self["model.h"]
         )
 
     def quench_plan(self, seed: int | None = None) -> QuenchPlan:
         noise = None
         if self["noise.enabled"]:
-            noise = NoiseParams(
+            noise = _from_config(
+                NoiseParams,
                 p1=self["noise.p1"],
                 p2=self["noise.p2"],
                 p01=self["noise.p01"],
@@ -142,7 +152,8 @@ class RunConfig:
                 trajectories=self["noise.trajectories"],
                 mitigate=self["noise.mitigate"],
             )
-        return QuenchPlan(
+        return _from_config(
+            QuenchPlan,
             dt=self["plan.dt"],
             n_steps=self["plan.n_steps"],
             shots=self["plan.shots"],
@@ -391,7 +402,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
             int(prov["model.L"]), float(prov["model.g"]), float(prov["model.h"])
         )
     spectrum, peaks, levels = spectro.analyze_series(
-        spectro.TimeSeries(times, cols["sigma_y"], meta=dict(prov)),
+        spectro.TimeSeries(times, cols["sigma_y"]),
         params,
         n_low=cfg["spectro.n_low"],
         **_spectro_settings(cfg),

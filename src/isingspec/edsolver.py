@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .model import ModelParams
 
@@ -168,10 +167,13 @@ def eigensolve(
 ) -> EnergyLevels:
     """Lowest part of the spectrum, dense below 4096 dims, Lanczos above.
 
-    n_low counts raw eigenvalues (n_low=None keeps every one, dense path
-    only). The iterative path verifies ||A v - lambda v|| < 1e-8 per pair and
-    raises ConvergenceError with the achieved residual otherwise.
+    n_low >= 1 counts raw eigenvalues (n_low=None keeps every one, dense path
+    only). The iterative path starts Lanczos from a fixed vector, so repeated
+    solves agree bit for bit; it verifies ||A v - lambda v|| < 1e-8 per pair
+    and raises ConvergenceError with the achieved residual otherwise.
     """
+    if n_low is not None and n_low < 1:
+        raise ValueError(f"n_low must be >= 1 (or None for every eigenvalue), got {n_low}")
     dim = matrix.shape[0]
     if method == "auto":
         method = "dense" if dim <= DENSE_EIG_MAX else "iterative"
@@ -184,8 +186,14 @@ def eigensolve(
     elif method == "iterative":
         if n_low is None:
             raise ValueError("n_low=None (full spectrum) requires the dense path")
+        from scipy.sparse.linalg import eigsh
+
         k = min(n_low, dim - 1)
-        vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA")
+        # A fixed start makes the result reproducible. A constant vector would be
+        # even under reflection (and spin flip at h = 0); a ramp is not, so it
+        # has weight in every symmetry sector of the matrix.
+        v0 = np.linspace(1.0, 2.0, dim)
+        vals, vecs = eigsh(matrix, k=k, which="SA", v0=v0)
         order = np.argsort(vals)
         raw, vecs = vals[order], vecs[:, order]
         resids = np.linalg.norm(matrix @ vecs - vecs * raw[None, :], axis=0)

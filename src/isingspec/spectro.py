@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
-import scipy.signal
 
 from . import edsolver, trotter
 from .edsolver import EnergyLevels
@@ -35,7 +34,6 @@ class TimeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -57,7 +55,7 @@ class TimeSeries:
 
 
 def series_from_record(record: trotter.QuenchRecord, axis: str = "y") -> TimeSeries:
-    return TimeSeries(record.times, record.aggregate(axis), dict(record.provenance))
+    return TimeSeries(record.times, record.aggregate(axis))
 
 
 @dataclass
@@ -144,38 +142,32 @@ def _parabolic_refine(power: np.ndarray, i: int, d_omega: float) -> tuple[float,
     return (i + delta) * d_omega, float(height), float(width)
 
 
-def find_peaks(
-    spectrum: Spectrum,
-    min_height_frac: float = 0.05,
-    min_separation: float | None = None,
-) -> PeakSet:
+def find_peaks(spectrum: Spectrum, min_height_frac: float = 0.05) -> PeakSet:
     """Local maxima above min_height_frac of the strongest non-DC bin.
 
-    Peaks closer than min_separation (default 2 * d_omega) merge into the
-    higher one; omega = 0 is never reported. Positions are refined by 3-point
-    parabolic interpolation, with uncertainty half a resolution bin.
+    The omega = 0 bin is excluded. The rest splits into runs of equal bins; a
+    run strictly higher than the runs on both sides is a peak, reported at its
+    middle bin (first + last) // 2, so runs at either end never qualify. A peak
+    is kept when its height is at least min_height_frac * the highest bin.
+    Positions are refined by 3-point parabolic interpolation, with uncertainty
+    half a resolution bin; peaks come out in ascending omega.
     """
     if spectrum.power.size == 0:
         raise ValueError("empty spectrum")
     if not 0.0 < min_height_frac < 1.0:
         raise ValueError(f"min_height_frac must be in (0, 1), got {min_height_frac}")
     d_omega = spectrum.d_omega
-    if min_separation is None:
-        min_separation = 2.0 * d_omega
-    body = spectrum.power[1:]  # the omega = 0 bin is excluded from the search
+    body = spectrum.power[1:]
     if body.size == 0 or body.max() <= 0.0:
         return PeakSet([], d_omega)
-    distance = max(1, int(round(min_separation / d_omega)))
-    idx, _ = scipy.signal.find_peaks(
-        body, height=min_height_frac * body.max(), distance=distance
-    )
-    peaks = []
-    for i in idx + 1:  # back to full-array indexing
-        if i + 1 >= spectrum.power.size:
-            continue
-        omega, height, width = _parabolic_refine(spectrum.power, i, d_omega)
-        peaks.append(Peak(omega, height, width))
-    peaks.sort(key=lambda p: p.omega)
+    starts = np.flatnonzero(np.r_[True, body[1:] != body[:-1]])
+    lasts = np.r_[starts[1:], body.size] - 1
+    tops = body[starts]
+    above_left = np.r_[False, tops[1:] > tops[:-1]]
+    above_right = np.r_[tops[:-1] > tops[1:], False]
+    keep = above_left & above_right & (tops >= min_height_frac * body.max())
+    idx = (starts[keep] + lasts[keep]) // 2 + 1  # back to full-array indexing
+    peaks = [Peak(*_parabolic_refine(spectrum.power, i, d_omega)) for i in idx]
     return PeakSet(peaks, d_omega)
 
 
@@ -248,7 +240,6 @@ def analyze_series(
     pad_factor: int = 8,
     min_height_frac: float = 0.05,
     n_low: int = 6,
-    tol: float | None = None,
 ) -> tuple[Spectrum, PeakSet, EnergyLevels | None]:
     """Spectrum, peaks and, given the chain parameters, ED levels and labels."""
     spectrum = power_spectrum(series, window=window, pad_factor=pad_factor)
@@ -256,7 +247,7 @@ def analyze_series(
     levels = None
     if params is not None:
         levels = edsolver.solve_sector(params, n_low=n_low)
-        peaks = match_peaks(peaks, levels, tol=tol)
+        peaks = match_peaks(peaks, levels)
     return spectrum, peaks, levels
 
 
@@ -315,7 +306,7 @@ def eta_sweep(
     """sweep_point at each g of g_list; deterministic for a fixed seed.
 
     settings are sweep_point keywords (window, pad_factor, min_height_frac,
-    n_low, tol). Point i runs with seed plan.seed + i (left None when
+    n_low). Point i runs with seed plan.seed + i (left None when
     plan.seed is None), so serial and parallel execution produce identical
     results and a single-point sweep reproduces a plain quench with the same
     seed exactly. h <= 0 is rejected before any point runs. At most

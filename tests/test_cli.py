@@ -328,6 +328,63 @@ def test_non_finite_physics_exits_1_and_writes_nothing(tmp_path, line):
     assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
 
 
+@pytest.mark.parametrize(
+    "command, lines",
+    [
+        ("quench", "model.L = 30"),
+        ("quench", "plan.dt = -0.4"),
+        ("quench", "plan.n_steps = 0"),
+        ("quench", "plan.shots = -5"),
+        ("quench", "noise.enabled = true\nnoise.p1 = 1.5"),
+        ("ed", "model.L = 30"),
+        ("sweep", "plan.n_steps = 0"),
+        ("correlate", "plan.dt = -0.4"),
+    ],
+)
+def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, command, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model.L = 4\nplan.n_steps = 3\n{lines}\noutput.dir = {tmp_path / 'out'}\n")
+    res = run_cli(command, "--config", str(cfg))
+    assert res.returncode == 1, res.stderr
+    assert "config error" in res.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
+
+
+@pytest.mark.parametrize("command, line", [("ed", "ed.n_low = -3"), ("sweep", "spectro.n_low = 0")])
+def test_n_low_below_one_fails_and_writes_nothing(tmp_path, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"model.L = 6\nplan.n_steps = 20\nsweep.g_list = 0.5\n{line}\n"
+        f"output.dir = {tmp_path / 'out'}\n"
+    )
+    res = run_cli(command, "--config", str(cfg))
+    assert res.returncode != 0
+    assert "n_low must be >= 1" in res.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
+
+
+def test_commands_load_neither_scipy_signal_nor_sparse_linalg(tmp_path):
+    f = write_config(
+        tmp_path / "run.cfg",
+        **{"model.L": 8, "plan.dt": 0.2, "plan.n_steps": 40, "sweep.g_list": "0.4, 0.6",
+           "output.dir": tmp_path / "out"},
+    )
+    script = (
+        "import sys\n"
+        "from isingspec import cli\n"
+        "for command in ('quench', 'correlate', 'ed', 'sweep', 'spectrum'):\n"
+        f"    assert cli.main([command, '--config', {f!r}]) == 0, command\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.sparse.linalg') if m in sys.modules))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+        env=child_env(),
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "peaks.json").exists()
+
+
 @pytest.mark.parametrize("out", ["afile/sub", "afile"])
 def test_output_dir_on_a_regular_file_exits_2_and_creates_nothing(tmp_path, out):
     (tmp_path / "afile").write_text("")

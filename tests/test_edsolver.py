@@ -70,7 +70,7 @@ def test_iterative_full_spectrum_is_rejected():
 def test_unconverged_eigenpairs_are_reported(monkeypatch):
     import scipy.sparse.linalg
 
-    def bad_eigsh(matrix, k, which):
+    def bad_eigsh(matrix, k, which, v0):
         vals = np.zeros(k)
         vecs = np.eye(matrix.shape[0], k)
         return vals, vecs
@@ -79,6 +79,21 @@ def test_unconverged_eigenpairs_are_reported(monkeypatch):
     with pytest.raises(edsolver.ConvergenceError) as exc:
         edsolver.solve_sector(ModelParams(8, 0.5, 0.3), n_low=3, method="iterative")
     assert exc.value.residual > 1e-8
+
+
+def test_iterative_solves_are_reproducible():
+    p = ModelParams(12, 0.5, 0.3)
+    first = edsolver.solve_sector(p, n_low=7, method="iterative")
+    second = edsolver.solve_sector(p, n_low=7, method="iterative")
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.residual == second.residual
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+@pytest.mark.parametrize("n_low", [0, -3])
+def test_n_low_below_one_is_rejected(method, n_low):
+    with pytest.raises(ValueError, match="n_low"):
+        edsolver.solve_sector(ModelParams(8, 0.5, 0.3), n_low=n_low, method=method)
 
 
 def test_free_fermion_oracle_equals_the_dense_spectrum():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingspec import edsolver, spectro, trotter
 from isingspec.edsolver import EnergyLevels
@@ -89,7 +90,7 @@ def test_two_tone_power_ratio():
 def test_close_tones_merge_below_min_separation():
     spec = spectro.power_spectrum(tone([2.0, 2.02], [1.0, 0.9], n=64, dt=0.4), pad_factor=8)
     # raw resolution 2 pi / (64 * 0.4) ~ 0.245 >> tone spacing: one ridge
-    peaks = spectro.find_peaks(spec, min_separation=0.3)
+    peaks = spectro.find_peaks(spec)
     assert len(peaks) == 1
 
 
@@ -109,6 +110,27 @@ def test_padding_does_not_invent_peaks():
     for pad in (1, 8):
         spec = spectro.power_spectrum(series, pad_factor=pad)
         assert len(spectro.find_peaks(spec)) == 2
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    body=st.one_of(
+        st.lists(st.floats(0.0, 1.0), max_size=40),
+        st.lists(st.integers(0, 3).map(float), max_size=40),  # ties and plateaus
+    ),
+    frac=st.floats(0.01, 0.99),
+)
+def test_find_peaks_matches_scipy(body, frac):
+    import scipy.signal
+
+    x = np.asarray(body, dtype=float)
+    power = np.r_[0.0, x]  # the omega = 0 bin, never searched
+    spec = spectro.Spectrum(np.arange(power.size), power, "rectangular", 1, 0.4, power.size)
+    expected = []
+    if x.size and x.max() > 0:
+        idx, _ = scipy.signal.find_peaks(x, height=frac * x.max())
+        expected = [Peak(*spectro._parabolic_refine(power, i + 1, spec.d_omega)) for i in idx]
+    assert spectro.find_peaks(spec, min_height_frac=frac).peaks == expected
 
 
 def test_find_peaks_validation():
