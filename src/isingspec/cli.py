@@ -353,6 +353,30 @@ def _spectrum_files(cfg: RunConfig, prov: dict, spectrum, peaks, levels) -> dict
     return files
 
 
+_SPECTRO_CHECKS = {
+    "spectro.window": spectro.check_window,
+    "spectro.pad_factor": spectro.check_pad_factor,
+    "spectro.min_height_frac": spectro.check_min_height_frac,
+    "spectro.n_low": edsolver.check_n_low,
+}
+# the analysis settings each command reads, with the library check for each
+_SETTING_CHECKS = {
+    "ed": {"ed.n_low": edsolver.check_n_low},
+    "spectrum": _SPECTRO_CHECKS,
+    "sweep": _SPECTRO_CHECKS,
+    "correlate": {"correlate.threshold": obs.check_threshold},
+}
+
+
+def _check_settings(command: str, cfg: RunConfig) -> None:
+    """Reject out-of-range analysis settings before any computation runs."""
+    for key, check in _SETTING_CHECKS.get(command, {}).items():
+        try:
+            check(cfg[key])
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _spectro_settings(cfg: RunConfig) -> dict:
     return {
         "window": cfg["spectro.window"],
@@ -555,6 +579,7 @@ def main(argv=None) -> int:
             cfg = cfg.replace(output__format=args.format)
         if args.command == "spectrum" and getattr(args, "trace", None):
             cfg = cfg.replace(spectro__trace=args.trace)
+        _check_settings(args.command, cfg)
     except ConfigError as exc:
         print(f"isingspec: config error: {exc}", file=sys.stderr)
         return 1

@@ -21,11 +21,14 @@ the unpaired k = 0 mode carries signed energy 2 (g - 1)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .model import ModelParams
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 BASIS_L_MAX = 20
 DENSE_EIG_MAX = 4096
@@ -84,8 +87,13 @@ def build_zero_momentum_basis(L: int) -> SectorBasis:
 
 def assemble_sector_hamiltonian(
     params: ModelParams, basis: SectorBasis
-) -> scipy.sparse.csr_matrix:
-    """Real symmetric sector matrix; entry (b, a) = c * sqrt(R_a / R_b)."""
+) -> np.ndarray | scipy.sparse.csr_matrix:
+    """Real symmetric sector matrix; entry (b, a) = c * sqrt(R_a / R_b).
+
+    A dense float64 array up to DENSE_EIG_MAX dims, where every solve and
+    evolution is dense anyway; a scipy.sparse CSR matrix above, so scipy is
+    imported only for sectors that need it.
+    """
     if params.L != basis.L:
         raise ValueError(f"params.L={params.L} does not match basis.L={basis.L}")
     L, g, h = params.L, params.g, params.h
@@ -110,11 +118,18 @@ def assemble_sector_hamiltonian(
         cols.append(src)
         vals.append(coeff * np.sqrt(periods / periods[target]))
 
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    asym = abs(mat - mat.T).max() if dim > 1 else 0.0
+    index = (np.concatenate(rows), np.concatenate(cols))
+    values = np.concatenate(vals)
+    if dim <= DENSE_EIG_MAX:
+        mat = np.zeros((dim, dim))
+        np.add.at(mat, index, values)
+        # every nonzero entry sits at some (row, col) of index
+        asym = np.abs(mat[index] - mat.T[index]).max()
+    else:
+        import scipy.sparse
+
+        mat = scipy.sparse.coo_matrix((values, index), shape=(dim, dim)).tocsr()
+        asym = abs(mat - mat.T).max()
     if asym > 1e-12:
         raise AssertionError(f"sector matrix asymmetry {asym:.2e} exceeds 1e-12")
     return mat
@@ -162,6 +177,11 @@ def _merge_levels(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(levels), np.array(mult)
 
 
+def check_n_low(n_low: int | None) -> None:
+    if n_low is not None and n_low < 1:
+        raise ValueError(f"n_low must be >= 1 (or None for every eigenvalue), got {n_low}")
+
+
 def eigensolve(
     matrix, n_low: int | None = 6, method: str = "auto", meta: dict | None = None
 ) -> EnergyLevels:
@@ -172,13 +192,12 @@ def eigensolve(
     solves agree bit for bit; it verifies ||A v - lambda v|| < 1e-8 per pair
     and raises ConvergenceError with the achieved residual otherwise.
     """
-    if n_low is not None and n_low < 1:
-        raise ValueError(f"n_low must be >= 1 (or None for every eigenvalue), got {n_low}")
+    check_n_low(n_low)
     dim = matrix.shape[0]
     if method == "auto":
         method = "dense" if dim <= DENSE_EIG_MAX else "iterative"
     if method == "dense":
-        dense = matrix.toarray() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
+        dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
         raw = np.linalg.eigvalsh(dense)
         if n_low is not None:
             raw = raw[:n_low]

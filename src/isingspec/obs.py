@@ -122,10 +122,14 @@ class FrontFit:
         return bool(np.any(self.radii > 0))
 
 
-def lightcone_front(fld: CorrelatorField, threshold: float = 0.02) -> FrontFit:
-    """Extract r*(t) = max{r : |G(r,t)| > threshold} and fit its early growth."""
+def check_threshold(threshold: float) -> None:
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
+
+
+def lightcone_front(fld: CorrelatorField, threshold: float = 0.02) -> FrontFit:
+    """Extract r*(t) = max{r : |G(r,t)| > threshold} and fit its early growth."""
+    check_threshold(threshold)
     above = np.abs(fld.values) > threshold
     radii = np.where(above.any(axis=1), above.shape[1] - above[:, ::-1].argmax(axis=1), 0)
     if not radii.any():

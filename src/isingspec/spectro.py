@@ -80,12 +80,25 @@ _WINDOWS = {
 }
 
 
-def power_spectrum(series: TimeSeries, window: str = "hann", pad_factor: int = 8) -> Spectrum:
-    """Mean-subtract, window, zero-pad, and return |FFT|^2 on omega >= 0."""
+def check_window(window: str) -> None:
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {sorted(_WINDOWS)}, got {window!r}")
+
+
+def check_pad_factor(pad_factor: int) -> None:
     if pad_factor < 1 or int(pad_factor) != pad_factor:
         raise ValueError(f"pad_factor must be an integer >= 1, got {pad_factor}")
+
+
+def check_min_height_frac(min_height_frac: float) -> None:
+    if not 0.0 < min_height_frac < 1.0:
+        raise ValueError(f"min_height_frac must be in (0, 1), got {min_height_frac}")
+
+
+def power_spectrum(series: TimeSeries, window: str = "hann", pad_factor: int = 8) -> Spectrum:
+    """Mean-subtract, window, zero-pad, and return |FFT|^2 on omega >= 0."""
+    check_window(window)
+    check_pad_factor(pad_factor)
     n = series.values.size
     if n < 8:
         raise ValueError(f"need at least 8 samples for a spectrum, got {n}")
@@ -154,8 +167,7 @@ def find_peaks(spectrum: Spectrum, min_height_frac: float = 0.05) -> PeakSet:
     """
     if spectrum.power.size == 0:
         raise ValueError("empty spectrum")
-    if not 0.0 < min_height_frac < 1.0:
-        raise ValueError(f"min_height_frac must be in (0, 1), got {min_height_frac}")
+    check_min_height_frac(min_height_frac)
     d_omega = spectrum.d_omega
     body = spectrum.power[1:]
     if body.size == 0 or body.max() <= 0.0:

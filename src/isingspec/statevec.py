@@ -29,6 +29,7 @@ only the returned snapshots are expanded to 2**L amplitudes.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -358,17 +359,31 @@ def _normalize_axes(axes, L: int) -> tuple[str, ...]:
     return axes
 
 
+@functools.lru_cache(maxsize=32)
+def _rotation_blocks(frame: str, axes: tuple[str, ...]) -> tuple:
+    """Fused readout pre-rotation blocks for a frame and per-site axes.
+
+    Built once per (frame, axes) and shared by every later call, so the
+    block arrays are read-only.
+    """
+    rotations = _MEAS_ROTATION[frame]
+    blocks = tuple(fuse_site_matrices([rotations[ax] for ax in axes]))
+    for _, _, m in blocks:
+        m.setflags(write=False)
+    return blocks
+
+
 def measurement_probabilities(state: StateVector, axes) -> np.ndarray:
     """Outcome probabilities after rotating each site's axis onto z.
 
     axes is a single axis character (applied to all sites) or one per site.
     The per-site rotations depend on the state's frame; when none is needed
     (x in the x frame, z in the lab frame) the probabilities come straight
-    from the amplitudes, otherwise from one copy rotated by fused blocks.
+    from the amplitudes, otherwise from one copy rotated by the fused blocks
+    of _rotation_blocks, which are built once per (frame, axes).
     """
     axes = _normalize_axes(axes, state.L)
-    rotations = _MEAS_ROTATION[state.frame]
-    blocks = fuse_site_matrices([rotations[ax] for ax in axes])
+    blocks = _rotation_blocks(state.frame, axes)
     amps = apply_site_blocks(state.copy(), blocks).amplitudes if blocks else state.amplitudes
     p = np.abs(amps)
     np.square(p, out=p)
@@ -485,7 +500,7 @@ def exact_evolve(
 
     mat = edsolver.assemble_sector_hamiltonian(params, basis)
     if basis.dim <= edsolver.DENSE_EIG_MAX:
-        evals, evecs = np.linalg.eigh(mat.toarray())
+        evals, evecs = np.linalg.eigh(mat)
         w0 = evecs.T @ c0.real + 1j * (evecs.T @ c0.imag)
         snapshots = []
         for k in recorded:

@@ -339,6 +339,12 @@ def test_non_finite_physics_exits_1_and_writes_nothing(tmp_path, line):
         ("ed", "model.L = 30"),
         ("sweep", "plan.n_steps = 0"),
         ("correlate", "plan.dt = -0.4"),
+        ("ed", "ed.n_low = -3"),
+        ("sweep", "spectro.pad_factor = 0"),
+        ("sweep", "spectro.window = foo"),
+        ("sweep", "spectro.min_height_frac = 1.5"),
+        ("sweep", "spectro.min_height_frac = -1"),
+        ("correlate", "correlate.threshold = -1"),
     ],
 )
 def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, command, lines):
@@ -363,6 +369,25 @@ def test_n_low_below_one_fails_and_writes_nothing(tmp_path, command, line):
     assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
 
 
+@pytest.mark.parametrize(
+    "command, key, value, shown",
+    [
+        ("ed", "ed.n_low", "-3", "got -3"),
+        ("sweep", "spectro.pad_factor", "0", "got 0"),
+        ("spectrum", "spectro.window", "foo", "got 'foo'"),
+        ("sweep", "spectro.min_height_frac", "1.5", "got 1.5"),
+        ("correlate", "correlate.threshold", "-1", "got -1.0"),
+    ],
+)
+def test_analysis_setting_errors_name_the_key_and_value(tmp_path, capsys, command, key, value, shown):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model.L = 6\n{key} = {value}\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err and shown in err
+    assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
+
+
 def test_commands_load_neither_scipy_signal_nor_sparse_linalg(tmp_path):
     f = write_config(
         tmp_path / "run.cfg",
@@ -375,13 +400,14 @@ def test_commands_load_neither_scipy_signal_nor_sparse_linalg(tmp_path):
         "for command in ('quench', 'correlate', 'ed', 'sweep', 'spectrum'):\n"
         f"    assert cli.main([command, '--config', {f!r}]) == 0, command\n"
         "print(sorted(m for m in ('scipy.signal', 'scipy.sparse.linalg') if m in sys.modules))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
         env=child_env(),
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[]"
+    assert res.stdout.splitlines()[-2:] == ["[]", "[]"]
     assert (tmp_path / "out" / "peaks.json").exists()
 
 

@@ -145,3 +145,22 @@ def test_sector_matrix_is_the_dense_hamiltonian_projected_onto_k0(L):
     mat = edsolver.assemble_sector_hamiltonian(p, basis)
     arr = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
     assert np.abs(arr - projected).max() < 1e-12
+
+
+@pytest.mark.parametrize("h", [0.0, 0.3])
+def test_dense_and_sparse_assembly_agree(monkeypatch, h):
+    for L in range(2, 11):
+        p = ModelParams(L, 0.7, h)
+        basis = edsolver.build_zero_momentum_basis(L)
+        dense = edsolver.assemble_sector_hamiltonian(p, basis)
+        with monkeypatch.context() as m:
+            m.setattr(edsolver, "DENSE_EIG_MAX", 0)
+            sparse = edsolver.assemble_sector_hamiltonian(p, basis)
+        assert isinstance(dense, np.ndarray) and dense.dtype == np.float64
+        assert hasattr(sparse, "toarray")
+        assert np.abs(sparse.toarray() - dense).max() < 1e-14
+        # the dense eigensolver takes either matrix type
+        assert np.array_equal(
+            edsolver.eigensolve(sparse, n_low=None, method="dense").eigenvalues,
+            edsolver.eigensolve(dense, n_low=None, method="dense").eigenvalues,
+        )

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies
 
 import oracles
-from isingspec import edsolver, statevec as sv
-from isingspec.model import ModelParams
+from isingspec import edsolver, statevec as sv, trotter
+from isingspec.model import ModelParams, QuenchPlan
 
 # test-local states are named st, so the strategies module keeps its name
 fields = strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 1.5))
@@ -264,6 +264,16 @@ def test_exact_evolve_lanczos_path_conserves_energy():
         assert abs(snaps[-1].norm() - 1.0) < 1e-10
 
 
+def test_exact_evolve_takes_either_sector_matrix_type(monkeypatch):
+    # DENSE_EIG_MAX = 0 hands exact_evolve a sparse matrix and expm_multiply
+    p = ModelParams(8, 0.5, 0.3)
+    dense = sv.exact_evolve(sv.init_all_plus(8), p, dt=0.2, n_steps=5)
+    monkeypatch.setattr(edsolver, "DENSE_EIG_MAX", 0)
+    sparse = sv.exact_evolve(sv.init_all_plus(8), p, dt=0.2, n_steps=5)
+    for a, b in zip(dense, sparse, strict=True):
+        assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-10
+
+
 def test_exact_evolve_at_14_sites_stays_in_the_sector():
     # a full-space dense H at L = 14 would take 2.1 GB; the sector has 1,182 dims
     p = ModelParams(14, 0.5, 0.3)
@@ -276,6 +286,31 @@ def test_exact_evolve_at_14_sites_stays_in_the_sector():
         tracemalloc.stop()
     assert len(snaps) == 5
     assert peak < 200e6
+
+
+def test_rotation_blocks_are_built_once_per_run_and_read_only(monkeypatch):
+    calls = []
+
+    def counting(mats, _orig=sv.fuse_site_matrices):
+        calls.append(len(mats))
+        return _orig(mats)
+
+    monkeypatch.setattr(sv, "fuse_site_matrices", counting)
+    counts = []
+    for n_steps in (5, 50):
+        sv._rotation_blocks.cache_clear()
+        calls.clear()
+        trotter.run_quench(
+            ModelParams(8, 0.5, 0.3), QuenchPlan(dt=0.1, n_steps=n_steps, measured_axes=("x", "y", "z"))
+        )
+        counts.append(len(calls))
+    # one build for the step layer and one per measured axis, whatever n_steps
+    assert counts[0] == counts[1] <= 4
+    blocks = sv._rotation_blocks("x", ("y",) * 8)
+    assert blocks
+    for _, _, m in blocks:
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
 
 
 def test_snapshot_dump_and_load_round_trip(tmp_path):
