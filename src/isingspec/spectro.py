@@ -312,6 +312,14 @@ def sweep_point(
     return EtaPoint(params.g, params.h, record, spectrum, peaks, levels)
 
 
+_SETTING_CHECKS = {
+    "window": check_window,
+    "pad_factor": check_pad_factor,
+    "min_height_frac": check_min_height_frac,
+    "n_low": edsolver.check_n_low,
+}
+
+
 def eta_sweep(
     g_list, h: float, template: ModelParams, plan: QuenchPlan, *, processes: int = 1, **settings
 ) -> list[EtaPoint]:
@@ -321,13 +329,16 @@ def eta_sweep(
     n_low). Point i runs with seed plan.seed + i (left None when
     plan.seed is None), so serial and parallel execution produce identical
     results and a single-point sweep reproduces a plain quench with the same
-    seed exactly. h <= 0 is rejected before any point runs. At most
-    os.cpu_count() worker processes are started; with one, the points run in
-    this process.
+    seed exactly. h <= 0 and out-of-range settings are rejected before any
+    point runs. At most os.cpu_count() worker processes are started; with
+    one, the points run in this process.
     """
     h = float(h)
     if not h > 0:
         raise ValueError(f"eta needs h > 0, got h={h}")
+    for key, check in _SETTING_CHECKS.items():
+        if key in settings:
+            check(settings[key])
     points = [
         (
             replace(template, g=float(g), h=h),

@@ -344,6 +344,26 @@ def site_expectations(state: StateVector, axis: str) -> np.ndarray:
     return 1.0 - 2.0 * bit_marginals(measurement_probabilities(state, axis), state.L)
 
 
+def top_site_expectations(state: StateVector) -> dict[str, float]:
+    """Lab-frame <sx>, <sy>, <sz> of site L, keyed by axis, without a copy.
+
+    Site L is the top bit, so the halves of the amplitude array hold its 0
+    and 1 components; their norms n0, n1 and overlap c = <half 0|half 1>
+    give its reduced state [[n0, c*], [c, n1]] / n. In the x frame that
+    state is H-rotated: sx and sz swap and sy changes sign. In a
+    translation-invariant state every site holds these values.
+    """
+    half = state.amplitudes.size >> 1
+    a0, a1 = state.amplitudes[:half], state.amplitudes[half:]
+    n0, n1 = np.vdot(a0, a0).real, np.vdot(a1, a1).real
+    c = np.vdot(a0, a1)
+    n = _check_mass(n0 + n1)
+    diag, re, im = (n0 - n1) / n, 2.0 * c.real / n, 2.0 * c.imag / n
+    if state.frame == "x":
+        return {"x": diag, "y": -im, "z": re}
+    return {"x": re, "y": im, "z": diag}
+
+
 def _normalize_axes(axes, L: int) -> tuple[str, ...]:
     if isinstance(axes, str):
         if len(axes) == 1:
@@ -387,11 +407,14 @@ def measurement_probabilities(state: StateVector, axes) -> np.ndarray:
     amps = apply_site_blocks(state.copy(), blocks).amplitudes if blocks else state.amplitudes
     p = np.abs(amps)
     np.square(p, out=p)
-    total = p.sum()
+    p /= _check_mass(p.sum())
+    return p
+
+
+def _check_mass(total: float) -> float:
     if not math.isfinite(total) or total <= 0:
         raise ValueError("state has no probability mass; was it initialized?")
-    p /= total
-    return p
+    return total
 
 
 def _sample_indices(probs: np.ndarray, shots: int, rng: np.random.Generator):

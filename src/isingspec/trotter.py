@@ -20,12 +20,18 @@ time into 16x16 blocks (frame_layers).
 
 run_quench applies U_step n_steps times and records observables after every
 step (and at t = 0), exactly for shots = 0 or through sampled per-axis
-measurement blocks otherwise. With gate noise the bond layers stay separate
-diagonals (odd, even, and on an odd ring the wrap bond on its own), and the
-Paulis drawn per gate, in gate-list order, are applied after the layer their
-gate belongs to; gates within a layer act on disjoint sites, so the Paulis
-commute past the rest of it. Readout noise is applied per shot, and noisy
-observables are averaged over trajectories.
+measurement blocks otherwise. Without gate noise U_step commutes with
+translations, so the state stays translation invariant: its exact values
+are read at site L alone (statevec.top_site_expectations and
+obs.invariant_correlator_profile) and copied to every site. A gate-noisy
+exact trajectory is not invariant and is measured site by site.
+
+With gate noise the bond layers stay separate diagonals (odd, even, and on
+an odd ring the wrap bond on its own), and the Paulis drawn per gate, in
+gate-list order, are applied after the layer their gate belongs to; gates
+within a layer act on disjoint sites, so the Paulis commute past the rest
+of it. Readout noise is applied per shot, and noisy observables are
+averaged over trajectories.
 """
 
 from __future__ import annotations
@@ -238,17 +244,20 @@ def _provenance(params: ModelParams, plan: QuenchPlan, record_correlator: bool) 
 class _Recorder:
     """Accumulates per-site traces for one trajectory at a time.
 
-    Sampled axes take one path: index histogram -> bit matrix -> twirled
-    readout (only with readout error) -> site estimates and, on the x axis,
-    the correlator, both divided by the scalar mitigation 1 - 2 p_eff (1.0
-    when there is nothing to mitigate).
+    Exact values of an invariant trajectory (no gate noise) come from site L
+    and fill every site; otherwise every site is measured. Sampled axes take
+    one path: index histogram -> bit matrix -> twirled readout (only with
+    readout error) -> site estimates and, on the x axis, the correlator, both
+    divided by the scalar mitigation 1 - 2 p_eff (1.0 when there is nothing
+    to mitigate).
     """
 
-    def __init__(self, L, plan, shots, record_correlator, tables, readout, mitigation):
+    def __init__(self, L, plan, shots, record_correlator, invariant, tables, readout, mitigation):
         self.L = L
         self.axes = plan.measured_axes
         self.shots = shots
-        self.tables = tables  # obs.correlator_tables(L) for the exact correlator
+        self.invariant = invariant  # no gate noise: every site holds the same values
+        self.tables = tables  # obs.correlator_tables(L) for a non-invariant exact correlator
         self.readout = readout  # NoiseParams with readout error, or None
         self.mitigation = mitigation
         n_rec = plan.n_steps + 1
@@ -256,6 +265,13 @@ class _Recorder:
         self.correlator = np.zeros((n_rec, L // 2)) if record_correlator else None
 
     def record(self, state: StateVector, k: int, meas_ss):
+        if self.shots == 0 and self.invariant:
+            site = statevec.top_site_expectations(state)
+            for ax in self.axes:
+                self.per_site[ax][k] = site[ax]
+            if self.correlator is not None:
+                self.correlator[k] = obs.invariant_correlator_profile(state)
+            return
         if self.shots == 0:
             for ax in self.axes:
                 self.per_site[ax][k] = statevec.site_expectations(state, ax)
@@ -295,7 +311,9 @@ def run_quench(
     L = params.L
     gate_noise = nz is not None and nz.has_gate_noise
     layers = frame_layers(params, plan.dt, split_bonds=gate_noise)
-    tables = obs.correlator_tables(L) if record_correlator and plan.shots == 0 else None
+    # only a gate-noisy exact run measures the correlator site by site
+    exact_pairs = record_correlator and gate_noise and plan.shots == 0
+    tables = obs.correlator_tables(L) if exact_pairs else None
 
     n_traj = nz.trajectories if gate_noise else 1
     readout = nz if nz is not None and nz.has_readout_error else None
@@ -321,7 +339,9 @@ def run_quench(
         gate_ss, meas_root = traj_seeds[t].spawn(2)
         gate_rng = np.random.default_rng(gate_ss)
         meas_seeds = meas_root.spawn(n_rec)
-        rec = _Recorder(L, plan, shots_t, record_correlator, tables, readout, mitigation)
+        rec = _Recorder(
+            L, plan, shots_t, record_correlator, not gate_noise, tables, readout, mitigation
+        )
         # |+...+> is |0...0> in the x frame
         state = StateVector(L, statevec.zero_state(L).amplitudes, frame="x")
         rec.record(state, 0, meas_seeds[0])

@@ -279,6 +279,20 @@ def test_sweep_rejects_h_at_or_below_zero_before_any_quench(monkeypatch, h):
         spectro.eta_sweep([0.4, 0.6], h, ModelParams(4, 0.5, 0.3), QuenchPlan(dt=0.2, n_steps=40))
 
 
+@pytest.mark.parametrize(
+    "setting, value",
+    [("window", "foo"), ("pad_factor", 0), ("min_height_frac", 1.5), ("n_low", 0)],
+)
+def test_sweep_rejects_bad_settings_before_any_quench(monkeypatch, setting, value):
+    def no_quench(*args, **kwargs):
+        raise AssertionError("no quench may run with an out-of-range setting")
+
+    monkeypatch.setattr(trotter, "run_quench", no_quench)
+    template, plan = ModelParams(4, 0.5, 0.3), QuenchPlan(dt=0.2, n_steps=40)
+    with pytest.raises(ValueError, match=setting):
+        spectro.eta_sweep([0.4, 0.6], 0.3, template, plan, processes=2, **{setting: value})
+
+
 def test_series_from_record_carries_the_grid():
     record = trotter.run_quench(ModelParams(4, 0.5, 0.3), QuenchPlan(dt=0.4, n_steps=16))
     series = spectro.series_from_record(record, "y")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 import oracles
-from isingspec import edsolver, statevec as sv, trotter
+from isingspec import edsolver, obs, statevec as sv, trotter
 from isingspec.model import ModelParams, QuenchPlan
 
 # test-local states are named st, so the strategies module keeps its name
@@ -132,6 +132,44 @@ def test_site_expectations_match_dense_oracle():
         vals = sv.site_expectations(st, axis)
         expected = [oracles.site_expectation(st.amplitudes, axis, j, L) for j in range(1, L + 1)]
         assert np.abs(vals - expected).max() < 1e-12
+
+
+def x_frame_trotter_state(params: ModelParams, dt: float, n_steps: int) -> sv.StateVector:
+    """|+...+> after n_steps noiseless Trotter steps, in the x frame run_quench uses."""
+    st = sv.StateVector(params.L, sv.zero_state(params.L).amplitudes, frame="x")
+    layers = trotter.frame_layers(params, dt)
+    for _ in range(n_steps):
+        for layer in layers:
+            layer.apply(st)
+    return st
+
+
+def assert_one_site_values_match_every_site(st: sv.StateVector) -> None:
+    top = sv.top_site_expectations(st)
+    for axis in "xyz":
+        assert np.abs(sv.site_expectations(st, axis) - top[axis]).max() < 1e-12
+    invariant = obs.invariant_correlator_profile(st)
+    assert invariant.shape == (st.L // 2,)
+    assert np.abs(invariant - obs.correlator_profile(st)).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    L=strategies.integers(2, 9),
+    g=fields,
+    h=fields,
+    dt=strategies.floats(0.05, 0.8),
+    n_steps=strategies.integers(0, 5),
+    seed=strategies.integers(0, 2**32 - 1),
+)
+def test_translation_invariant_states_are_measured_at_one_site(L, g, h, dt, n_steps, seed):
+    assert_one_site_values_match_every_site(random_invariant_state(L, np.random.default_rng(seed)))
+    assert_one_site_values_match_every_site(x_frame_trotter_state(ModelParams(L, g, h), dt, n_steps))
+
+
+def test_translation_invariant_states_are_measured_at_one_site_at_L16():
+    assert_one_site_values_match_every_site(random_invariant_state(16, np.random.default_rng(16)))
+    assert_one_site_values_match_every_site(x_frame_trotter_state(ModelParams(16, 0.25, 0.2), 0.2, 12))
 
 
 def test_measurement_probabilities_z_basis_is_amplitude_squared():

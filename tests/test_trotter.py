@@ -1,10 +1,14 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
+from isingspec import obs
 from isingspec import statevec as sv
 from isingspec import trotter
-from isingspec.model import ModelParams, QuenchPlan
+from isingspec.model import ModelParams, NoiseParams, QuenchPlan
 
 
 def run_step_dense(step: trotter.TrotterStep) -> np.ndarray:
@@ -129,6 +133,31 @@ def test_translation_symmetry_of_per_site_traces():
     for axis in ("x", "y"):
         spread = np.ptp(rec.per_site[axis], axis=1)
         assert spread.max() < 1e-9
+
+
+def test_noiseless_exact_run_measures_without_copies_or_site_loops(monkeypatch):
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(sv.StateVector, "copy")
+    counted(sv, "site_expectations")
+    counted(obs, "correlator_tables")
+    p = ModelParams(12, 0.5, 0.3)
+    plan = QuenchPlan(dt=0.1, n_steps=20, measured_axes=("x", "y", "z"))
+    trotter.run_quench(p, plan, record_correlator=True)
+    assert not calls
+    # the counters do see a gate-noisy exact run, which is measured site by site
+    nz = NoiseParams(p1=0.01, p2=0.01, p01=0.0, p10=0.0, trajectories=1)
+    trotter.run_quench(p, replace(plan, n_steps=2, noise=nz), record_correlator=True)
+    assert set(calls) == {"copy", "site_expectations", "correlator_tables"}
 
 
 def test_aggregate_unknown_axis_lists_what_was_measured():
