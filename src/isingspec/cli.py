@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage or config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -67,21 +66,13 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def _emit_float(v: float) -> str:
-    return repr(float(v))
-
-
-def _emit_list(v) -> str:
-    return ",".join(_emit(x) for x in v)
-
-
 def _emit(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return _emit_float(v)
+        return repr(float(v))
     if isinstance(v, (tuple, list)):
-        return _emit_list(v)
+        return ",".join(_emit(x) for x in v)
     return str(v)
 
 
@@ -193,17 +184,28 @@ def emit_config(cfg: RunConfig) -> str:
 
 def load_config(path: str | None) -> RunConfig:
     if path is None:
-        return RunConfig({k: d for k, (_, d) in _SCHEMA.items()})
+        return parse_config("")
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return parse_config(text)
 
 
 # ---------------------------------------------------------------- renderers
 
 def _provenance_line(pairs: dict) -> str:
     return "# " + " ".join(f"{k}={_emit(v)}" for k, v in sorted(pairs.items()))
+
+
+def _json_text(doc: dict, prov: dict | None = None) -> str:
+    """doc as key-sorted, indented JSON, with prov emitted under "provenance"."""
+    if prov is not None:
+        doc = {"provenance": {k: _emit(v) for k, v in prov.items()}, **doc}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _run_provenance(cfg: RunConfig, command: str, g: float | None = None, seed=None) -> dict:
@@ -246,7 +248,6 @@ def render_trace_csv(record, prov: dict, per_site: bool) -> str:
 
 def render_trace_json(record, prov: dict) -> str:
     doc = {
-        "provenance": {k: _emit(v) for k, v in sorted(prov.items())},
         "times": [float(t) for t in record.times],
         "aggregate": {
             a: [float(v) for v in record.aggregate(a)] for a in sorted(record.per_site)
@@ -256,7 +257,7 @@ def render_trace_json(record, prov: dict) -> str:
             for a in sorted(record.per_site)
         },
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json_text(doc, prov)
 
 
 def parse_trace_csv(text: str) -> tuple[dict, np.ndarray, dict[str, np.ndarray]]:
@@ -298,19 +299,17 @@ def render_spectrum_csv(spectrum, prov: dict) -> str:
 
 def render_spectrum_json(spectrum, prov: dict) -> str:
     doc = {
-        "provenance": {k: _emit(v) for k, v in sorted(prov.items())},
         "window": spectrum.window,
         "pad_factor": spectrum.pad_factor,
         "d_omega": float(spectrum.d_omega),
         "omega": [float(w) for w in spectrum.omega],
         "power": [float(p) for p in spectrum.power],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json_text(doc, prov)
 
 
 def render_peaks_json(peaks, levels, prov: dict) -> str:
     doc = {
-        "provenance": {k: _emit(v) for k, v in sorted(prov.items())},
         "d_omega": float(peaks.d_omega),
         "peaks": [
             {
@@ -326,7 +325,7 @@ def render_peaks_json(peaks, levels, prov: dict) -> str:
     }
     if levels is not None:
         doc["ed_gaps"] = [float(x) for x in levels.gaps]
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json_text(doc, prov)
 
 
 # ----------------------------------------------------------------- commands
@@ -353,12 +352,7 @@ def _spectrum_files(cfg: RunConfig, prov: dict, spectrum, peaks, levels) -> dict
     return files
 
 
-_SPECTRO_CHECKS = {
-    "spectro.window": spectro.check_window,
-    "spectro.pad_factor": spectro.check_pad_factor,
-    "spectro.min_height_frac": spectro.check_min_height_frac,
-    "spectro.n_low": edsolver.check_n_low,
-}
+_SPECTRO_CHECKS = {f"spectro.{key}": check for key, check in spectro.SETTING_CHECKS.items()}
 # the analysis settings each command reads, with the library check for each
 _SETTING_CHECKS = {
     "ed": {"ed.n_low": edsolver.check_n_low},
@@ -410,7 +404,7 @@ def cmd_ed(cfg: RunConfig) -> dict[str, str]:
         "gaps": [float(x) for x in levels.gaps],
         "oracle_check": oracle_check,
     }
-    return {"levels.json": json.dumps(doc, sort_keys=True, indent=2) + "\n"}
+    return {"levels.json": _json_text(doc)}
 
 
 def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
@@ -480,11 +474,7 @@ def cmd_sweep(cfg: RunConfig, processes: int) -> dict[str, str]:
     }
     rows[:0] = [_provenance_line(prov), "g,h,eta,e1,e1_err,e2,e2_err,e3,e3_err"]
     files["sweep.csv"] = "\n".join(rows) + "\n"
-    files["sweep.json"] = json.dumps(
-        {"provenance": {k: _emit(v) for k, v in sorted(prov.items())}, "points": table},
-        sort_keys=True,
-        indent=2,
-    ) + "\n"
+    files["sweep.json"] = _json_text({"points": table}, prov)
     return files
 
 
@@ -504,7 +494,6 @@ def cmd_correlate(cfg: RunConfig) -> dict[str, str]:
         for ri, r in enumerate(field.rs):
             rows.append(f"{repr(float(t))},{int(r)},{repr(float(field.values[k, ri]))}")
     front = {
-        "provenance": {k: _emit(v) for k, v in sorted(prov.items())},
         "threshold": float(fit.threshold),
         "velocity": None if np.isnan(fit.velocity) else float(fit.velocity),
         "stalled": bool(fit.stalled),
@@ -516,7 +505,7 @@ def cmd_correlate(cfg: RunConfig) -> dict[str, str]:
         "sign_changes": [int(obs.oscillation_count(field, int(r))) for r in field.rs],
     }
     files["correlator.csv"] = "\n".join(rows) + "\n"
-    files["front.json"] = json.dumps(front, sort_keys=True, indent=2) + "\n"
+    files["front.json"] = _json_text(front, prov)
     return files
 
 
@@ -580,12 +569,7 @@ def main(argv=None) -> int:
         if args.command == "spectrum" and getattr(args, "trace", None):
             cfg = cfg.replace(spectro__trace=args.trace)
         _check_settings(args.command, cfg)
-    except ConfigError as exc:
-        print(f"isingspec: config error: {exc}", file=sys.stderr)
-        return 1
-
-    out_dir = Path(cfg["output.dir"])
-    try:
+        out_dir = Path(cfg["output.dir"])
         files = _dispatch(args, cfg, out_dir)
     except ConfigError as exc:
         print(f"isingspec: config error: {exc}", file=sys.stderr)
@@ -601,7 +585,7 @@ def main(argv=None) -> int:
         "max_rss_kb": _peak_rss_kb(),
         "files": sorted(files),
     }
-    files["run_stats.json"] = json.dumps(stats, sort_keys=True, indent=2) + "\n"
+    files["run_stats.json"] = _json_text(stats)
     try:
         _write_files(out_dir, files)
     except OSError as exc:

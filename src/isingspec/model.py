@@ -81,9 +81,6 @@ class ModelParams:
         if not report.ok:
             raise ValueError("; ".join(report.messages))
 
-    def validation(self) -> ValidationReport:
-        return validate(self.L, self.g, self.h)
-
     def bonds(self) -> list[tuple[int, int]]:
         """The L nearest-neighbour bonds (j, j+1) with the periodic wrap (L, 1)."""
         return [(j, j % self.L + 1) for j in range(1, self.L + 1)]
@@ -159,7 +156,3 @@ class QuenchPlan:
         if not axes or any(a not in AXES for a in axes) or len(set(axes)) != len(axes):
             raise ValueError(f"measured_axes must be a nonempty subset of {AXES}")
         object.__setattr__(self, "measured_axes", axes)
-
-    @property
-    def total_time(self) -> float:
-        return self.n_steps * self.dt

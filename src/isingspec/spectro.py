@@ -312,7 +312,9 @@ def sweep_point(
     return EtaPoint(params.g, params.h, record, spectrum, peaks, levels)
 
 
-_SETTING_CHECKS = {
+# the check of each analysis setting, by keyword; the CLI checks its
+# spectro.* keys through this table too
+SETTING_CHECKS = {
     "window": check_window,
     "pad_factor": check_pad_factor,
     "min_height_frac": check_min_height_frac,
@@ -336,7 +338,7 @@ def eta_sweep(
     h = float(h)
     if not h > 0:
         raise ValueError(f"eta needs h > 0, got h={h}")
-    for key, check in _SETTING_CHECKS.items():
+    for key, check in SETTING_CHECKS.items():
         if key in settings:
             check(settings[key])
     points = [

@@ -10,13 +10,13 @@ U_even those on (2,3), (4,5), ..., (L,1). For odd L the wrap bond (L,1)
 joins the even layer so the two layers still cover all L bonds.
 
 build_step writes that step as a gate list and decompose_to_native lowers it
-to CNOTs; they describe the circuit. run_quench does not apply the gate list.
-It evolves the state in the x frame (Hadamard-rotated basis, see statevec),
-where the polarized start state |+...+> is |0...0> and every sx sx bond is
-diagonal. The bonds commute, so U_odd * U_even is the single diagonal
-exp(i dt (L - 2 popcount(s XOR rot(s)))), stored as a uint8 popcount index
-plus a phase table; U_1q becomes H u1 H on every site, fused 4 sites at a
-time into 16x16 blocks (frame_layers).
+to CNOTs; they describe the circuit. run_quench compiles that gate list
+(frame_layers) and evolves the state in the x frame (Hadamard-rotated
+basis, see statevec), where the polarized start state |+...+> is |0...0>
+and every sx sx bond is diagonal. The bonds commute, so U_odd * U_even is
+the single diagonal exp(i dt (L - 2 popcount(s XOR rot(s)))), stored as a
+uint8 popcount index plus a phase table; U_1q becomes H u1 H on every site,
+fused 4 sites at a time into 16x16 blocks.
 
 run_quench applies U_step n_steps times and records observables after every
 step (and at t = 0), exactly for shots = 0 or through sampled per-axis
@@ -122,36 +122,38 @@ class FrameLayer:
 
 
 def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False) -> list[FrameLayer]:
-    """The step [U_1q; U_odd; U_even] as x-frame layers, in application order.
+    """build_step's gate list as x-frame layers, in application order.
 
-    U_1q is absent at g = h = 0. Without split_bonds one diagonal carries all
-    L bonds. With it the bond layers of the gate list stay apart, so gate
-    noise can sit between them; on an odd ring the wrap bond (L, 1) shares
-    site L with (L-1, L) and gets a diagonal of its own.
+    A layer is a run of consecutive gates of one arity on disjoint sites, so
+    the Paulis drawn for its gates commute past the rest of it. Without
+    split_bonds all bonds share one diagonal, since they commute. A u1 run
+    becomes fused H u1 H blocks, a bond run one popcount diagonal at angle dt.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    L = params.L
+    step = build_step(params, dt)
+    runs: list[list[Gate]] = []
+    for gate in step.gates:
+        run = runs[-1] if runs else []
+        if run and len(run[0].sites) == len(gate.sites) and (
+            (gate.name == "xx" and not split_bonds)
+            or all(set(gate.sites).isdisjoint(g.sites) for g in run)
+        ):
+            run.append(gate)
+        else:
+            runs.append([gate])
     layers = []
-    if params.g != 0.0 or params.h != 0.0:
-        u1 = single_site_step_matrix(params.g, params.h, dt)
-        m = statevec.HADAMARD @ u1 @ statevec.HADAMARD
-        blocks = tuple(statevec.fuse_site_matrices([m] * L))
-        layers.append(FrameLayer("1q", tuple((j,) for j in range(1, L + 1)), blocks=blocks))
-    odds, evens = _bond_layers(L)
-    if not split_bonds:
-        groups = [odds + evens]
-    elif L % 2 == 1:
-        groups = [odds, evens[:-1], evens[-1:]]
-    else:
-        groups = [odds, evens]
-    for group in groups:
-        # sum over the group's bonds of z_j z_{j+1} = n - 2 * (broken bonds)
-        n = len(group)
-        index = statevec.ring_xor_popcount(L, 1, sum(1 << (j - 1) for j in group))
-        table = np.exp(1j * dt * (n - 2.0 * np.arange(n + 1)))
-        gates = tuple((j, j % L + 1) for j in group)
-        layers.append(FrameLayer("2q", gates, diagonal=(index, table)))
+    for run in runs:
+        sites = tuple(g.sites for g in run)
+        if len(sites[0]) == 1:
+            mats = [None] * step.L
+            for g in run:
+                mats[g.sites[0] - 1] = statevec.HADAMARD @ g.matrix @ statevec.HADAMARD
+            layers.append(FrameLayer("1q", sites, blocks=tuple(statevec.fuse_site_matrices(mats))))
+            continue
+        # sum over the run's bonds of z_a z_b = n - 2 * (broken bonds)
+        n = len(run)
+        index = statevec.ring_xor_popcount(step.L, 1, sum(1 << (a - 1) for a, _ in sites))
+        table = np.exp(1j * step.dt * (n - 2.0 * np.arange(n + 1)))
+        layers.append(FrameLayer("2q", sites, diagonal=(index, table)))
     return layers
 
 
@@ -241,55 +243,39 @@ def _provenance(params: ModelParams, plan: QuenchPlan, record_correlator: bool) 
     return prov
 
 
-class _Recorder:
-    """Accumulates per-site traces for one trajectory at a time.
+def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, mitigation):
+    """One time point: per-axis site values, and G(r) when correlator is set.
 
-    Exact values of an invariant trajectory (no gate noise) come from site L
-    and fill every site; otherwise every site is measured. Sampled axes take
+    Exact values of an invariant state (no gate noise) come from site L and
+    stand for every site; otherwise every site is measured. Sampled axes take
     one path: index histogram -> bit matrix -> twirled readout (only with
     readout error) -> site estimates and, on the x axis, the correlator, both
     divided by the scalar mitigation 1 - 2 p_eff (1.0 when there is nothing
     to mitigate).
     """
-
-    def __init__(self, L, plan, shots, record_correlator, invariant, tables, readout, mitigation):
-        self.L = L
-        self.axes = plan.measured_axes
-        self.shots = shots
-        self.invariant = invariant  # no gate noise: every site holds the same values
-        self.tables = tables  # obs.correlator_tables(L) for a non-invariant exact correlator
-        self.readout = readout  # NoiseParams with readout error, or None
-        self.mitigation = mitigation
-        n_rec = plan.n_steps + 1
-        self.per_site = {ax: np.zeros((n_rec, L)) for ax in self.axes}
-        self.correlator = np.zeros((n_rec, L // 2)) if record_correlator else None
-
-    def record(self, state: StateVector, k: int, meas_ss):
-        if self.shots == 0 and self.invariant:
-            site = statevec.top_site_expectations(state)
-            for ax in self.axes:
-                self.per_site[ax][k] = site[ax]
-            if self.correlator is not None:
-                self.correlator[k] = obs.invariant_correlator_profile(state)
-            return
-        if self.shots == 0:
-            for ax in self.axes:
-                self.per_site[ax][k] = statevec.site_expectations(state, ax)
-            if self.correlator is not None:
-                self.correlator[k] = obs.correlator_profile(state, self.tables)
-            return
-        for ax, ss in zip(self.axes, meas_ss.spawn(len(self.axes))):
+    values, G = {}, None
+    if shots == 0 and invariant:
+        values = statevec.top_site_expectations(state)
+        if correlator:
+            G = obs.invariant_correlator_profile(state)
+    elif shots == 0:
+        values = {ax: statevec.site_expectations(state, ax) for ax in axes}
+        if correlator:
+            G = obs.correlator_profile(state, tables)
+    else:
+        for ax, ss in zip(axes, seed.spawn(len(axes))):
             rng = np.random.default_rng(ss)
-            idx, counts = statevec.sample_index_counts(state, ax, self.shots, rng)
-            bits = statevec.bits_from_indices(idx, counts, self.L)
-            if self.readout is not None:
-                bits = noise_mod.twirled_readout(bits, self.readout, rng)
-            self.per_site[ax][k] = statevec.estimates_from_bits(bits) / self.mitigation
-            if ax == "x" and self.correlator is not None:
-                self.correlator[k] = obs.correlator_profile_from_bits(bits, self.mitigation)
+            idx, counts = statevec.sample_index_counts(state, ax, shots, rng)
+            bits = statevec.bits_from_indices(idx, counts, state.L)
+            if readout is not None:
+                bits = noise_mod.twirled_readout(bits, readout, rng)
+            values[ax] = statevec.estimates_from_bits(bits) / mitigation
+            if ax == "x" and correlator:
+                G = obs.correlator_profile_from_bits(bits, mitigation)
             # kept until the next axis's rotated copy, the bit matrix pins the
             # heap under it: peak RSS at L = 20 rose from 150 to 158 MB
             del bits
+    return values, G
 
 
 def run_quench(
@@ -314,53 +300,43 @@ def run_quench(
     # only a gate-noisy exact run measures the correlator site by site
     exact_pairs = record_correlator and gate_noise and plan.shots == 0
     tables = obs.correlator_tables(L) if exact_pairs else None
-
-    n_traj = nz.trajectories if gate_noise else 1
     readout = nz if nz is not None and nz.has_readout_error else None
     mitigation = 1.0 - 2.0 * nz.p_eff if readout is not None and nz.mitigate else 1.0
 
-    # shot split across trajectories; the first (shots % n_traj) get one extra
-    shot_share = [
-        plan.shots // n_traj + (1 if t < plan.shots % n_traj else 0)
-        for t in range(n_traj)
-    ]
-
-    root = np.random.SeedSequence(plan.seed)
-    traj_seeds = root.spawn(n_traj)
+    n_traj = nz.trajectories if gate_noise else 1
     n_rec = plan.n_steps + 1
-    sums = {ax: np.zeros((n_rec, L)) for ax in plan.measured_axes}
-    corr_sum = np.zeros((n_rec, L // 2)) if record_correlator else None
+    per_site = {ax: np.zeros((n_rec, L)) for ax in plan.measured_axes}
+    correlator = np.zeros((n_rec, L // 2)) if record_correlator else None
     weight_total = 0.0
-
-    for t in range(n_traj):
-        shots_t = shot_share[t] if plan.shots > 0 else 0
-        if plan.shots > 0 and shots_t == 0:
+    for t, traj_ss in enumerate(np.random.SeedSequence(plan.seed).spawn(n_traj)):
+        # shot split across trajectories; the first (shots % n_traj) get one extra
+        shots = plan.shots // n_traj + (1 if t < plan.shots % n_traj else 0)
+        if plan.shots > 0 and shots == 0:
             continue  # more trajectories than shots; nothing to average in
-        gate_ss, meas_root = traj_seeds[t].spawn(2)
+        w = shots if plan.shots > 0 else 1.0
+        weight_total += w
+        gate_ss, meas_root = traj_ss.spawn(2)
         gate_rng = np.random.default_rng(gate_ss)
-        meas_seeds = meas_root.spawn(n_rec)
-        rec = _Recorder(
-            L, plan, shots_t, record_correlator, not gate_noise, tables, readout, mitigation
-        )
-        # |+...+> is |0...0> in the x frame
+        # |+...+> is |0...0> in the x frame; k = 0 records it unevolved
         state = StateVector(L, statevec.zero_state(L).amplitudes, frame="x")
-        rec.record(state, 0, meas_seeds[0])
-        for k in range(1, plan.n_steps + 1):
-            for layer in layers:
+        for k, meas_ss in enumerate(meas_root.spawn(n_rec)):
+            for layer in layers if k > 0 else ():
                 layer.apply(state)
                 if gate_noise:
                     for sites in layer.gates:
-                        paulis = noise_mod.draw_gate_paulis(layer.kind, sites, nz, gate_rng)
-                        noise_mod.apply_paulis(state, paulis)
-            rec.record(state, k, meas_seeds[k])
-        w = shots_t if plan.shots > 0 else 1.0
-        weight_total += w
-        for ax in plan.measured_axes:
-            sums[ax] += w * rec.per_site[ax]
-        if corr_sum is not None:
-            corr_sum += w * rec.correlator
+                        noise_mod.apply_gate_noise(state, layer.kind, sites, nz, gate_rng)
+            values, G = _measure(
+                state, plan.measured_axes, shots, meas_ss, record_correlator,
+                not gate_noise, tables, readout, mitigation,
+            )
+            for ax in plan.measured_axes:
+                per_site[ax][k] += w * values[ax]
+            if correlator is not None:
+                correlator[k] += w * G
 
-    per_site = {ax: sums[ax] / weight_total for ax in plan.measured_axes}
-    correlator = corr_sum / weight_total if corr_sum is not None else None
+    for ax in plan.measured_axes:
+        per_site[ax] /= weight_total
+    if correlator is not None:
+        correlator /= weight_total
     times = np.arange(n_rec) * plan.dt
     return QuenchRecord(times, per_site, correlator, _provenance(params, plan, record_correlator))

@@ -23,6 +23,7 @@ LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
     [
         ("quench", {"plan.shots": 500, "plan.axes": "x,y"}),
         ("sweep", {"sweep.g_list": "0.4, 0.6"}),
+        ("quench", {"plan.shots": 500, "noise.enabled": "true", "noise.trajectories": 4}),
     ],
 )
 def test_traced_launch_runs_to_completion(tmp_path, command, extra):
@@ -41,4 +42,8 @@ def test_traced_launch_runs_to_completion(tmp_path, command, extra):
     assert res.returncode == 0, res.stderr
     doc = json.loads(stamp.read_text())
     assert doc["rc"] == 0
-    assert "trotter.run_quench" in doc["trace"]["spans"]
+    spans = doc["trace"]["spans"]
+    assert "trotter.run_quench" in spans
+    if extra.get("noise.enabled") == "true":
+        # gate noise must go through noise.apply_gate_noise, the name the tracer wraps
+        assert spans["noise.gate_noise"]["calls"] > 0

@@ -294,6 +294,16 @@ def test_exit_codes_for_config_problems(tmp_path):
     assert run_cli().returncode == 1
 
 
+def test_undecodable_config_is_a_config_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe model.L = 4\n")
+    res = run_cli("quench", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("isingspec: config error: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
+
+
 def test_nothing_written_outside_the_output_directory(tmp_path):
     f = write_config(
         tmp_path / "run.cfg",

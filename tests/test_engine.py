@@ -71,9 +71,15 @@ def replay_noisy_quench(params, plan, nz):
     return {ax: v / n for ax, v in sums.items()}, corr / n
 
 
-@pytest.mark.parametrize("L", [6, 7])
-def test_noisy_quench_equals_gate_by_gate_replay(L):
-    params = ModelParams(L, 0.5, 0.3)
+# L = 2: bonds (1,2) and (2,1) share both sites; L = 3: the wrap bond gets a
+# layer of its own; g = h = 0: there is no on-site layer
+@pytest.mark.parametrize(
+    "L, g, h",
+    [(6, 0.5, 0.3), (7, 0.5, 0.3), (2, 0.5, 0.3), (3, 0.5, 0.3), (5, 0.0, 0.0)],
+    ids=["6", "7", "2", "3", "5-zero-fields"],
+)
+def test_noisy_quench_equals_gate_by_gate_replay(L, g, h):
+    params = ModelParams(L, g, h)
     nz = NoiseParams(p1=0.05, p2=0.2, p01=0.0, p10=0.0, trajectories=5)
     plan = QuenchPlan(dt=0.4, n_steps=6, seed=11, noise=nz)
     rec = trotter.run_quench(params, plan, record_correlator=True)
@@ -81,9 +87,12 @@ def test_noisy_quench_equals_gate_by_gate_replay(L):
     for ax in "xy":
         assert np.abs(rec.per_site[ax] - per_site[ax]).max() < 1e-12
     assert np.abs(rec.correlator - corr).max() < 1e-12
-    # the noise really acted: the trace is not the noiseless one
+    # the noise really acted: the trace is not the noiseless one. At g = h = 0
+    # every trajectory stays a product of sx eigenstates, so sy reads 0 and
+    # only sx shows the flips.
     ideal = trotter.run_quench(params, QuenchPlan(dt=0.4, n_steps=6))
-    assert np.abs(rec.per_site["y"] - ideal.per_site["y"]).max() > 1e-3
+    ax = "y" if g or h else "x"
+    assert np.abs(rec.per_site[ax] - ideal.per_site[ax]).max() > 1e-3
 
 
 def test_mixed_axis_probabilities_match_dense_rotations():
