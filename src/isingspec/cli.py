@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, edsolver, obs, spectro, trotter
+from . import __version__, edsolver, obs, spectro, statevec, trotter
 from .model import ModelParams, NoiseParams, QuenchPlan
 
 
@@ -353,18 +353,22 @@ def _spectrum_files(cfg: RunConfig, prov: dict, spectrum, peaks, levels) -> dict
 
 
 _SPECTRO_CHECKS = {f"spectro.{key}": check for key, check in spectro.SETTING_CHECKS.items()}
-# the analysis settings each command reads, with the library check for each
+# the settings each command's analysis reads, with the library check for each;
+# a sweep's spectrum is taken over its n_steps + 1 recorded points
 _SETTING_CHECKS = {
-    "ed": {"ed.n_low": edsolver.check_n_low},
+    "ed": {"model.L": edsolver.check_L, "ed.n_low": edsolver.check_n_low},
     "spectrum": _SPECTRO_CHECKS,
-    "sweep": _SPECTRO_CHECKS,
+    "sweep": {**_SPECTRO_CHECKS, "plan.n_steps": lambda n: spectro.check_samples(n + 1)},
     "correlate": {"correlate.threshold": obs.check_threshold},
 }
 
 
 def _check_settings(command: str, cfg: RunConfig) -> None:
     """Reject out-of-range analysis settings before any computation runs."""
-    for key, check in _SETTING_CHECKS.get(command, {}).items():
+    checks = dict(_SETTING_CHECKS.get(command, {}))
+    if command == "sweep" and cfg["spectro.join_ed"]:
+        checks["model.L"] = edsolver.check_L  # the ED reference of every point
+    for key, check in checks.items():
         try:
             check(cfg[key])
         except ValueError as exc:
@@ -557,6 +561,8 @@ def _dispatch(args, cfg: RunConfig, out_dir: Path) -> dict[str, str]:
 
 def main(argv=None) -> int:
     started = time.monotonic()
+    statevec.pin_blas_threads()
+    split_passes = statevec.split_passes
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
@@ -584,6 +590,10 @@ def main(argv=None) -> int:
         "elapsed_s": round(time.monotonic() - started, 3),
         "max_rss_kb": _peak_rss_kb(),
         "files": sorted(files),
+        "threads": {
+            "blas": statevec.blas_threads(),
+            "kernels": 2 if statevec.split_passes > split_passes else 1,
+        },
     }
     files["run_stats.json"] = _json_text(stats)
     try:

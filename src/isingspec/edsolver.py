@@ -64,10 +64,14 @@ def _translate(states: np.ndarray, L: int, mask: int) -> np.ndarray:
     return ((states << 1) & mask) | (states >> (L - 1))
 
 
-def build_zero_momentum_basis(L: int) -> SectorBasis:
-    """All translation-orbit representatives; dimension = binary necklace count."""
+def check_L(L: int) -> None:
     if not 2 <= L <= BASIS_L_MAX:
         raise ValueError(f"L={L} outside supported range [2, {BASIS_L_MAX}]")
+
+
+def build_zero_momentum_basis(L: int) -> SectorBasis:
+    """All translation-orbit representatives; dimension = binary necklace count."""
+    check_L(L)
     dim_full = 1 << L
     mask = dim_full - 1
     states = np.arange(dim_full, dtype=np.int64)

@@ -23,7 +23,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from . import edsolver, trotter
+from . import edsolver, statevec, trotter
 from .edsolver import EnergyLevels
 from .model import ModelParams, QuenchPlan
 
@@ -78,6 +78,7 @@ _WINDOWS = {
     "hann": np.hanning,
     "rectangular": np.ones,
 }
+MIN_SAMPLES = 8  # shortest series power_spectrum accepts
 
 
 def check_window(window: str) -> None:
@@ -95,13 +96,17 @@ def check_min_height_frac(min_height_frac: float) -> None:
         raise ValueError(f"min_height_frac must be in (0, 1), got {min_height_frac}")
 
 
+def check_samples(n: int) -> None:
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for a spectrum, got {n}")
+
+
 def power_spectrum(series: TimeSeries, window: str = "hann", pad_factor: int = 8) -> Spectrum:
     """Mean-subtract, window, zero-pad, and return |FFT|^2 on omega >= 0."""
     check_window(window)
     check_pad_factor(pad_factor)
     n = series.values.size
-    if n < 8:
-        raise ValueError(f"need at least 8 samples for a spectrum, got {n}")
+    check_samples(n)
     x = (series.values - series.values.mean()) * _WINDOWS[window](n)
     n_pad = int(pad_factor) * n
     coeffs = np.fft.rfft(x, n=n_pad)
@@ -332,8 +337,9 @@ def eta_sweep(
     plan.seed is None), so serial and parallel execution produce identical
     results and a single-point sweep reproduces a plain quench with the same
     seed exactly. h <= 0 and out-of-range settings are rejected before any
-    point runs. At most os.cpu_count() worker processes are started; with
-    one, the points run in this process.
+    point runs. At most os.cpu_count() worker processes are started, each
+    with numpy's BLAS pinned to one thread; with one, the points run in
+    this process.
     """
     h = float(h)
     if not h > 0:
@@ -352,5 +358,5 @@ def eta_sweep(
     workers = min(processes, len(points), os.cpu_count() or 1)
     if workers <= 1:
         return [run(*point) for point in points]
-    with get_context("fork").Pool(workers) as pool:
+    with get_context("fork").Pool(workers, initializer=statevec.pin_blas_threads) as pool:
         return pool.starmap(run, points)

@@ -22,16 +22,25 @@ Gate application is in place via bit-masked stride views; any site pair is
 allowed for two-site gates. The x-frame kernels fuse the same 2x2 matrix on
 4 neighbouring sites into one 16x16 block and apply blocks and diagonals in
 place over cache-sized chunks, so a step allocates a few chunks, never a
-state-sized temporary. Exact time evolution runs in the k = 0 translation
+state-sized temporary. From SPLIT_MIN amplitudes on, each block or diagonal
+pass runs as two independent halves on two threads (numpy releases the GIL
+in matmul), with the same per-amplitude arithmetic as the serial pass; no
+thread outlives the call. Exact time evolution runs in the k = 0 translation
 sector on the orbit basis and sector matrix that edsolver builds for ED;
 only the returned snapshots are expanded to 2**L amplitudes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
+import itertools
 import math
+import multiprocessing
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +67,69 @@ _MEAS_ROTATION = {
 _UNITARY_TOL = 1e-12
 CHUNK = 1 << 13  # amplitudes per in-place kernel chunk (128 KiB of complex128)
 BLOCK_SITES = 4  # sites fused into one 2**4 x 2**4 block
+SPLIT_MIN = 1 << 18  # amplitudes from which a kernel pass runs on two threads
+split_passes = 0  # kernel passes this process has run on two threads
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS through ctypes, or None where it is missing."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        lib = ctypes.CDLL(path)  # numpy has loaded it already
+        if all(hasattr(lib, f"scipy_openblas_{op}_num_threads64_") for op in ("set", "get")):
+            return lib
+    return None
+
+
+def pin_blas_threads() -> None:
+    """Run numpy's OpenBLAS on one thread in this process; a no-op without it.
+
+    The kernels call BLAS on 16 x 16 blocks, where a second BLAS thread
+    costs more than it gains, and the thread count changes the order of
+    BLAS reductions and so the last digits of results.
+    """
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
+def blas_threads() -> int | None:
+    """numpy's OpenBLAS thread count, or None where the library is missing."""
+    lib = _openblas()
+    return None if lib is None else int(lib.scipy_openblas_get_num_threads64_())
+
+
+def _splits(amps: np.ndarray) -> bool:
+    """Whether a pass over amps runs as two halves on two threads: from
+    SPLIT_MIN amplitudes, on two or more CPUs, and never in a pool worker."""
+    return (
+        amps.size >= SPLIT_MIN
+        and (os.cpu_count() or 1) >= 2
+        and multiprocessing.parent_process() is None
+    )
+
+
+def _both(fn, a, b) -> None:
+    """fn(a) on a new thread and fn(b) on this one; returns when both are done."""
+    global split_passes
+    errors = []
+
+    def run():
+        try:
+            fn(a)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        fn(b)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+    split_passes += 1
 
 
 class StateVector:
@@ -255,23 +327,22 @@ def fuse_site_matrices(mats) -> list[tuple[int, int, np.ndarray]]:
     return blocks
 
 
-def _apply_block(amps: np.ndarray, m: np.ndarray, lo: int, k: int) -> None:
-    """amps <- (I x m x I) amps with m on bits lo .. lo+k-1, in place, by chunks.
+def _apply_block(v: np.ndarray, m: np.ndarray) -> None:
+    """v <- m along axis 1 of a (rest, 2**k, C) view, in place, by chunks.
 
     The chunks run over the index axes the block does not touch: rows of the
-    (rest, 2**k) view for the lowest block, (rest, 2**k, 2**lo) slabs for
-    the others, split along the low columns when one slab exceeds CHUNK.
+    (rest, 2**k) view when C == 1, else (rest, 2**k, C) slabs, split along
+    the low columns when one slab exceeds CHUNK.
     """
-    K, C = 1 << k, 1 << lo
+    _, K, C = v.shape
     if C == 1:
-        rows = amps.reshape(-1, K)
+        rows = v[:, :, 0]
         mt = m.T
         step = max(1, CHUNK // K)
         for a in range(0, rows.shape[0], step):
             blk = rows[a : a + step]
             blk[...] = blk @ mt
         return
-    v = amps.reshape(-1, K, C)
     a_step = max(1, CHUNK // (K * C))
     c_step = min(C, max(1, CHUNK // K))
     for a in range(0, v.shape[0], a_step):
@@ -280,10 +351,35 @@ def _apply_block(amps: np.ndarray, m: np.ndarray, lo: int, k: int) -> None:
             blk[...] = m @ blk
 
 
-def apply_site_blocks(state: StateVector, blocks) -> StateVector:
-    """Apply fused blocks from fuse_site_matrices to the amplitudes, in place."""
+def _apply_blocks(amps: np.ndarray, blocks) -> None:
     for lo, k, m in blocks:
-        _apply_block(state.amplitudes, m, lo, k)
+        _apply_block(amps.reshape(-1, 1 << k, 1 << lo), m)
+
+
+def apply_site_blocks(state: StateVector, blocks) -> StateVector:
+    """Apply fused blocks from fuse_site_matrices to the amplitudes, in place.
+
+    A split pass applies each run of blocks below the top bit to the two
+    halves of the array that the top bit separates, and splits a block on
+    the top bit along its low columns; a ring whose top block starts at
+    bit 0 has no columns to split, so that block runs serially.
+    """
+    amps = state.amplitudes
+    if not _splits(amps):
+        _apply_blocks(amps, blocks)
+        return state
+    half = amps.size // 2
+    for below, run in itertools.groupby(blocks, key=lambda b: 1 << (b[0] + b[1]) < amps.size):
+        if below:
+            _both(functools.partial(_apply_blocks, blocks=list(run)), amps[:half], amps[half:])
+            continue
+        for lo, k, m in run:  # blocks that hold the top bit
+            C = 1 << lo
+            v = amps.reshape(1, 1 << k, C)
+            if C > 1:
+                _both(functools.partial(_apply_block, m=m), v[:, :, : C // 2], v[:, :, C // 2 :])
+            else:
+                _apply_block(v, m)
     return state
 
 
@@ -305,12 +401,20 @@ def ring_xor_popcount(L: int, r: int = 1, mask: int | None = None) -> np.ndarray
     return np.bitwise_count(d)
 
 
+def _phase_pass(amps: np.ndarray, index: np.ndarray, table: np.ndarray) -> None:
+    for lo in range(0, amps.size, CHUNK):
+        amps[lo : lo + CHUNK] *= table[index[lo : lo + CHUNK]]
+
+
 def apply_phase_index(state: StateVector, index: np.ndarray, table: np.ndarray) -> StateVector:
     """amps[s] *= table[index[s]], in place, by chunks: a diagonal stored as
     a small phase table plus a uint8 index instead of 2**L complex phases."""
     amps = state.amplitudes
-    for lo in range(0, amps.size, CHUNK):
-        amps[lo : lo + CHUNK] *= table[index[lo : lo + CHUNK]]
+    if _splits(amps):
+        half = amps.size // 2
+        _both(lambda part: _phase_pass(amps[part], index[part], table), slice(0, half), slice(half, None))
+    else:
+        _phase_pass(amps, index, table)
     return state
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,16 +7,16 @@ import numpy as np
 import pytest
 
 from childenv import child_env
-from isingspec import cli
+from isingspec import cli, statevec
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "isingspec.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=child_env(),
+        env={**child_env(), **(env or {})},
     )
 
 
@@ -225,6 +226,20 @@ def test_parallel_sweep_equals_serial_bytes(tmp_path):
         assert (tmp_path / "ser" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
+def test_rerun_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # the first point of the benchmark's L = 12 sweep; its ED gaps once
+    # changed in the last digits with OPENBLAS_NUM_THREADS
+    cfg = {"model.L": 12, "model.h": 0.3, "plan.dt": 0.1, "plan.n_steps": 200, "sweep.g_list": 0.25}
+    for threads in ("1", "2"):
+        f = write_config(tmp_path / f"{threads}.cfg", **cfg, **{"output.dir": tmp_path / threads})
+        res = run_cli("sweep", "--config", f, env={"OPENBLAS_NUM_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+    names = [p.name for p in sorted((tmp_path / "1").iterdir()) if p.name != "run_stats.json"]
+    assert "peaks.json" in names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_sweep_table_has_one_row_per_point(tmp_path):
     f = write_config(
         tmp_path / "s.cfg", **SWEEP_BASE,
@@ -326,6 +341,19 @@ def test_run_stats_sidecar(tmp_path):
     assert stats["command"] == "quench"
     assert stats["max_rss_kb"] > 0
     assert "trace.csv" in stats["files"]
+    # the CLI pins BLAS to one thread; a 4-site state never splits a kernel pass
+    assert stats["threads"] == {"blas": 1 if statevec.blas_threads() else None, "kernels": 1}
+
+
+def test_run_stats_records_split_kernel_passes_at_18_sites(tmp_path):
+    f = write_config(
+        tmp_path / "run.cfg",
+        **{"model.L": 18, "plan.n_steps": 1, "output.dir": tmp_path / "out"},
+    )
+    assert cli.main(["quench", "--config", f]) == 0
+    stats = json.loads((tmp_path / "out" / "run_stats.json").read_text())
+    kernels = 2 if (os.cpu_count() or 1) >= 2 else 1
+    assert stats["threads"] == {"blas": 1 if statevec.blas_threads() else None, "kernels": kernels}
 
 
 @pytest.mark.parametrize("line", ["model.g = nan", "model.h = inf", "plan.dt = inf"])
@@ -387,6 +415,10 @@ def test_n_low_below_one_fails_and_writes_nothing(tmp_path, command, line):
         ("spectrum", "spectro.window", "foo", "got 'foo'"),
         ("sweep", "spectro.min_height_frac", "1.5", "got 1.5"),
         ("correlate", "correlate.threshold", "-1", "got -1.0"),
+        # inputs the ED reference or the spectrum would reject after the quench
+        ("ed", "model.L", "21", "L=21 outside supported range [2, 20]"),
+        ("sweep", "model.L", "21", "L=21 outside supported range [2, 20]"),
+        ("sweep", "plan.n_steps", "2", "need at least 8 samples for a spectrum, got 3"),
     ],
 )
 def test_analysis_setting_errors_name_the_key_and_value(tmp_path, capsys, command, key, value, shown):

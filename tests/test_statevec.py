@@ -351,6 +351,85 @@ def test_rotation_blocks_are_built_once_per_run_and_read_only(monkeypatch):
             m[0, 0] = 0.0
 
 
+@pytest.fixture
+def split_every_pass(monkeypatch):
+    """Kernel passes split at every size, as on a host with two CPUs."""
+    monkeypatch.setattr(sv, "SPLIT_MIN", 2)
+    monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
+
+
+def hadamard_product(L: int) -> np.ndarray:
+    """H on every site, which maps lab amplitudes to x-frame ones and back."""
+    out = np.eye(1, dtype=complex)
+    for _ in range(L):
+        out = np.kron(sv.HADAMARD, out)
+    return out
+
+
+def test_step_state_is_the_step_unitary_on_a_vector():
+    rng = np.random.default_rng(6)
+    for L, g, h in ((2, 0.5, 0.3), (5, 0.7, 0.0), (6, 0.0, 0.0)):
+        psi = random_state(L, rng).amplitudes
+        expected = oracles.step_unitary(L, g, h, 0.3) @ psi
+        assert np.abs(oracles.step_state(psi, L, g, h, 0.3) - expected).max() < 1e-12
+
+
+# L <= 4 rings have one block, starting at bit 0: no half to split off, so
+# that block runs serially while the phase passes still split
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 7, 10])
+@pytest.mark.parametrize("g, h", [(0.5, 0.3), (0.0, 0.0)])
+def test_split_kernel_passes_match_dense_oracles(split_every_pass, L, g, h):
+    rng = np.random.default_rng(L)
+    hadamards = hadamard_product(L)
+    lab = random_state(L, rng).amplitudes
+    passes = sv.split_passes
+
+    # one Trotter step, both kernels: fused site blocks and phase diagonals
+    st = sv.StateVector(L, hadamards @ lab, frame="x")
+    for layer in trotter.frame_layers(ModelParams(L, g, h), 0.3, split_bonds=True):
+        layer.apply(st)
+    expected = hadamards @ oracles.step_state(lab, L, g, h, 0.3)
+    assert np.abs(st.amplitudes - expected).max() < 1e-12
+
+    # the y-rotated copy behind measurement_probabilities
+    rotated = hadamards @ st.amplitudes
+    for j in range(1, L + 1):
+        rotated = oracles.op_at(sv.HADAMARD @ sv.S_DAGGER, j, L) @ rotated
+    assert np.abs(sv.measurement_probabilities(st, "y") - np.abs(rotated) ** 2).max() < 1e-12
+
+    # distinct random unitaries per site, with identity sites in between
+    mats = [None if j % 3 == 1 else np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            for j in range(L)]
+    st = sv.StateVector(L, lab.copy())
+    sv.apply_site_blocks(st, sv.fuse_site_matrices(mats))
+    expected = lab
+    for j, m in enumerate(mats, start=1):
+        if m is not None:
+            expected = oracles.op_at(m, j, L) @ expected
+    assert np.abs(st.amplitudes - expected).max() < 1e-12
+    assert sv.split_passes > passes
+
+
+def test_split_passes_are_byte_identical_to_serial_at_L18(monkeypatch):
+    L = 18
+    assert 1 << L >= sv.SPLIT_MIN
+    rng = np.random.default_rng(18)
+    amps = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
+    layers = trotter.frame_layers(ModelParams(L, 1.0, 0.3), 0.4)
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(sv.os, "cpu_count", lambda: cpus)
+        passes = sv.split_passes
+        st = sv.StateVector(L, amps / np.linalg.norm(amps), frame="x")
+        for layer in layers:
+            layer.apply(st)
+        results.append((st.amplitudes, sv.measurement_probabilities(st, "y")))
+        assert (sv.split_passes > passes) == (cpus == 2)
+    (serial_amps, serial_probs), (split_amps, split_probs) = results
+    assert np.array_equal(split_amps, serial_amps)
+    assert np.array_equal(split_probs, serial_probs)
+
+
 def test_snapshot_dump_and_load_round_trip(tmp_path):
     rng = np.random.default_rng(51)
     st = random_state(5, rng)
