@@ -10,12 +10,10 @@ from .model import (
 from .statevec import (
     Gate,
     StateVector,
-    apply_gate,
     energy_expectation,
     exact_evolve,
     expectation,
     init_all_plus,
-    sample_counts,
 )
 from .trotter import QuenchRecord, TrotterStep, build_step, decompose_to_native, run_quench
 from .edsolver import (
@@ -27,8 +25,8 @@ from .edsolver import (
     free_fermion_oracle,
     solve_sector,
 )
-from .noise import NoiseParams, apply_gate_noise, apply_readout_error, calibrate_readout, trex_mitigate
-from .obs import CorrelatorField, connected_xx, lightcone_front
+from .noise import NoiseParams, apply_gate_noise, apply_readout_error, trex_mitigate
+from .obs import CorrelatorField, lightcone_front
 from .spectro import (
     EtaPoint,
     PeakSet,

@@ -176,12 +176,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(values)
 
 
-def emit_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(emit(parse(x))) is a fixed point."""
-    lines = [f"{k} = {_emit(cfg.values[k])}" for k in sorted(_SCHEMA)]
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return parse_config("")

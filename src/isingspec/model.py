@@ -105,6 +105,10 @@ class NoiseParams:
                 raise ValueError(f"{name}={p} must lie in [0, 1)")
         if self.trajectories < 1:
             raise ValueError(f"trajectories must be >= 1, got {self.trajectories}")
+        if self.mitigate and self.p_eff >= 0.5:
+            raise ValueError(
+                f"mitigate needs p01 + p10 < 1 (p_eff < 0.5), got p01={self.p01}, p10={self.p10}"
+            )
         if self.p2 < self.p1:
             warnings.warn(
                 f"p2={self.p2} < p1={self.p1}: two-site gates are usually the noisier kind",

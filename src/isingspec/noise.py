@@ -7,7 +7,8 @@ uniformly random non-identity Pauli with probability p1 (one-site gates) or p2
 Readout is an asymmetric per-site bit flip (0->1 with p01, 1->0 with p10).
 Sampling twirls it: a random X per site per shot, undone classically, which
 symmetrizes the channel to an effective flip probability p_eff = (p01+p10)/2.
-Expectation values then shrink by (1 - 2*p_eff) and divide out exactly.
+Expectation values then shrink by (1 - 2*p_eff); trex_mitigate, which
+run_quench applies to every sampled axis, divides that out exactly.
 
 The knobs live in model.NoiseParams (re-exported here). Its default rates are
 placeholders for exercising the machinery; calibrate against the device at
@@ -16,7 +17,6 @@ hand before reading anything physical into noisy runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -108,42 +108,7 @@ def trex_mitigate(raw: _ArrayLike, p_eff: _ArrayLike) -> _ArrayLike:
     Valid only for p_eff < 0.5 (beyond that the channel is not invertible).
     """
     p = np.asarray(p_eff, dtype=float)
-    if np.any(p < 0.0) or np.any(p >= 0.5):
+    if not ((0.0 <= p) & (p < 0.5)).all():  # also rejects nan
         raise ValueError(f"p_eff must lie in [0, 0.5), got {p_eff}")
     out = np.asarray(raw, dtype=float) / (1.0 - 2.0 * p)
-    if np.isscalar(raw) or np.ndim(raw) == 0:
-        return float(out)
-    return out
-
-
-@dataclass(frozen=True)
-class ReadoutCalibration:
-    """Per-site readout rate estimates from all-zeros / all-ones preparations."""
-
-    p01: np.ndarray
-    p10: np.ndarray
-    p_eff: np.ndarray
-    stderr: np.ndarray  # standard error on p_eff, per site
-    shots: int
-
-
-def calibrate_readout(
-    L: int, params: NoiseParams, shots: int, rng: np.random.Generator
-) -> ReadoutCalibration:
-    """Estimate per-site (p01, p10) by measuring |0...0> and |1...1>."""
-    if shots < 1000:
-        raise ValueError(f"calibration needs >= 1000 shots, got {shots}")
-    rng = np.random.default_rng(rng)
-    zeros = np.zeros((shots, L), dtype=np.uint8)
-    ones = np.ones((shots, L), dtype=np.uint8)
-    p01_hat = apply_readout_error(zeros, params, rng).mean(axis=0)
-    p10_hat = 1.0 - apply_readout_error(ones, params, rng).mean(axis=0)
-    se01 = np.sqrt(p01_hat * (1.0 - p01_hat) / shots)
-    se10 = np.sqrt(p10_hat * (1.0 - p10_hat) / shots)
-    return ReadoutCalibration(
-        p01=p01_hat,
-        p10=p10_hat,
-        p_eff=0.5 * (p01_hat + p10_hat),
-        stderr=0.5 * np.sqrt(se01**2 + se10**2),
-        shots=shots,
-    )
+    return float(out) if out.ndim == 0 else out

@@ -26,14 +26,6 @@ from . import statevec
 from .statevec import StateVector
 
 
-def connected_xx(state: StateVector, r: int) -> float:
-    """Exact G(r) for one separation, 1 <= r <= L//2."""
-    L = state.L
-    if not 1 <= r <= L // 2:
-        raise ValueError(f"separation r={r} outside [1, {L // 2}] for L={L}")
-    return float(correlator_profile(state)[r - 1])
-
-
 def correlator_tables(L: int) -> list[np.ndarray]:
     """t_r(s) = sum_i z_i z_{i+r} = L - 2 popcount(s XOR rot^r(s)) for r = 1 .. L//2, int8."""
     return [L - 2 * statevec.ring_xor_popcount(L, r).astype(np.int8) for r in range(1, L // 2 + 1)]

@@ -336,10 +336,11 @@ def eta_sweep(
     n_low). Point i runs with seed plan.seed + i (left None when
     plan.seed is None), so serial and parallel execution produce identical
     results and a single-point sweep reproduces a plain quench with the same
-    seed exactly. h <= 0 and out-of-range settings are rejected before any
-    point runs. At most os.cpu_count() worker processes are started, each
-    with numpy's BLAS pinned to one thread; with one, the points run in
-    this process.
+    seed exactly. h <= 0, out-of-range settings, a plan too short for a
+    spectrum and, with the ED reference on, an L that ED cannot solve are
+    rejected before any point runs. At most os.cpu_count() worker processes
+    are started, each with numpy's BLAS pinned to one thread; with one, the
+    points run in this process.
     """
     h = float(h)
     if not h > 0:
@@ -347,6 +348,9 @@ def eta_sweep(
     for key, check in SETTING_CHECKS.items():
         if key in settings:
             check(settings[key])
+    check_samples(plan.n_steps + 1)
+    if "n_low" not in settings or settings["n_low"] is not None:
+        edsolver.check_L(template.L)
     points = [
         (
             replace(template, g=float(g), h=h),

@@ -2,9 +2,9 @@
 
 Conventions, fixed project-wide:
 
-  * site j (1-indexed) lives on bit j-1 of the basis index (little-endian);
-    bitstrings are printed with site 1 first.
-  * |0> is the sz = +1 eigenstate; RX(t) = exp(-i t sx / 2), RZ(t) = exp(-i t sz / 2).
+  * site j (1-indexed) lives on bit j-1 of the basis index (little-endian)
+    and on column j-1 of the bit matrix of bits_from_indices.
+  * |0> is the sz = +1 eigenstate; RZ(t) = exp(-i t sz / 2).
   * sampling axis x applies H, axis y applies S-dagger then H, axis z nothing,
     before reading out the computational basis.
 
@@ -39,7 +39,6 @@ import itertools
 import math
 import multiprocessing
 import os
-import struct
 import threading
 from dataclasses import dataclass
 
@@ -184,11 +183,6 @@ def basis_state(L: int, index: int) -> StateVector:
     return StateVector(L, amps)
 
 
-def format_bitstring(index: int, L: int) -> str:
-    """Render a basis index with site 1 as the leftmost character."""
-    return "".join("1" if (index >> b) & 1 else "0" for b in range(L))
-
-
 @dataclass(frozen=True, eq=False)
 class Gate:
     """A 2x2 or 4x4 unitary bound to one or two (1-indexed, distinct) sites.
@@ -220,19 +214,6 @@ class Gate:
 
 def h_gate(site: int) -> Gate:
     return Gate(HADAMARD, (site,), "h")
-
-
-def x_gate(site: int) -> Gate:
-    return Gate(PAULI_X, (site,), "x")
-
-
-def sdg_gate(site: int) -> Gate:
-    return Gate(S_DAGGER, (site,), "sdg")
-
-
-def rx_gate(theta: float, site: int) -> Gate:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return Gate(np.array([[c, -1j * s], [-1j * s, c]]), (site,), "rx")
 
 
 def rz_gate(theta: float, site: int) -> Gate:
@@ -538,13 +519,6 @@ def sample_index_counts(state: StateVector, axes, shots: int, rng) -> tuple[np.n
     return _sample_indices(probs, shots, rng)
 
 
-def sample_counts(state: StateVector, axes, shots: int, seed) -> dict[str, int]:
-    """Bitstring histogram of a sampled measurement (site 1 leftmost)."""
-    idx, counts = sample_index_counts(state, axes, shots, seed)
-    L = state.L
-    return {format_bitstring(int(i), L): int(c) for i, c in zip(idx, counts)}
-
-
 def bits_from_indices(indices: np.ndarray, counts: np.ndarray, L: int) -> np.ndarray:
     """Expand an index histogram into a per-shot bit matrix, shape (shots, L)."""
     expanded = np.repeat(indices.astype(np.int64), counts)
@@ -644,33 +618,3 @@ def exact_evolve(
         c = expm_multiply((k - prev) * generator, c)
         snapshots.append(expand(c))
     return snapshots
-
-
-# ---------------------------------------------------------------------------
-# Binary snapshot dump
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<3d")  # L, step index, dt -- all as doubles
-
-
-def dump_snapshot(state: StateVector, path, step_index: int = 0, dt: float = 0.0) -> None:
-    """Write header (L, step index, dt as doubles) + little-endian re/im pairs."""
-    _require_lab(state)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(float(state.L), float(step_index), float(dt)))
-        fh.write(np.ascontiguousarray(state.amplitudes, dtype="<c16").tobytes())
-
-
-def load_snapshot(path) -> tuple[StateVector, int, float]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"snapshot file {path} too short for header")
-    L_f, step_f, dt = _HEADER.unpack_from(raw)
-    L = int(round(L_f))
-    amps = np.frombuffer(raw[_HEADER.size :], dtype="<c16")
-    if amps.size != 1 << L:
-        raise ValueError(
-            f"snapshot file {path} holds {amps.size} amplitudes, expected {1 << L}"
-        )
-    return StateVector(L, amps.astype(np.complex128)), int(round(step_f)), dt

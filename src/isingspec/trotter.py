@@ -243,15 +243,15 @@ def _provenance(params: ModelParams, plan: QuenchPlan, record_correlator: bool) 
     return prov
 
 
-def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, mitigation):
+def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, p_mitigate):
     """One time point: per-axis site values, and G(r) when correlator is set.
 
     Exact values of an invariant state (no gate noise) come from site L and
     stand for every site; otherwise every site is measured. Sampled axes take
     one path: index histogram -> bit matrix -> twirled readout (only with
-    readout error) -> site estimates and, on the x axis, the correlator, both
-    divided by the scalar mitigation 1 - 2 p_eff (1.0 when there is nothing
-    to mitigate).
+    readout error) -> site estimates, mitigated by noise.trex_mitigate at
+    p_mitigate (p_eff, or 0.0 when there is nothing to mitigate), and, on
+    the x axis, the correlator with the same factor 1 - 2 p_mitigate.
     """
     values, G = {}, None
     if shots == 0 and invariant:
@@ -269,9 +269,9 @@ def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, m
             bits = statevec.bits_from_indices(idx, counts, state.L)
             if readout is not None:
                 bits = noise_mod.twirled_readout(bits, readout, rng)
-            values[ax] = statevec.estimates_from_bits(bits) / mitigation
+            values[ax] = noise_mod.trex_mitigate(statevec.estimates_from_bits(bits), p_mitigate)
             if ax == "x" and correlator:
-                G = obs.correlator_profile_from_bits(bits, mitigation)
+                G = obs.correlator_profile_from_bits(bits, 1.0 - 2.0 * p_mitigate)
             # kept until the next axis's rotated copy, the bit matrix pins the
             # heap under it: peak RSS at L = 20 rose from 150 to 158 MB
             del bits
@@ -301,7 +301,7 @@ def run_quench(
     exact_pairs = record_correlator and gate_noise and plan.shots == 0
     tables = obs.correlator_tables(L) if exact_pairs else None
     readout = nz if nz is not None and nz.has_readout_error else None
-    mitigation = 1.0 - 2.0 * nz.p_eff if readout is not None and nz.mitigate else 1.0
+    p_mitigate = nz.p_eff if readout is not None and nz.mitigate else 0.0
 
     n_traj = nz.trajectories if gate_noise else 1
     n_rec = plan.n_steps + 1
@@ -327,7 +327,7 @@ def run_quench(
                         noise_mod.apply_gate_noise(state, layer.kind, sites, nz, gate_rng)
             values, G = _measure(
                 state, plan.measured_axes, shots, meas_ss, record_correlator,
-                not gate_noise, tables, readout, mitigation,
+                not gate_noise, tables, readout, p_mitigate,
             )
             for ax in plan.measured_axes:
                 per_site[ax][k] += w * values[ax]

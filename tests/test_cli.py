@@ -28,13 +28,6 @@ def write_config(path, **overrides):
 
 # ------------------------------------------------------------ config layer
 
-def test_config_round_trip_is_a_fixed_point():
-    base = cli.emit_config(cli.load_config(None))
-    once = cli.emit_config(cli.parse_config(base))
-    twice = cli.emit_config(cli.parse_config(once))
-    assert base == once == twice
-
-
 def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(cli.ConfigError):
         cli.parse_config("model.coupling = 3\n")
@@ -374,6 +367,11 @@ def test_non_finite_physics_exits_1_and_writes_nothing(tmp_path, line):
         ("quench", "plan.n_steps = 0"),
         ("quench", "plan.shots = -5"),
         ("quench", "noise.enabled = true\nnoise.p1 = 1.5"),
+        # mitigation cannot invert a readout channel with p_eff >= 0.5
+        ("quench", "plan.shots = 200\nnoise.enabled = true\nnoise.p1 = 0\nnoise.p2 = 0\n"
+                   "noise.p01 = 0.5\nnoise.p10 = 0.5"),
+        ("quench", "plan.shots = 200\nnoise.enabled = true\nnoise.p1 = 0\nnoise.p2 = 0\n"
+                   "noise.p01 = 0.7\nnoise.p10 = 0.6"),
         ("ed", "model.L = 30"),
         ("sweep", "plan.n_steps = 0"),
         ("correlate", "plan.dt = -0.4"),

@@ -22,13 +22,13 @@ def x_ghz(L: int) -> sv.StateVector:
 def test_product_state_has_no_connected_correlations():
     st = sv.init_all_plus(6)
     for r in range(1, 4):
-        assert abs(obs.connected_xx(st, r)) < 1e-12
+        assert abs(obs.correlator_profile(st)[r - 1]) < 1e-12
 
 
 def test_ghz_state_is_fully_correlated():
     st = x_ghz(6)
     for r in range(1, 4):
-        assert obs.connected_xx(st, r) == pytest.approx(1.0, abs=1e-12)
+        assert obs.correlator_profile(st)[r - 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_profile_matches_sitewise_average():

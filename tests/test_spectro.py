@@ -293,6 +293,26 @@ def test_sweep_rejects_bad_settings_before_any_quench(monkeypatch, setting, valu
         spectro.eta_sweep([0.4, 0.6], 0.3, template, plan, processes=2, **{setting: value})
 
 
+@pytest.mark.parametrize(
+    "L, n_steps, match",
+    [(6, 2, "need at least 8 samples"), (21, 40, "L=21 outside supported range")],
+)
+def test_sweep_rejects_a_short_plan_or_an_ed_size_before_any_quench(monkeypatch, L, n_steps, match):
+    def no_quench(*args, **kwargs):
+        raise AssertionError("no quench may run before the sweep's inputs are checked")
+
+    monkeypatch.setattr(trotter, "run_quench", no_quench)
+    template, plan = ModelParams(L, 0.5, 0.3), QuenchPlan(dt=0.2, n_steps=n_steps)
+    with pytest.raises(ValueError, match=match):
+        spectro.eta_sweep([0.4, 0.5], 0.3, template, plan)
+
+
+def test_sweep_without_the_ed_reference_accepts_an_L_beyond_ed(monkeypatch):
+    monkeypatch.setattr(spectro, "sweep_point", lambda params, plan, **settings: params.L)
+    template, plan = ModelParams(21, 0.5, 0.3), QuenchPlan(dt=0.2, n_steps=40)
+    assert spectro.eta_sweep([0.4], 0.3, template, plan, n_low=None) == [21]
+
+
 def test_series_from_record_carries_the_grid():
     record = trotter.run_quench(ModelParams(4, 0.5, 0.3), QuenchPlan(dt=0.4, n_steps=16))
     series = spectro.series_from_record(record, "y")
