@@ -591,7 +591,7 @@ def main(argv=None) -> int:
     }
     files["run_stats.json"] = _json_text(stats)
     try:
-        _write_files(out_dir, files)
+        _write_files(out_dir, files, args.command)
     except OSError as exc:
         print(f"isingspec: error: cannot write {out_dir}: {exc}", file=sys.stderr)
         return 2
@@ -615,12 +615,29 @@ def _peak_rss_kb() -> int:
     return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
-def _write_files(out_dir: Path, files: dict[str, str]) -> None:
+def _manifest(out_dir: Path, command: str) -> set[str]:
+    """The plain file names that out_dir's run_stats.json lists, if an
+    earlier run of this command wrote it; else the empty set."""
+    try:
+        stats = json.loads((out_dir / "run_stats.json").read_text())
+        names = stats["files"] if stats["command"] == command else []
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+    if not isinstance(names, list):
+        return set()
+    return {n for n in names if isinstance(n, str) and n and Path(n).name == n}
+
+
+def _write_files(out_dir: Path, files: dict[str, str], command: str) -> None:
     """Write all files into out_dir, or nothing.
 
     The files are staged in a temporary directory beside out_dir and then
     renamed into place. On failure the staging directory and any parent
-    directories this call created are removed again.
+    directories this call created are removed again. When out_dir holds the
+    run_stats.json of an earlier run of the same command, the files it
+    lists that this run does not write again are deleted after the renames;
+    no other file is touched. Another command's files stay: `spectrum`
+    reads the trace that `quench` left in the same directory.
     """
     missing = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     stage = None
@@ -630,9 +647,13 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> None:
         for name in sorted(files):
             (stage / name).write_text(files[name])
         if out_dir.exists():
+            stale = _manifest(out_dir, command) - files.keys()
             for name in sorted(files):
                 os.replace(stage / name, out_dir / name)
             stage.rmdir()
+            for name in sorted(stale):
+                if (out_dir / name).is_file():
+                    (out_dir / name).unlink()
         else:
             umask = os.umask(0)
             os.umask(umask)

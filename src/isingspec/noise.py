@@ -92,11 +92,12 @@ def twirled_readout(
     """Readout with a pre-measurement X twirl, undone classically.
 
     The twirl mask flips each bit before the asymmetric channel and again
-    after it, so the surviving error is a symmetric flip with p_eff.
+    after it, so the surviving error is a symmetric flip with p_eff. One
+    pass, with apply_readout_error's draw per bit against the rate of bits ^ mask.
     """
     bits = np.asarray(bits)
     mask = rng.integers(0, 2, size=bits.shape, dtype=bits.dtype)
-    return apply_readout_error(bits ^ mask, params, rng) ^ mask
+    return bits ^ (rng.random(bits.shape) < np.array([params.p01, params.p10]).take(bits ^ mask))
 
 
 _ArrayLike = Union[float, np.ndarray]

@@ -18,6 +18,11 @@ expectations honour the frame; the raw kernels (apply_matrix1/2, apply_gate,
 the fused site blocks and the phase diagonals) act on the stored amplitudes
 as they are.
 
+Sampling holds one float64 array of 2**L entries besides the state:
+sample_in_place (run_quench's sampler) turns the amplitudes in place into
+the measured basis, the CDF overwrites |psi|^2, and sorted draws give the
+index histogram; sample_index_counts does the same on a rotated copy.
+
 Gate application is in place via bit-masked stride views; any site pair is
 allowed for two-site gates. The x-frame kernels fuse the same 2x2 matrix on
 4 neighbouring sites into one 16x16 block and apply blocks and diagonals in
@@ -464,15 +469,24 @@ def _normalize_axes(axes, L: int) -> tuple[str, ...]:
     return axes
 
 
+def readout_turn(frame: str, to: str | None, carried: str | None) -> np.ndarray | None:
+    """2x2 from the readout rotation of axis carried to that of axis to (None: no rotation), or None."""
+    rotations = _MEAS_ROTATION[frame]
+    new, old = rotations.get(to), rotations.get(carried)
+    if old is None:
+        return new
+    return old.conj().T if new is None else new @ old.conj().T
+
+
 @functools.lru_cache(maxsize=32)
-def _rotation_blocks(frame: str, axes: tuple[str, ...]) -> tuple:
+def _rotation_blocks(frame: str, axes: tuple[str, ...], carried: tuple[str, ...] | None = None) -> tuple:
     """Fused readout pre-rotation blocks for a frame and per-site axes.
 
-    Built once per (frame, axes) and shared by every later call, so the
-    block arrays are read-only.
+    With carried, they start from the rotation of the carried axes. Built
+    once per key and shared by every later call, so the arrays are read-only.
     """
-    rotations = _MEAS_ROTATION[frame]
-    blocks = tuple(fuse_site_matrices([rotations[ax] for ax in axes]))
+    carried = carried or (None,) * len(axes)
+    blocks = tuple(fuse_site_matrices([readout_turn(frame, a, c) for a, c in zip(axes, carried)]))
     for _, _, m in blocks:
         m.setflags(write=False)
     return blocks
@@ -488,8 +502,13 @@ def measurement_probabilities(state: StateVector, axes) -> np.ndarray:
     of _rotation_blocks, which are built once per (frame, axes).
     """
     axes = _normalize_axes(axes, state.L)
-    blocks = _rotation_blocks(state.frame, axes)
+    blocks = _rotation_blocks(state.frame, axes, None)  # the key sample_in_place uses
     amps = apply_site_blocks(state.copy(), blocks).amplitudes if blocks else state.amplitudes
+    return _probabilities(amps)
+
+
+def _probabilities(amps: np.ndarray) -> np.ndarray:
+    """|amps|^2, normalized, in one new float64 array."""
     p = np.abs(amps)
     np.square(p, out=p)
     p /= _check_mass(p.sum())
@@ -502,32 +521,42 @@ def _check_mass(total: float) -> float:
     return total
 
 
-def _sample_indices(probs: np.ndarray, shots: int, rng: np.random.Generator):
-    """Draw basis indices by inverse CDF; returns (unique indices, counts)."""
-    cdf = np.cumsum(probs)
+def _sample_indices(probs: np.ndarray, shots: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Draw basis indices by inverse CDF, written over probs; returns (unique
+    indices, counts), read off the runs of the indices of sorted draws."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1; use expectation() for exact values")
+    cdf = np.cumsum(probs, out=probs)
     cdf /= cdf[-1]
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
-    return np.unique(draws, return_counts=True)
+    draws = np.searchsorted(cdf, np.sort(np.random.default_rng(rng).random(shots)), side="right")
+    ends = np.flatnonzero(np.append(draws[1:] != draws[:-1], True)) + 1  # one past each run
+    return draws[ends - 1], ends - np.append(0, ends[:-1])
 
 
 def sample_index_counts(state: StateVector, axes, shots: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled measurement in per-site bases; returns (basis indices, counts)."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1; use expectation() for exact values")
-    rng = np.random.default_rng(rng)
-    probs = measurement_probabilities(state, axes)
-    return _sample_indices(probs, shots, rng)
+    """Sampled measurement in per-site bases, from a rotated copy; returns (basis indices, counts)."""
+    return _sample_indices(measurement_probabilities(state, axes), shots, rng)
+
+
+def sample_in_place(state: StateVector, axes, shots: int, rng, carried=None) -> tuple[np.ndarray, np.ndarray]:
+    """sample_index_counts on the state's own amplitudes, turned in place from
+    the readout rotation of the carried axes (None: none) to that of axes."""
+    carried = carried and _normalize_axes(carried, state.L)
+    apply_site_blocks(state, _rotation_blocks(state.frame, _normalize_axes(axes, state.L), carried))
+    return _sample_indices(_probabilities(state.amplitudes), shots, rng)
 
 
 def bits_from_indices(indices: np.ndarray, counts: np.ndarray, L: int) -> np.ndarray:
-    """Expand an index histogram into a per-shot bit matrix, shape (shots, L)."""
-    expanded = np.repeat(indices.astype(np.int64), counts)
-    return ((expanded[:, None] >> np.arange(L)) & 1).astype(np.uint8)
+    """Expand an index histogram into a per-shot bit matrix, shape (shots, L):
+    each index's little-endian uint32 bytes, unpacked lowest bit first."""
+    octets = np.asarray(indices, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    rows = np.unpackbits(octets, axis=1, count=L, bitorder="little")
+    return np.repeat(rows, counts, axis=0)
 
 
 def estimates_from_bits(bits: np.ndarray) -> np.ndarray:
-    """Per-site <z> estimates, i.e. 1 - 2 * mean(bit), shape (L,)."""
-    return 1.0 - 2.0 * bits.mean(axis=0)
+    """Per-site <z> estimates, i.e. 1 - 2 * mean(bit), from integer column counts, shape (L,)."""
+    return 1.0 - 2.0 * (bits.sum(axis=0, dtype=np.int64) / len(bits))
 
 
 def estimates_from_indices(indices: np.ndarray, counts: np.ndarray, L: int, shots: int) -> np.ndarray:

@@ -20,11 +20,15 @@ fused 4 sites at a time into 16x16 blocks.
 
 run_quench applies U_step n_steps times and records observables after every
 step (and at t = 0), exactly for shots = 0 or through sampled per-axis
-measurement blocks otherwise. Without gate noise U_step commutes with
-translations, so the state stays translation invariant: its exact values
-are read at site L alone (statevec.top_site_expectations and
-obs.invariant_correlator_profile) and copied to every site. A gate-noisy
-exact trajectory is not invariant and is measured site by site.
+measurement blocks otherwise. Sampling turns the state in place into each
+axis's basis (x first, which needs no turn) and leaves it in the last one's,
+R; the next step's on-site blocks, built once per run, are H u1 H R^dagger
+(at g = h = 0, R^dagger is a gateless layer of its own). Without gate noise
+U_step commutes with translations, so the state stays translation
+invariant: its exact values are read at site L alone
+(statevec.top_site_expectations and obs.invariant_correlator_profile) and
+copied to every site. A gate-noisy exact trajectory is not invariant and is
+measured site by site.
 
 With gate noise the bond layers stay separate diagonals (odd, even, and on
 an odd ring the wrap bond on its own), and the Paulis drawn per gate, in
@@ -121,13 +125,15 @@ class FrameLayer:
         return statevec.apply_phase_index(state, *self.diagonal)
 
 
-def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False) -> list[FrameLayer]:
+def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False, undo=None) -> list[FrameLayer]:
     """build_step's gate list as x-frame layers, in application order.
 
     A layer is a run of consecutive gates of one arity on disjoint sites, so
     the Paulis drawn for its gates commute past the rest of it. Without
     split_bonds all bonds share one diagonal, since they commute. A u1 run
     becomes fused H u1 H blocks, a bond run one popcount diagonal at angle dt.
+    undo, a 2x2 applied to every site first, is folded into the u1 blocks
+    (H u1 H undo), or at g = h = 0 made a block layer without gates or noise.
     """
     step = build_step(params, dt)
     runs: list[list[Gate]] = []
@@ -140,13 +146,16 @@ def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False) -> l
             run.append(gate)
         else:
             runs.append([gate])
+    if undo is not None and len(runs[0][0].sites) == 2:
+        runs.insert(0, [])
     layers = []
     for run in runs:
         sites = tuple(g.sites for g in run)
-        if len(sites[0]) == 1:
-            mats = [None] * step.L
+        if not run or len(sites[0]) == 1:
+            mats = [undo] * step.L
             for g in run:
-                mats[g.sites[0] - 1] = statevec.HADAMARD @ g.matrix @ statevec.HADAMARD
+                m = statevec.HADAMARD @ g.matrix @ statevec.HADAMARD
+                mats[g.sites[0] - 1] = m if undo is None else m @ undo
             layers.append(FrameLayer("1q", sites, blocks=tuple(statevec.fuse_site_matrices(mats))))
             continue
         # sum over the run's bonds of z_a z_b = n - 2 * (broken bonds)
@@ -243,15 +252,21 @@ def _provenance(params: ModelParams, plan: QuenchPlan, record_correlator: bool) 
     return prov
 
 
+def _sampling_order(axes) -> list[str]:
+    return sorted(axes, key=lambda ax: ax != "x")  # x needs no rotation in the x frame
+
+
 def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, p_mitigate):
     """One time point: per-axis site values, and G(r) when correlator is set.
 
     Exact values of an invariant state (no gate noise) come from site L and
     stand for every site; otherwise every site is measured. Sampled axes take
-    one path: index histogram -> bit matrix -> twirled readout (only with
-    readout error) -> site estimates, mitigated by noise.trex_mitigate at
-    p_mitigate (p_eff, or 0.0 when there is nothing to mitigate), and, on
-    the x axis, the correlator with the same factor 1 - 2 p_mitigate.
+    one path: the state turned in place into the axis's basis -> index
+    histogram -> bit matrix -> twirled readout (only with readout error) ->
+    site estimates, mitigated by noise.trex_mitigate at p_mitigate (p_eff,
+    or 0.0 when there is nothing to mitigate), and, on the x axis, the
+    correlator with the same factor 1 - 2 p_mitigate. The state is left in
+    the last axis's basis; each axis keeps its seed.spawn stream.
     """
     values, G = {}, None
     if shots == 0 and invariant:
@@ -263,17 +278,20 @@ def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, p
         if correlator:
             G = obs.correlator_profile(state, tables)
     else:
-        for ax, ss in zip(axes, seed.spawn(len(axes))):
-            rng = np.random.default_rng(ss)
-            idx, counts = statevec.sample_index_counts(state, ax, shots, rng)
+        streams = dict(zip(axes, seed.spawn(len(axes))))
+        carried = None
+        for ax in _sampling_order(axes):
+            rng = np.random.default_rng(streams[ax])
+            idx, counts = statevec.sample_in_place(state, ax, shots, rng, carried)
+            carried = ax
             bits = statevec.bits_from_indices(idx, counts, state.L)
             if readout is not None:
                 bits = noise_mod.twirled_readout(bits, readout, rng)
             values[ax] = noise_mod.trex_mitigate(statevec.estimates_from_bits(bits), p_mitigate)
             if ax == "x" and correlator:
                 G = obs.correlator_profile_from_bits(bits, 1.0 - 2.0 * p_mitigate)
-            # kept until the next axis's rotated copy, the bit matrix pins the
-            # heap under it: peak RSS at L = 20 rose from 150 to 158 MB
+            # released before the next axis's probabilities, so that the bit
+            # matrix does not pin the heap under the next 2**L float64 array
             del bits
     return values, G
 
@@ -296,7 +314,9 @@ def run_quench(
         nz = None  # all-zero noise must follow the noiseless path bit for bit
     L = params.L
     gate_noise = nz is not None and nz.has_gate_noise
-    layers = frame_layers(params, plan.dt, split_bonds=gate_noise)
+    # sampling leaves the state in its last axis's basis; the next step's first layer undoes that
+    last = _sampling_order(plan.measured_axes)[-1] if plan.shots > 0 else None
+    layers = frame_layers(params, plan.dt, gate_noise, statevec.readout_turn("x", None, last))
     # only a gate-noisy exact run measures the correlator site by site
     exact_pairs = record_correlator and gate_noise and plan.shots == 0
     tables = obs.correlator_tables(L) if exact_pairs else None

@@ -121,3 +121,40 @@ def sampled_correlator(bits: np.ndarray, mitigation: float = 1.0) -> np.ndarray:
             acc += float(np.mean(z[:, i] * z[:, j])) / mitigation**2 - m[i] * m[j]
         out.append(acc / L)
     return np.array(out)
+
+
+# The shot sampler as plain numpy, step by step: unsorted inverse-CDF draws,
+# a sorting histogram, an int64 shift bit matrix and a two-pass twirl. The
+# package's sampler must make the same draws and give the same arrays.
+
+
+def sample_indices(probs: np.ndarray, shots: int, rng: np.random.Generator):
+    """(unique basis indices, counts) of `shots` inverse-CDF draws from probs."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    draws = np.searchsorted(cdf, rng.random(shots), side="right")
+    return np.unique(draws, return_counts=True)
+
+
+def bits_from_indices(indices: np.ndarray, counts: np.ndarray, L: int) -> np.ndarray:
+    """Per-shot (shots, L) uint8 bit matrix; site j is column j - 1."""
+    expanded = np.repeat(indices.astype(np.int64), counts)
+    return ((expanded[:, None] >> np.arange(L)) & 1).astype(np.uint8)
+
+
+def readout_error(bits: np.ndarray, p01: float, p10: float, rng: np.random.Generator) -> np.ndarray:
+    """Flip 0 -> 1 with p01 and 1 -> 0 with p10, one uniform per bit."""
+    u = rng.random(bits.shape)
+    flip = np.where(bits == 0, u < p01, u < p10)
+    return np.where(flip, bits ^ 1, bits).astype(bits.dtype)
+
+
+def twirled_readout(bits: np.ndarray, p01: float, p10: float, rng: np.random.Generator) -> np.ndarray:
+    """readout_error between two applications of a random X mask."""
+    mask = rng.integers(0, 2, size=bits.shape, dtype=bits.dtype)
+    return readout_error(bits ^ mask, p01, p10, rng) ^ mask
+
+
+def estimates_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Per-site 1 - 2 * mean(bit)."""
+    return 1.0 - 2.0 * bits.mean(axis=0)

@@ -465,3 +465,28 @@ def test_output_dir_on_a_regular_file_exits_2_and_creates_nothing(tmp_path, out)
     assert "cannot write" in res.stderr
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "afile").read_text() == ""
+
+
+def test_a_rerun_deletes_the_files_an_earlier_run_wrote_and_this_one_did_not(tmp_path):
+    out = tmp_path / "out"
+    f = write_config(tmp_path / "run.cfg", **{"model.L": 4, "plan.n_steps": 5, "output.dir": out})
+    assert run_cli("quench", "--config", f, "--format", "both").returncode == 0
+    assert {"trace.csv", "trace.json"} <= {p.name for p in out.iterdir()}
+    noisy = write_config(
+        tmp_path / "noisy.cfg",
+        **{"model.L": 4, "plan.n_steps": 5, "plan.shots": 200, "noise.enabled": "true",
+           "noise.trajectories": 2, "output.dir": out},
+    )
+    assert run_cli("quench", "--config", noisy, "--format", "csv").returncode == 0
+    stats = json.loads((out / "run_stats.json").read_text())
+    assert {p.name for p in out.iterdir()} == {*stats["files"], "run_stats.json"} == {"trace.csv", "run_stats.json"}
+
+
+def test_a_rerun_keeps_files_no_run_stats_lists(tmp_path):
+    out = tmp_path / "out"
+    f = write_config(tmp_path / "run.cfg", **{"model.L": 4, "plan.n_steps": 5, "output.dir": out})
+    assert run_cli("quench", "--config", f, "--format", "both").returncode == 0
+    (out / "notes.txt").write_text("mine\n")
+    assert run_cli("quench", "--config", f, "--format", "csv").returncode == 0
+    assert {p.name for p in out.iterdir()} == {"trace.csv", "run_stats.json", "notes.txt"}
+    assert (out / "notes.txt").read_text() == "mine\n"

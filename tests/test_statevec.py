@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import assume, given, settings, strategies
 
 import oracles
-from isingspec import edsolver, obs, statevec as sv, trotter
-from isingspec.model import ModelParams, QuenchPlan
+from isingspec import edsolver, noise, obs, statevec as sv, trotter
+from isingspec.model import AXES, ModelParams, NoiseParams, QuenchPlan
 
 # test-local states are named st, so the strategies module keeps its name
 fields = strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 1.5))
@@ -226,6 +226,64 @@ def test_sampling_is_reproducible_by_seed():
     c = sv.sample_index_counts(st, "y", 1000, 124)
     assert all(np.array_equal(u, v) for u, v in zip(a, b))
     assert not all(np.array_equal(u, v) for u, v in zip(a, c))
+
+
+rates = strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 0.3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    L=strategies.integers(1, 10),
+    frame=strategies.sampled_from(sv.FRAMES),
+    mixed=strategies.booleans(),
+    shots=strategies.integers(1, 5000),
+    p01=rates,
+    p10=rates,
+    seed=strategies.integers(0, 2**32 - 1),
+    data=strategies.data(),
+)
+def test_sampler_makes_the_oracle_samplers_draws(L, frame, mixed, shots, p01, p10, seed, data):
+    assume(p01 != p10)  # asymmetric readout
+    axis = strategies.sampled_from(AXES)
+    axes = tuple(data.draw(strategies.lists(axis, min_size=L, max_size=L))) if mixed else data.draw(axis)
+    st = random_state(L, np.random.default_rng(seed))
+    st = sv.StateVector(L, st.amplitudes, frame)
+    nz = NoiseParams(p1=0.0, p2=0.0, p01=p01, p10=p10)
+
+    rng = np.random.default_rng(seed)
+    idx, counts = oracles.sample_indices(sv.measurement_probabilities(st, axes), shots, rng)
+    bits = oracles.bits_from_indices(idx, counts, L)
+    twirled = oracles.twirled_readout(bits, p01, p10, rng)
+    expected = (idx, counts, bits, twirled, oracles.estimates_from_bits(twirled))
+
+    before = st.amplitudes.copy()
+    samplers = {
+        "copy": lambda rng: sv.sample_index_counts(st, axes, shots, rng),
+        "in place": lambda rng: sv.sample_in_place(st.copy(), axes, shots, rng),
+    }
+    for name, sample in samplers.items():
+        rng = np.random.default_rng(seed)
+        idx, counts = sample(rng)
+        bits = sv.bits_from_indices(idx, counts, L)
+        twirled = noise.twirled_readout(bits, nz, rng)
+        got = (idx, counts, bits, twirled, sv.estimates_from_bits(twirled))
+        for a, b in zip(got, expected, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(st.amplitudes, before)  # the copy path leaves the state alone
+
+
+def test_in_place_sampling_rotates_the_state_from_the_carried_axes():
+    L = 5
+    st = random_state(L, np.random.default_rng(8))
+    for frame in sv.FRAMES:
+        framed = sv.StateVector(L, st.amplitudes, frame)
+        held = framed.copy()
+        for carried, axes in ((None, "y"), ("y", "z"), ("z", ("x", "y", "z", "y", "x")), (("x", "y", "z", "y", "x"), "x")):
+            sv.sample_in_place(held, axes, 10, 0, carried)
+            assert np.abs(np.abs(held.amplitudes) ** 2 - sv.measurement_probabilities(framed, axes)).max() < 1e-12
+        # undoing the last rotation gives the state back
+        sv.apply_site_blocks(held, sv.fuse_site_matrices([sv.readout_turn(frame, None, "x")] * L))
+        assert np.abs(held.amplitudes - framed.amplitudes).max() < 1e-12
 
 
 def test_bits_from_indices_round_trip():

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from isingspec import obs
+from isingspec import noise, obs
 from isingspec import statevec as sv
 from isingspec import trotter
 from isingspec.model import ModelParams, NoiseParams, QuenchPlan
@@ -202,3 +203,95 @@ def test_step_builders_and_exact_evolution_reject_a_bad_dt(dt):
         trotter.frame_layers(p, dt)
     with pytest.raises(ValueError, match="dt"):
         sv.exact_evolve(sv.init_all_plus(4), p, dt=dt, n_steps=1)
+
+
+def reference_sampled_quench(params: ModelParams, plan: QuenchPlan) -> dict[str, np.ndarray]:
+    """run_quench's sampled per-site traces from unfolded layers and copy-based sampling.
+
+    The state is never rotated: each axis, in the given order, is sampled
+    from a rotated copy through sv.sample_index_counts, on the same seed
+    streams and with the same weights as run_quench.
+    """
+    L, nz = params.L, plan.noise
+    gate_noise = nz is not None and nz.has_gate_noise
+    readout = nz if nz is not None and nz.has_readout_error else None
+    p_mitigate = nz.p_eff if readout is not None and nz.mitigate else 0.0
+    layers = trotter.frame_layers(params, plan.dt, split_bonds=gate_noise)
+    n_traj = nz.trajectories if gate_noise else 1
+    n_rec = plan.n_steps + 1
+    per_site = {ax: np.zeros((n_rec, L)) for ax in plan.measured_axes}
+    total = 0
+    for t, traj_ss in enumerate(np.random.SeedSequence(plan.seed).spawn(n_traj)):
+        shots = plan.shots // n_traj + (1 if t < plan.shots % n_traj else 0)
+        total += shots
+        gate_ss, meas_root = traj_ss.spawn(2)
+        gate_rng = np.random.default_rng(gate_ss)
+        state = sv.StateVector(L, sv.zero_state(L).amplitudes, frame="x")
+        for k, meas_ss in enumerate(meas_root.spawn(n_rec)):
+            for layer in layers if k > 0 else ():
+                layer.apply(state)
+                if gate_noise:
+                    for sites in layer.gates:
+                        noise.apply_gate_noise(state, layer.kind, sites, nz, gate_rng)
+            for ax, ss in zip(plan.measured_axes, meas_ss.spawn(len(plan.measured_axes))):
+                rng = np.random.default_rng(ss)
+                bits = sv.bits_from_indices(*sv.sample_index_counts(state, ax, shots, rng), L)
+                if readout is not None:
+                    bits = noise.twirled_readout(bits, readout, rng)
+                per_site[ax][k] += shots * noise.trex_mitigate(sv.estimates_from_bits(bits), p_mitigate)
+    return {ax: v / total for ax, v in per_site.items()}
+
+
+@pytest.mark.parametrize("g, h", [(0.5, 0.3), (0.0, 0.0)])
+@pytest.mark.parametrize("L", [2, 3, 5, 8])
+@pytest.mark.parametrize("axes", [("y",), ("z",), ("y", "x"), ("x", "y", "z")])
+@pytest.mark.parametrize("gate_noise, asymmetric", [(False, False), (False, True), (True, False), (True, True)])
+def test_sampled_run_with_folded_rotations_equals_copy_based_sampling(g, h, L, axes, gate_noise, asymmetric):
+    # run_quench rotates the state in place and undoes the rotation within the
+    # next step's first layer; the draws must land on the same indices
+    nz = NoiseParams(
+        p1=0.02 if gate_noise else 0.0, p2=0.05 if gate_noise else 0.0,
+        p01=0.06 if asymmetric else 0.0, p10=0.01 if asymmetric else 0.0, trajectories=3,
+    )
+    plan = QuenchPlan(dt=0.3, n_steps=6, shots=600, seed=L, measured_axes=axes, noise=nz)
+    params = ModelParams(L, g, h)
+    rec = trotter.run_quench(params, plan)
+    expected = reference_sampled_quench(params, plan if not nz.is_null else replace(plan, noise=None))
+    for ax in axes:
+        assert np.array_equal(rec.per_site[ax], expected[ax]), ax
+
+
+def test_folded_layers_are_built_once_per_sampled_run(monkeypatch):
+    calls = []
+
+    def counting(mats, _orig=sv.fuse_site_matrices):
+        calls.append(len(mats))
+        return _orig(mats)
+
+    monkeypatch.setattr(sv, "fuse_site_matrices", counting)
+    nz = NoiseParams(p1=0.01, p2=0.02, p01=0.03, p10=0.01, trajectories=2)
+    counts = {}
+    for g, h in ((0.5, 0.3), (0.0, 0.0)):
+        for n_steps in (3, 30):
+            sv._rotation_blocks.cache_clear()
+            calls.clear()
+            plan = QuenchPlan(dt=0.2, n_steps=n_steps, shots=100, measured_axes=("x", "y", "z"), noise=nz)
+            trotter.run_quench(ModelParams(6, g, h), plan)
+            counts[g, n_steps] = len(calls)
+    assert counts[0.5, 3] == counts[0.5, 30] and counts[0.0, 3] == counts[0.0, 30]
+
+
+def test_sampled_run_holds_under_two_states_of_memory():
+    # the state is rotated in place and its CDF overwrites its probabilities,
+    # so no rotated copy or second 2**L float64 array is alive at the peak
+    L = 16
+    plan = QuenchPlan(dt=0.4, n_steps=2, shots=4096, measured_axes=("x", "y"))
+    trotter.run_quench(ModelParams(4, 0.5, 0.3), plan)  # warm up: first calls import lazily
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trotter.run_quench(ModelParams(L, 0.5, 0.3), plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2 * 16 * 2**L
