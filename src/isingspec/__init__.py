@@ -25,7 +25,7 @@ from .edsolver import (
     free_fermion_oracle,
     solve_sector,
 )
-from .noise import NoiseParams, apply_gate_noise, apply_readout_error, trex_mitigate
+from .noise import NoiseParams, apply_gate_noise, trex_mitigate
 from .obs import CorrelatorField, lightcone_front
 from .spectro import (
     EtaPoint,

@@ -393,7 +393,7 @@ def cmd_ed(cfg: RunConfig) -> dict[str, str]:
     doc = {
         "model": {"L": params.L, "g": params.g, "h": params.h},
         "sector": "k=0",
-        "dim": levels.meta.get("dim"),
+        "dim": levels.dim,
         "method": levels.method,
         "residual": float(levels.residual),
         "eigenvalues": [float(x) for x in levels.eigenvalues],
@@ -632,12 +632,8 @@ def _write_files(out_dir: Path, files: dict[str, str], command: str) -> None:
     """Write all files into out_dir, or nothing.
 
     The files are staged in a temporary directory beside out_dir and then
-    renamed into place. On failure the staging directory and any parent
-    directories this call created are removed again. When out_dir holds the
-    run_stats.json of an earlier run of the same command, the files it
-    lists that this run does not write again are deleted after the renames;
-    no other file is touched. Another command's files stay: `spectrum`
-    reads the trace that `quench` left in the same directory.
+    renamed into place (_swap_in). On failure the staging directory and any
+    parent directories this call created are removed again.
     """
     missing = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     stage = None
@@ -647,13 +643,8 @@ def _write_files(out_dir: Path, files: dict[str, str], command: str) -> None:
         for name in sorted(files):
             (stage / name).write_text(files[name])
         if out_dir.exists():
-            stale = _manifest(out_dir, command) - files.keys()
-            for name in sorted(files):
-                os.replace(stage / name, out_dir / name)
+            _swap_in(stage, out_dir, sorted(files), _manifest(out_dir, command) - files.keys())
             stage.rmdir()
-            for name in sorted(stale):
-                if (out_dir / name).is_file():
-                    (out_dir / name).unlink()
         else:
             umask = os.umask(0)
             os.umask(umask)
@@ -666,6 +657,37 @@ def _write_files(out_dir: Path, files: dict[str, str], command: str) -> None:
             if d.is_dir():
                 d.rmdir()
         raise
+
+
+def _swap_in(stage: Path, out_dir: Path, names: list[str], stale: set[str]) -> None:
+    """Rename stage's files into out_dir and drop the stale ones, all or nothing.
+
+    stale holds the files that the run_stats.json of an earlier run of the
+    same command lists and this run does not write again. They, and the
+    files this run replaces, are first moved aside into a directory beside
+    out_dir, and deleted once every new file is in place. If a rename
+    fails, the new files are removed and the old ones moved back. No other
+    file is touched; another command's files stay, since `spectrum` reads
+    the trace that `quench` left in the same directory.
+    """
+    aside = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.old.", dir=out_dir.parent))
+    moved, placed = [], []
+    try:
+        for name in sorted({*names, *stale}):
+            if (out_dir / name).is_file():
+                os.replace(out_dir / name, aside / name)
+                moved.append(name)
+        for name in names:
+            os.replace(stage / name, out_dir / name)
+            placed.append(name)
+    except OSError:
+        for name in placed:
+            (out_dir / name).unlink()
+        for name in moved:
+            os.replace(aside / name, out_dir / name)
+        aside.rmdir()  # if a move back failed, the old files wait here
+        raise
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 if __name__ == "__main__":

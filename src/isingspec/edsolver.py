@@ -20,7 +20,7 @@ the unpaired k = 0 mode carries signed energy 2 (g - 1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -150,9 +150,9 @@ class EnergyLevels:
     eigenvalues: np.ndarray
     levels: np.ndarray
     multiplicities: np.ndarray
-    method: str
+    method: str  # "dense" | "iterative"
     residual: float
-    meta: dict = field(default_factory=dict)
+    dim: int  # sector dimension
 
     @property
     def gaps(self) -> np.ndarray:
@@ -186,10 +186,8 @@ def check_n_low(n_low: int | None) -> None:
         raise ValueError(f"n_low must be >= 1 (or None for every eigenvalue), got {n_low}")
 
 
-def eigensolve(
-    matrix, n_low: int | None = 6, method: str = "auto", meta: dict | None = None
-) -> EnergyLevels:
-    """Lowest part of the spectrum, dense below 4096 dims, Lanczos above.
+def eigensolve(matrix, n_low: int | None = 6) -> EnergyLevels:
+    """Lowest part of the spectrum, dense up to DENSE_EIG_MAX dims, Lanczos above.
 
     n_low >= 1 counts raw eigenvalues (n_low=None keeps every one, dense path
     only). The iterative path starts Lanczos from a fixed vector, so repeated
@@ -198,15 +196,15 @@ def eigensolve(
     """
     check_n_low(n_low)
     dim = matrix.shape[0]
-    if method == "auto":
-        method = "dense" if dim <= DENSE_EIG_MAX else "iterative"
-    if method == "dense":
+    if dim <= DENSE_EIG_MAX:
+        method = "dense"
         dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
         raw = np.linalg.eigvalsh(dense)
         if n_low is not None:
             raw = raw[:n_low]
         residual = 0.0
-    elif method == "iterative":
+    else:
+        method = "iterative"
         if n_low is None:
             raise ValueError("n_low=None (full spectrum) requires the dense path")
         from scipy.sparse.linalg import eigsh
@@ -225,18 +223,14 @@ def eigensolve(
             raise ConvergenceError(
                 f"eigensolver residual {residual:.2e} exceeds {RESIDUAL_TOL}", residual
             )
-    else:
-        raise ValueError(f"method must be auto|dense|iterative, got {method!r}")
     levels, mult = _merge_levels(raw)
-    return EnergyLevels(raw, levels, mult, method, residual, meta or {})
+    return EnergyLevels(raw, levels, mult, method, residual, dim)
 
 
-def solve_sector(params: ModelParams, n_low: int | None = 6, method: str = "auto") -> EnergyLevels:
+def solve_sector(params: ModelParams, n_low: int | None = 6) -> EnergyLevels:
     """Convenience: build the k = 0 basis, assemble, and eigensolve."""
     basis = build_zero_momentum_basis(params.L)
-    mat = assemble_sector_hamiltonian(params, basis)
-    meta = {"L": params.L, "g": params.g, "h": params.h, "sector": "k=0", "dim": basis.dim}
-    return eigensolve(mat, n_low=n_low, method=method, meta=meta)
+    return eigensolve(assemble_sector_hamiltonian(params, basis), n_low=n_low)
 
 
 ORACLE_L_MAX = 16  # full 2**L enumeration below

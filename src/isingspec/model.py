@@ -72,11 +72,8 @@ class ModelParams:
     L: int
     g: float
     h: float
-    periodic: bool = True
 
     def __post_init__(self):
-        if not self.periodic:
-            raise ValueError("only periodic chains (site L+1 == site 1) are supported")
         report = validate(self.L, self.g, self.h)
         if not report.ok:
             raise ValueError("; ".join(report.messages))
@@ -146,7 +143,7 @@ class QuenchPlan:
     n_steps: int
     shots: int = 0
     measured_axes: tuple[str, ...] = ("x", "y")
-    seed: int = 0
+    seed: int | None = 0  # None draws fresh OS entropy
     noise: NoiseParams | None = None
 
     def __post_init__(self):
@@ -156,6 +153,8 @@ class QuenchPlan:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         axes = tuple(self.measured_axes)
         if not axes or any(a not in AXES for a in axes) or len(set(axes)) != len(axes):
             raise ValueError(f"measured_axes must be a nonempty subset of {AXES}")

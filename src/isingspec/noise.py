@@ -4,11 +4,12 @@ Gate noise is trajectory-based: after each gate, every touched site suffers a
 uniformly random non-identity Pauli with probability p1 (one-site gates) or p2
 (two-site gates); observables are averaged over independent trajectories.
 
-Readout is an asymmetric per-site bit flip (0->1 with p01, 1->0 with p10).
-Sampling twirls it: a random X per site per shot, undone classically, which
-symmetrizes the channel to an effective flip probability p_eff = (p01+p10)/2.
-Expectation values then shrink by (1 - 2*p_eff); trex_mitigate, which
-run_quench applies to every sampled axis, divides that out exactly.
+Readout is an asymmetric per-site bit flip (0->1 with p01, 1->0 with p10),
+applied only twirled: twirled_readout draws a random X per site per shot,
+undone classically, which symmetrizes the channel to an effective flip
+probability p_eff = (p01+p10)/2. Expectation values then shrink by
+(1 - 2*p_eff); trex_mitigate, which run_quench applies to every sampled
+axis, divides that out exactly.
 
 The knobs live in model.NoiseParams (re-exported here). Its default rates are
 placeholders for exercising the machinery; calibrate against the device at
@@ -31,16 +32,18 @@ _PAULI_CYCLE = ("x", "y", "z")
 _FRAME_PAULI = {"z": {"x": "x", "y": "y", "z": "z"}, "x": {"x": "z", "y": "y", "z": "x"}}
 
 
-def draw_gate_paulis(
+def apply_gate_noise(
+    state: StateVector,
     gate_kind: str,
     sites: tuple[int, ...],
     params: NoiseParams,
     rng: np.random.Generator,
-) -> list[tuple[int, str]]:
-    """Draw the stochastic Paulis that follow one gate, as (site, axis) pairs.
+) -> StateVector:
+    """Insert stochastic Paulis on the touched sites, in place.
 
     Per touched site, in order: one uniform draw against p1 (one-site gates)
     or p2 (two-site gates), then, on a hit, one integer picking x, y or z.
+    The lab-frame Pauli is applied in the state's own frame.
     """
     if gate_kind == "1q":
         p = params.p1
@@ -49,41 +52,12 @@ def draw_gate_paulis(
     else:
         raise ValueError(f"gate_kind must be '1q' or '2q', got {gate_kind!r}")
     if p <= 0.0:
-        return []
-    paulis = []
+        return state
     for site in sites:
         if rng.random() < p:
-            paulis.append((site, _PAULI_CYCLE[rng.integers(3)]))
-    return paulis
-
-
-def apply_paulis(state: StateVector, paulis) -> StateVector:
-    """Apply lab-frame (site, axis) Paulis to the state in its own frame, in place."""
-    frame_axis = _FRAME_PAULI[state.frame]
-    for site, axis in paulis:
-        statevec.apply_matrix1(state, statevec.PAULI[frame_axis[axis]], site)
+            axis = _FRAME_PAULI[state.frame][_PAULI_CYCLE[rng.integers(3)]]
+            statevec.apply_matrix1(state, statevec.PAULI[axis], site)
     return state
-
-
-def apply_gate_noise(
-    state: StateVector,
-    gate_kind: str,
-    sites: tuple[int, ...],
-    params: NoiseParams,
-    rng: np.random.Generator,
-) -> StateVector:
-    """Insert stochastic Paulis on the touched sites, in place."""
-    return apply_paulis(state, draw_gate_paulis(gate_kind, sites, params, rng))
-
-
-def apply_readout_error(
-    bits: np.ndarray, params: NoiseParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Flip sampled bits (shape (shots, L)): 0->1 w.p. p01, 1->0 w.p. p10."""
-    bits = np.asarray(bits)
-    u = rng.random(bits.shape)
-    flip = np.where(bits == 0, u < params.p01, u < params.p10)
-    return np.where(flip, bits ^ 1, bits).astype(bits.dtype)
 
 
 def twirled_readout(
@@ -93,7 +67,7 @@ def twirled_readout(
 
     The twirl mask flips each bit before the asymmetric channel and again
     after it, so the surviving error is a symmetric flip with p_eff. One
-    pass, with apply_readout_error's draw per bit against the rate of bits ^ mask.
+    pass: a uniform draw per bit against p01 or p10, the rate of bits ^ mask.
     """
     bits = np.asarray(bits)
     mask = rng.integers(0, 2, size=bits.shape, dtype=bits.dtype)

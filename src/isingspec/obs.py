@@ -18,7 +18,7 @@ matrix XORed with its own roll by r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class CorrelatorField:
     times: np.ndarray
     values: np.ndarray
     L: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -109,8 +108,8 @@ def field_from_record(record) -> CorrelatorField:
     """Build a CorrelatorField from a QuenchRecord that recorded the correlator."""
     if record.correlator is None:
         raise ValueError("record holds no correlator; rerun with record_correlator=True")
-    L = int(record.provenance["model.L"])
-    return CorrelatorField(record.times, record.correlator, L, dict(record.provenance))
+    L = next(iter(record.per_site.values())).shape[1]
+    return CorrelatorField(record.times, record.correlator, L)
 
 
 @dataclass

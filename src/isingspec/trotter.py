@@ -41,7 +41,7 @@ averaged over trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,7 +209,6 @@ class QuenchRecord:
     times: np.ndarray
     per_site: dict[str, np.ndarray]
     correlator: np.ndarray | None = None
-    provenance: dict = field(default_factory=dict)
 
     def aggregate(self, axis: str) -> np.ndarray:
         if axis not in self.per_site:
@@ -223,33 +222,6 @@ class QuenchRecord:
     @property
     def sigma_x(self) -> np.ndarray:
         return self.aggregate("x")
-
-
-def _provenance(params: ModelParams, plan: QuenchPlan, record_correlator: bool) -> dict:
-    prov = {
-        "model.L": params.L,
-        "model.g": params.g,
-        "model.h": params.h,
-        "plan.dt": plan.dt,
-        "plan.n_steps": plan.n_steps,
-        "plan.shots": plan.shots,
-        "plan.seed": plan.seed,
-        "plan.measured_axes": "".join(plan.measured_axes),
-        "correlator": record_correlator,
-    }
-    nz = plan.noise
-    if nz is not None and not nz.is_null:
-        prov.update(
-            {
-                "noise.p1": nz.p1,
-                "noise.p2": nz.p2,
-                "noise.p01": nz.p01,
-                "noise.p10": nz.p10,
-                "noise.trajectories": nz.trajectories,
-                "noise.mitigate": nz.mitigate,
-            }
-        )
-    return prov
 
 
 def _sampling_order(axes) -> list[str]:
@@ -359,4 +331,4 @@ def run_quench(
     if correlator is not None:
         correlator /= weight_total
     times = np.arange(n_rec) * plan.dt
-    return QuenchRecord(times, per_site, correlator, _provenance(params, plan, record_correlator))
+    return QuenchRecord(times, per_site, correlator)

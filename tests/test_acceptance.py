@@ -241,7 +241,7 @@ def test_criterion_9_twenty_site_scale_check(tmp_path):
 
     # the difference line e21 in the noiseless spectrum against iterative ED
     p = ModelParams(20, 1.0, 0.3)
-    levels = edsolver.solve_sector(p, n_low=4, method="iterative")
+    levels = edsolver.solve_sector(p, n_low=4)
     rec = trotter.run_quench(p, QuenchPlan(dt=0.1, n_steps=400))
     spec = spectro.power_spectrum(spectro.series_from_record(rec, "y"))
     peaks = spectro.match_peaks(spectro.find_peaks(spec), levels)

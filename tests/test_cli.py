@@ -381,6 +381,9 @@ def test_non_finite_physics_exits_1_and_writes_nothing(tmp_path, line):
         ("sweep", "spectro.min_height_frac = 1.5"),
         ("sweep", "spectro.min_height_frac = -1"),
         ("correlate", "correlate.threshold = -1"),
+        ("quench", "plan.seed = -1"),
+        # enough steps for the sweep's spectrum check to pass, so the seed is what fails
+        ("sweep", "plan.n_steps = 10\nplan.seed = -1"),
     ],
 )
 def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, command, lines):
@@ -389,6 +392,14 @@ def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, command, lines):
     res = run_cli(command, "--config", str(cfg))
     assert res.returncode == 1, res.stderr
     assert "config error" in res.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
+
+
+def test_negative_seed_flag_exits_1_and_writes_nothing(tmp_path):
+    f = write_config(tmp_path / "run.cfg", **{"model.L": 4, "plan.n_steps": 3, "output.dir": tmp_path / "out"})
+    res = run_cli("quench", "--config", f, "--seed", "-3")
+    assert res.returncode == 1, res.stderr
+    assert "config error" in res.stderr and "seed" in res.stderr
     assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
 
 
@@ -490,3 +501,27 @@ def test_a_rerun_keeps_files_no_run_stats_lists(tmp_path):
     assert run_cli("quench", "--config", f, "--format", "csv").returncode == 0
     assert {p.name for p in out.iterdir()} == {"trace.csv", "run_stats.json", "notes.txt"}
     assert (out / "notes.txt").read_text() == "mine\n"
+
+
+@pytest.mark.parametrize("failing_call", [2, 5])
+def test_a_failed_rename_leaves_the_previous_run_intact(tmp_path, monkeypatch, capsys, failing_call):
+    # the re-run moves run_stats.json, trace.csv and the stale trace.json
+    # aside (calls 1-3), then renames run_stats.json and trace.csv in (4-5)
+    out = tmp_path / "out"
+    f = write_config(tmp_path / "run.cfg", **{"model.L": 4, "plan.n_steps": 5, "output.dir": out})
+    assert cli.main(["quench", "--config", f, "--format", "both"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    calls = []
+
+    def replace(src, dst, _orig=os.replace):
+        calls.append(dst)
+        if len(calls) == failing_call:
+            raise OSError("rename failed")
+        return _orig(src, dst)
+
+    rerun = write_config(tmp_path / "rerun.cfg", **{"model.L": 4, "plan.n_steps": 6, "output.dir": out})
+    monkeypatch.setattr(os, "replace", replace)
+    assert cli.main(["quench", "--config", rerun, "--format", "csv"]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert {p.name for p in tmp_path.iterdir()} == {"run.cfg", "rerun.cfg", "out"}

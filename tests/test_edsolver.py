@@ -50,21 +50,24 @@ def test_levels_sorted_with_positive_multiplicities():
     lv = edsolver.solve_sector(ModelParams(10, 0.7, 0.1), n_low=8)
     assert np.all(np.diff(lv.levels) > 0)
     assert int(lv.multiplicities.sum()) == lv.eigenvalues.size
-    assert lv.meta["dim"] == edsolver.build_zero_momentum_basis(10).dim
+    assert lv.dim == edsolver.build_zero_momentum_basis(10).dim
 
 
-def test_iterative_method_agrees_with_dense():
+def test_iterative_method_agrees_with_dense(monkeypatch):
     p = ModelParams(10, 0.5, 0.3)
-    dense = edsolver.solve_sector(p, n_low=5, method="dense")
-    iterative = edsolver.solve_sector(p, n_low=5, method="iterative")
+    dense = edsolver.solve_sector(p, n_low=5)
+    # the sparse route that sectors above DENSE_EIG_MAX take
+    monkeypatch.setattr(edsolver, "DENSE_EIG_MAX", 0)
+    iterative = edsolver.solve_sector(p, n_low=5)
     assert iterative.method == "iterative"
     assert iterative.residual < 1e-8
     assert np.abs(dense.eigenvalues - iterative.eigenvalues).max() < 1e-8
 
 
-def test_iterative_full_spectrum_is_rejected():
+def test_iterative_full_spectrum_is_rejected(monkeypatch):
+    monkeypatch.setattr(edsolver, "DENSE_EIG_MAX", 0)
     with pytest.raises(ValueError):
-        edsolver.solve_sector(ModelParams(8, 0.5, 0.3), n_low=None, method="iterative")
+        edsolver.solve_sector(ModelParams(8, 0.5, 0.3), n_low=None)
 
 
 def test_unconverged_eigenpairs_are_reported(monkeypatch):
@@ -76,24 +79,28 @@ def test_unconverged_eigenpairs_are_reported(monkeypatch):
         return vals, vecs
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", bad_eigsh)
+    monkeypatch.setattr(edsolver, "DENSE_EIG_MAX", 0)
     with pytest.raises(edsolver.ConvergenceError) as exc:
-        edsolver.solve_sector(ModelParams(8, 0.5, 0.3), n_low=3, method="iterative")
+        edsolver.solve_sector(ModelParams(8, 0.5, 0.3), n_low=3)
     assert exc.value.residual > 1e-8
 
 
-def test_iterative_solves_are_reproducible():
+def test_iterative_solves_are_reproducible(monkeypatch):
     p = ModelParams(12, 0.5, 0.3)
-    first = edsolver.solve_sector(p, n_low=7, method="iterative")
-    second = edsolver.solve_sector(p, n_low=7, method="iterative")
+    monkeypatch.setattr(edsolver, "DENSE_EIG_MAX", 0)
+    first = edsolver.solve_sector(p, n_low=7)
+    second = edsolver.solve_sector(p, n_low=7)
     assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
     assert first.residual == second.residual
 
 
 @pytest.mark.parametrize("method", ["dense", "iterative"])
 @pytest.mark.parametrize("n_low", [0, -3])
-def test_n_low_below_one_is_rejected(method, n_low):
+def test_n_low_below_one_is_rejected(monkeypatch, method, n_low):
+    if method == "iterative":
+        monkeypatch.setattr(edsolver, "DENSE_EIG_MAX", 0)
     with pytest.raises(ValueError, match="n_low"):
-        edsolver.solve_sector(ModelParams(8, 0.5, 0.3), n_low=n_low, method=method)
+        edsolver.solve_sector(ModelParams(8, 0.5, 0.3), n_low=n_low)
 
 
 def test_free_fermion_oracle_equals_the_dense_spectrum():
@@ -161,6 +168,6 @@ def test_dense_and_sparse_assembly_agree(monkeypatch, h):
         assert np.abs(sparse.toarray() - dense).max() < 1e-14
         # the dense eigensolver takes either matrix type
         assert np.array_equal(
-            edsolver.eigensolve(sparse, n_low=None, method="dense").eigenvalues,
-            edsolver.eigensolve(dense, n_low=None, method="dense").eigenvalues,
+            edsolver.eigensolve(sparse, n_low=None).eigenvalues,
+            edsolver.eigensolve(dense, n_low=None).eigenvalues,
         )

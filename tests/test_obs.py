@@ -90,11 +90,22 @@ def test_field_from_record_requires_the_correlator():
     assert fld.rs.tolist() == [1, 2, 3]
 
 
+def test_field_from_record_takes_L_from_the_site_traces():
+    # L // 2 correlator columns cannot tell L = 7 from L = 6
+    rec = trotter.run_quench(
+        ModelParams(7, 0.25, 0.1), QuenchPlan(dt=0.4, n_steps=3), record_correlator=True
+    )
+    fld = obs.field_from_record(rec)
+    assert fld.L == 7
+    assert fld.rs.tolist() == [1, 2, 3]
+    assert fld.values.shape == (4, 3)
+
+
 def synthetic_front(v: float, L: int = 12, n: int = 60, dt: float = 0.25) -> CorrelatorField:
     times = np.arange(n + 1) * dt
     rs = np.arange(1, L // 2 + 1)
     values = (rs[None, :] <= v * times[:, None]).astype(float) * 0.1
-    return CorrelatorField(times, values, L, {})
+    return CorrelatorField(times, values, L)
 
 
 def test_front_velocity_on_a_synthetic_cone():
@@ -107,7 +118,7 @@ def test_front_velocity_on_a_synthetic_cone():
 
 
 def test_front_that_never_starts():
-    fld = CorrelatorField(np.arange(8) * 0.5, np.zeros((8, 5)), 10, {})
+    fld = CorrelatorField(np.arange(8) * 0.5, np.zeros((8, 5)), 10)
     fit = obs.lightcone_front(fld, threshold=0.02)
     assert not fit.has_front
     assert fit.stalled
@@ -120,7 +131,7 @@ def test_stalled_front_is_flagged():
     values = np.zeros((40, 6))
     values[5:, 0] = 0.1
     values[10:, 1] = 0.1
-    fit = obs.lightcone_front(CorrelatorField(times, values, 12, {}), threshold=0.02)
+    fit = obs.lightcone_front(CorrelatorField(times, values, 12), threshold=0.02)
     assert fit.stalled
     assert fit.radii.max() == 2
 
@@ -134,7 +145,7 @@ def test_oscillation_count_on_a_cosine():
     times = np.arange(101) * 0.1
     values = np.zeros((101, 4))
     values[:, 1] = 0.05 * np.cos(2.0 * times)  # extrema at t = k*pi/2, k = 1..6
-    fld = CorrelatorField(times, values, 8, {})
+    fld = CorrelatorField(times, values, 8)
     assert obs.oscillation_count(fld, 2) == 6
     assert obs.oscillation_count(fld, 1) == 0  # flat channel
     with pytest.raises(ValueError):
@@ -146,7 +157,7 @@ def test_oscillation_count_ignores_tiny_wiggles():
     rng = np.random.default_rng(2)
     values = np.zeros((50, 3))
     values[:, 0] = np.linspace(0, 1, 50) + rng.normal(scale=1e-9, size=50)
-    fld = CorrelatorField(times, values, 6, {})
+    fld = CorrelatorField(times, values, 6)
     assert obs.oscillation_count(fld, 1, min_step=1e-6) == 0
 
 

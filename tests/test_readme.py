@@ -1,4 +1,4 @@
-"""The README's "Python API sketch" runs as written."""
+"""The README's "Python API sketch" runs as written, and its Config block matches the schema."""
 
 import re
 import subprocess
@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from childenv import child_env
+from isingspec import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +26,21 @@ def test_readme_api_sketch_runs(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.count("\n") == 2
+
+
+def config_block() -> dict[str, str]:
+    """key -> value text of the README's Config defaults block, comments dropped."""
+    section = README.read_text(encoding="utf-8").split("### Config", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1)
+    lines = (raw.split("#", 1)[0] for raw in block.splitlines())
+    pairs = (line.partition("=") for line in lines if line.strip())
+    return {key.strip(): value.strip() for key, _, value in pairs}
+
+
+def test_readme_config_block_lists_the_schema_defaults():
+    block = config_block()
+    assert list(block) == list(cli._SCHEMA)
+    for key, (parser, default) in cli._SCHEMA.items():
+        if key == "sweep.g_list":  # elided as 0.25,0.3,...,0.75
+            continue
+        assert parser(block[key]) == default, key

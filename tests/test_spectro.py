@@ -24,7 +24,7 @@ def levels_from(gaps) -> EnergyLevels:
         multiplicities=np.ones(levels.size, dtype=int),
         method="dense",
         residual=0.0,
-        meta={},
+        dim=levels.size,
     )
 
 

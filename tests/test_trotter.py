@@ -108,7 +108,6 @@ def test_quench_record_shape_and_grid():
     assert rec.sigma_x[0] == pytest.approx(1.0)
     assert rec.sigma_y[0] == pytest.approx(0.0)
     assert rec.correlator is None
-    assert rec.provenance["model.L"] == 6
 
 
 def test_quench_trace_matches_dense_gate_product():
