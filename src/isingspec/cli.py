@@ -586,6 +586,7 @@ def main(argv=None) -> int:
         "files": sorted(files),
         "threads": {
             "blas": statevec.blas_threads(),
+            "scipy_blas": statevec.blas_threads("scipy"),
             "kernels": 2 if statevec.split_passes > split_passes else 1,
         },
     }

@@ -5,8 +5,10 @@ dynamics (and the meson levels it resolves) live in the k = 0 momentum sector.
 Basis states are translation orbits, labelled by their lexicographically
 smallest bit pattern. The orbit state of period R is the equal-weight sum of
 its R members, normalized by 1/sqrt(R), so the sector Hamiltonian is real
-symmetric. statevec.exact_evolve evolves in the same basis with the same
-matrix.
+symmetric. The bits are those of statevec's x frame (bit 0 <-> sx = +1),
+where the bonds and the h term are diagonal and only the g term flips bits;
+translations do not see the frame, so the orbits are those of any basis.
+statevec.exact_evolve evolves in the same basis with the same matrix.
 
 At h = 0 the chain maps to free fermions; free_fermion_oracle reproduces the
 full many-body spectrum from the single-particle dispersion
@@ -92,11 +94,15 @@ def build_zero_momentum_basis(L: int) -> SectorBasis:
 def assemble_sector_hamiltonian(
     params: ModelParams, basis: SectorBasis
 ) -> np.ndarray | scipy.sparse.csr_matrix:
-    """Real symmetric sector matrix; entry (b, a) = c * sqrt(R_a / R_b).
+    """Real symmetric x-basis sector matrix.
 
-    A dense float64 array up to DENSE_EIG_MAX dims, where every solve and
-    evolution is dense anyway; a scipy.sparse CSR matrix above, so scipy is
-    imported only for sectors that need it.
+    The diagonal is -(L - 2 popcount(s ^ rot s)) - h (L - 2 popcount(s)),
+    the bonds and the h term, from the popcounts the Trotter engine uses.
+    The g term flips one bit: entry (b, a) = -g sqrt(R_a / R_b) for each
+    of the L single-bit flips that take orbit a to orbit b. A dense float64
+    array up to DENSE_EIG_MAX dims, where every solve and evolution is
+    dense anyway; a scipy.sparse CSR matrix above, so scipy is imported
+    only for sectors that need it.
     """
     if params.L != basis.L:
         raise ValueError(f"params.L={params.L} does not match basis.L={basis.L}")
@@ -104,23 +110,16 @@ def assemble_sector_hamiltonian(
     reps = basis.reps
     dim = basis.dim
     periods = basis.periods.astype(np.float64)
-    rows = [np.arange(dim)]
-    cols = [np.arange(dim)]
-    vals = [-g * (L - 2.0 * np.bitwise_count(reps).astype(np.float64))]
-
-    flip_terms: list[tuple[int, float]] = [
-        ((1 << (a - 1)) | (1 << (b - 1)), -1.0) for a, b in params.bonds()
-    ]
-    if h != 0.0:
-        flip_terms.extend((1 << (j - 1), -h) for j in range(1, L + 1))
-
     src = np.arange(dim)
-    for mask, coeff in flip_terms:
-        flipped = reps ^ mask
-        target = basis.index_of[basis.rep_of[flipped]]
+    broken = np.bitwise_count(reps ^ _translate(reps, L, (1 << L) - 1))
+    rows = [src]
+    cols = [src]
+    vals = [-(L - 2.0 * broken) - h * (L - 2.0 * np.bitwise_count(reps))]
+    for j in range(L):
+        target = basis.index_of[basis.rep_of[reps ^ (1 << j)]]
         rows.append(target)
         cols.append(src)
-        vals.append(coeff * np.sqrt(periods / periods[target]))
+        vals.append(-g * np.sqrt(periods / periods[target]))
 
     index = (np.concatenate(rows), np.concatenate(cols))
     values = np.concatenate(vals)
@@ -208,6 +207,10 @@ def eigensolve(matrix, n_low: int | None = 6) -> EnergyLevels:
         if n_low is None:
             raise ValueError("n_low=None (full spectrum) requires the dense path")
         from scipy.sparse.linalg import eigsh
+
+        from .statevec import pin_blas_threads
+
+        pin_blas_threads("scipy")  # eigsh's reductions then keep one order
 
         k = min(n_low, dim - 1)
         # A fixed start makes the result reproducible. A constant vector would be

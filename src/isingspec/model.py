@@ -28,7 +28,7 @@ L_MAX = 24  # dense statevector bound: 2**L amplitudes
 class ValidationReport:
     """Outcome of a parameter check: severity plus human-readable messages."""
 
-    severity: str  # "ok" | "warn" | "error"
+    severity: str  # "ok" | "error"
     messages: tuple[str, ...] = ()
 
     @property
@@ -37,12 +37,10 @@ class ValidationReport:
 
 
 def validate(L: int, g: float, h: float) -> ValidationReport:
-    """Classify raw chain parameters as ok / warn / error.
+    """Classify raw chain parameters as ok / error.
 
-    Errors are reserved for parameters the engine cannot represent (L out of
-    range, non-finite couplings). Couplings outside the confining-quench regime g <= 1, h < 1 are
-    permitted but flagged, since the physics targeted here (two-kink bound
-    states after a quench from the polarized state) lives in that regime.
+    Errors are the parameters the engine cannot represent: L out of range
+    and non-finite couplings.
     """
     if int(L) != L:
         return ValidationReport("error", (f"L={L!r} is not an integer",))
@@ -52,17 +50,7 @@ def validate(L: int, g: float, h: float) -> ValidationReport:
         )
     if not (math.isfinite(g) and math.isfinite(h)):
         return ValidationReport("error", (f"couplings must be finite, got g={g}, h={h}",))
-    msgs = []
-    if g < 0 or h < 0:
-        msgs.append(
-            f"negative coupling (g={g}, h={h}); the sign conventions here assume g, h >= 0"
-        )
-    if g > 1 or h >= 1:
-        msgs.append(
-            f"(g={g}, h={h}) is outside the confining-quench regime g <= 1, h < 1; "
-            "results are untested there"
-        )
-    return ValidationReport("warn" if msgs else "ok", tuple(msgs))
+    return ValidationReport("ok")
 
 
 @dataclass(frozen=True)
@@ -77,10 +65,6 @@ class ModelParams:
         report = validate(self.L, self.g, self.h)
         if not report.ok:
             raise ValueError("; ".join(report.messages))
-
-    def bonds(self) -> list[tuple[int, int]]:
-        """The L nearest-neighbour bonds (j, j+1) with the periodic wrap (L, 1)."""
-        return [(j, j % self.L + 1) for j in range(1, self.L + 1)]
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,9 @@ from . import statevec
 from .model import NoiseParams
 from .statevec import StateVector
 
-_PAULI_CYCLE = ("x", "y", "z")
-# a lab-frame Pauli P acts on x-frame amplitudes as H P H: X <-> Z, Y -> -Y
-# (the sign is a global phase)
-_FRAME_PAULI = {"z": {"x": "x", "y": "y", "z": "z"}, "x": {"x": "z", "y": "y", "z": "x"}}
+# the lab-frame Paulis x, y, z, in draw order, as they act on x-frame
+# amplitudes: H P H is z, -y, x (the sign is a global phase)
+_FRAME_PAULIS = tuple(statevec.PAULI[axis] for axis in "zyx")
 
 
 def apply_gate_noise(
@@ -42,8 +41,8 @@ def apply_gate_noise(
     """Insert stochastic Paulis on the touched sites, in place.
 
     Per touched site, in order: one uniform draw against p1 (one-site gates)
-    or p2 (two-site gates), then, on a hit, one integer picking x, y or z.
-    The lab-frame Pauli is applied in the state's own frame.
+    or p2 (two-site gates), then, on a hit, one integer picking the
+    lab-frame x, y or z, applied to the x-frame amplitudes as H P H.
     """
     if gate_kind == "1q":
         p = params.p1
@@ -55,8 +54,7 @@ def apply_gate_noise(
         return state
     for site in sites:
         if rng.random() < p:
-            axis = _FRAME_PAULI[state.frame][_PAULI_CYCLE[rng.integers(3)]]
-            statevec.apply_matrix1(state, statevec.PAULI[axis], site)
+            statevec.apply_matrix1(state, _FRAME_PAULIS[rng.integers(3)], site)
     return state
 
 

@@ -8,15 +8,14 @@ Conventions, fixed project-wide:
   * sampling axis x applies H, axis y applies S-dagger then H, axis z nothing,
     before reading out the computational basis.
 
-A StateVector holds its amplitudes in one of two frames. Frame "z" is the
-computational basis. Frame "x" is the Hadamard frame: the amplitudes are
-psi_x = H^{(x)L} psi, so index s labels the product of sx eigenstates with
-bit 0 <-> +1. The Trotter engine runs in the x frame, where the polarized
-start state is |0...0>, every sx sx bond is diagonal, and x-basis outcome
-probabilities are |psi_x|^2 without a rotated copy. Measurements and
-expectations honour the frame; the raw kernels (apply_matrix1/2, apply_gate,
-the fused site blocks and the phase diagonals) act on the stored amplitudes
-as they are.
+A StateVector holds x-frame amplitudes, psi_x = H^{(x)L} psi: index s labels
+the product of sx eigenstates with bit 0 <-> +1. There the polarized start
+state |+...+> is |0...0>, every sx sx bond is diagonal, and x-basis outcome
+probabilities are |psi_x|^2 without a rotated copy. The API speaks lab
+physics: apply_gate applies a lab-frame Gate m as H m H, and the axes x, y,
+z of measurements, expectations and gate noise are the lab's. The raw
+kernels (apply_matrix1/2, the fused site blocks and the phase diagonals)
+act on the stored amplitudes as they are.
 
 Sampling holds one float64 array of 2**L entries besides the state:
 sample_in_place (run_quench's sampler) turns the amplitudes in place into
@@ -31,8 +30,8 @@ state-sized temporary. From SPLIT_MIN amplitudes on, each block or diagonal
 pass runs as two independent halves on two threads (numpy releases the GIL
 in matmul), with the same per-amplitude arithmetic as the serial pass; no
 thread outlives the call. Exact time evolution runs in the k = 0 translation
-sector on the orbit basis and sector matrix that edsolver builds for ED;
-only the returned snapshots are expanded to 2**L amplitudes.
+sector on the x-basis orbit basis and sector matrix that edsolver builds for
+ED; only the returned snapshots are expanded to 2**L amplitudes.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -59,14 +59,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 S_DAGGER = np.array([[1, 0], [0, -1j]], dtype=complex)
-FRAMES = ("z", "x")
-# per-site readout pre-rotation, by frame and measured axis. In the lab frame
-# axis y applies S-dagger, then H; in the x frame the stored amplitudes are
-# already H-rotated, so each lab rotation R becomes R H.
-_MEAS_ROTATION = {
-    "z": {"x": HADAMARD, "y": HADAMARD @ S_DAGGER, "z": None},
-    "x": {"x": None, "y": HADAMARD @ S_DAGGER @ HADAMARD, "z": HADAMARD},
-}
+_HADAMARD_2 = np.kron(HADAMARD, HADAMARD)
+# per-site readout pre-rotation by measured axis. The lab rotation R (H for
+# x, H S-dagger for y, none for z) acts on H-rotated amplitudes, so it becomes R H.
+_MEAS_ROTATION = {"x": None, "y": HADAMARD @ S_DAGGER @ HADAMARD, "z": HADAMARD}
 
 _UNITARY_TOL = 1e-12
 CHUNK = 1 << 13  # amplitudes per in-place kernel chunk (128 KiB of complex128)
@@ -75,33 +71,42 @@ SPLIT_MIN = 1 << 18  # amplitudes from which a kernel pass runs on two threads
 split_passes = 0  # kernel passes this process has run on two threads
 
 
+# each package's bundled OpenBLAS: the library in <package>.libs and the
+# suffix of its exported thread-count functions
+_OPENBLAS = {"numpy": ("libscipy_openblas64_*.so", "64_"), "scipy": ("libscipy_openblas-*.so", "")}
+
+
 @functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS through ctypes, or None where it is missing."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
-        lib = ctypes.CDLL(path)  # numpy has loaded it already
-        if all(hasattr(lib, f"scipy_openblas_{op}_num_threads64_") for op in ("set", "get")):
-            return lib
+def _openblas(package: str):
+    """(set, get) thread-count functions of an imported package's bundled
+    OpenBLAS ("numpy" or "scipy") through ctypes, or None where it is missing."""
+    pattern, suffix = _OPENBLAS[package]
+    site = os.path.dirname(os.path.dirname(sys.modules[package].__file__))
+    for path in sorted(glob.glob(os.path.join(site, f"{package}.libs", pattern))):
+        lib = ctypes.CDLL(path)
+        ops = [getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None) for op in ("set", "get")]
+        if all(ops):
+            return ops
     return None
 
 
-def pin_blas_threads() -> None:
-    """Run numpy's OpenBLAS on one thread in this process; a no-op without it.
+def pin_blas_threads(package: str = "numpy") -> None:
+    """Run numpy's (or scipy's) OpenBLAS on one thread in this process; a no-op without it.
 
     The kernels call BLAS on 16 x 16 blocks, where a second BLAS thread
     costs more than it gains, and the thread count changes the order of
-    BLAS reductions and so the last digits of results.
+    BLAS reductions and so the last digits of results (scipy's: of eigsh).
     """
-    lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
+    ops = _openblas(package)
+    if ops is not None:
+        ops[0](1)
 
 
-def blas_threads() -> int | None:
-    """numpy's OpenBLAS thread count, or None where the library is missing."""
-    lib = _openblas()
-    return None if lib is None else int(lib.scipy_openblas_get_num_threads64_())
+def blas_threads(package: str = "numpy") -> int | None:
+    """numpy's (or scipy's) OpenBLAS thread count, or None where the library
+    is missing or the package was never imported."""
+    ops = _openblas(package) if package in sys.modules else None
+    return None if ops is None else int(ops[1]())
 
 
 def _splits(amps: np.ndarray) -> bool:
@@ -137,13 +142,11 @@ def _both(fn, a, b) -> None:
 
 
 class StateVector:
-    """Complex amplitudes over the 2**L basis states of a frame ("z" or "x")."""
+    """Complex x-frame amplitudes over the 2**L basis states."""
 
-    __slots__ = ("L", "amplitudes", "frame")
+    __slots__ = ("L", "amplitudes")
 
-    def __init__(self, L: int, amplitudes: np.ndarray, frame: str = "z"):
-        if frame not in FRAMES:
-            raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
+    def __init__(self, L: int, amplitudes: np.ndarray):
         if not 1 <= L <= L_MAX:
             raise ValueError(f"L={L} outside supported range [1, {L_MAX}]")
         amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
@@ -153,38 +156,18 @@ class StateVector:
             )
         self.L = L
         self.amplitudes = amplitudes
-        self.frame = frame
 
     def copy(self) -> "StateVector":
-        return StateVector(self.L, self.amplitudes.copy(), self.frame)
+        return StateVector(self.L, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def __repr__(self):
-        return f"StateVector(L={self.L}, frame={self.frame!r})"
-
-
-def _require_lab(state: StateVector) -> None:
-    if state.frame != "z":
-        raise ValueError(f"needs a computational-basis (frame 'z') state, got frame {state.frame!r}")
-
 
 def init_all_plus(L: int) -> StateVector:
-    """|->,...,-> : Hadamard on every site of |0...0>; all amplitudes 2**(-L/2)."""
-    amps = np.full(1 << L, 2.0 ** (-L / 2), dtype=np.complex128)
-    return StateVector(L, amps)
-
-
-def zero_state(L: int) -> StateVector:
-    return basis_state(L, 0)
-
-
-def basis_state(L: int, index: int) -> StateVector:
-    if not 0 <= index < (1 << L):
-        raise ValueError(f"basis index {index} out of range for L={L}")
+    """|+...+>, every site in its sx = +1 state: |0...0> in the x frame."""
     amps = np.zeros(1 << L, dtype=np.complex128)
-    amps[index] = 1.0
+    amps[0] = 1.0
     return StateVector(L, amps)
 
 
@@ -280,11 +263,12 @@ def apply_matrix2(state: StateVector, m: np.ndarray, site_a: int, site_b: int) -
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply a Gate in place and return the same state."""
+    """Apply a lab-frame Gate in place, as H m H on the x-frame amplitudes
+    ((H x H) m (H x H) on two sites), and return the same state."""
     if len(gate.sites) == 1:
-        apply_matrix1(state, gate.matrix, gate.sites[0])
+        apply_matrix1(state, HADAMARD @ gate.matrix @ HADAMARD, gate.sites[0])
     else:
-        apply_matrix2(state, gate.matrix, gate.sites[0], gate.sites[1])
+        apply_matrix2(state, _HADAMARD_2 @ gate.matrix @ _HADAMARD_2, gate.sites[0], gate.sites[1])
     return state
 
 
@@ -439,19 +423,16 @@ def top_site_expectations(state: StateVector) -> dict[str, float]:
 
     Site L is the top bit, so the halves of the amplitude array hold its 0
     and 1 components; their norms n0, n1 and overlap c = <half 0|half 1>
-    give its reduced state [[n0, c*], [c, n1]] / n. In the x frame that
-    state is H-rotated: sx and sz swap and sy changes sign. In a
-    translation-invariant state every site holds these values.
+    give its reduced state [[n0, c*], [c, n1]] / n. That state is
+    H-rotated: sx and sz swap and sy changes sign. In a translation-invariant
+    state every site holds these values.
     """
     half = state.amplitudes.size >> 1
     a0, a1 = state.amplitudes[:half], state.amplitudes[half:]
     n0, n1 = np.vdot(a0, a0).real, np.vdot(a1, a1).real
     c = np.vdot(a0, a1)
     n = _check_mass(n0 + n1)
-    diag, re, im = (n0 - n1) / n, 2.0 * c.real / n, 2.0 * c.imag / n
-    if state.frame == "x":
-        return {"x": diag, "y": -im, "z": re}
-    return {"x": re, "y": im, "z": diag}
+    return {"x": (n0 - n1) / n, "y": -2.0 * c.imag / n, "z": 2.0 * c.real / n}
 
 
 def _normalize_axes(axes, L: int) -> tuple[str, ...]:
@@ -469,24 +450,23 @@ def _normalize_axes(axes, L: int) -> tuple[str, ...]:
     return axes
 
 
-def readout_turn(frame: str, to: str | None, carried: str | None) -> np.ndarray | None:
+def readout_turn(to: str | None, carried: str | None) -> np.ndarray | None:
     """2x2 from the readout rotation of axis carried to that of axis to (None: no rotation), or None."""
-    rotations = _MEAS_ROTATION[frame]
-    new, old = rotations.get(to), rotations.get(carried)
+    new, old = _MEAS_ROTATION.get(to), _MEAS_ROTATION.get(carried)
     if old is None:
         return new
     return old.conj().T if new is None else new @ old.conj().T
 
 
 @functools.lru_cache(maxsize=32)
-def _rotation_blocks(frame: str, axes: tuple[str, ...], carried: tuple[str, ...] | None = None) -> tuple:
-    """Fused readout pre-rotation blocks for a frame and per-site axes.
+def _rotation_blocks(axes: tuple[str, ...], carried: tuple[str, ...] | None = None) -> tuple:
+    """Fused readout pre-rotation blocks for per-site axes.
 
     With carried, they start from the rotation of the carried axes. Built
     once per key and shared by every later call, so the arrays are read-only.
     """
     carried = carried or (None,) * len(axes)
-    blocks = tuple(fuse_site_matrices([readout_turn(frame, a, c) for a, c in zip(axes, carried)]))
+    blocks = tuple(fuse_site_matrices([readout_turn(a, c) for a, c in zip(axes, carried)]))
     for _, _, m in blocks:
         m.setflags(write=False)
     return blocks
@@ -496,13 +476,12 @@ def measurement_probabilities(state: StateVector, axes) -> np.ndarray:
     """Outcome probabilities after rotating each site's axis onto z.
 
     axes is a single axis character (applied to all sites) or one per site.
-    The per-site rotations depend on the state's frame; when none is needed
-    (x in the x frame, z in the lab frame) the probabilities come straight
-    from the amplitudes, otherwise from one copy rotated by the fused blocks
-    of _rotation_blocks, which are built once per (frame, axes).
+    When no rotation is needed (x on every site) the probabilities come
+    straight from the amplitudes, otherwise from one copy rotated by the
+    fused blocks of _rotation_blocks, which are built once per axes.
     """
     axes = _normalize_axes(axes, state.L)
-    blocks = _rotation_blocks(state.frame, axes, None)  # the key sample_in_place uses
+    blocks = _rotation_blocks(axes, None)  # the key sample_in_place uses
     amps = apply_site_blocks(state.copy(), blocks).amplitudes if blocks else state.amplitudes
     return _probabilities(amps)
 
@@ -542,7 +521,7 @@ def sample_in_place(state: StateVector, axes, shots: int, rng, carried=None) -> 
     """sample_index_counts on the state's own amplitudes, turned in place from
     the readout rotation of the carried axes (None: none) to that of axes."""
     carried = carried and _normalize_axes(carried, state.L)
-    apply_site_blocks(state, _rotation_blocks(state.frame, _normalize_axes(axes, state.L), carried))
+    apply_site_blocks(state, _rotation_blocks(_normalize_axes(axes, state.L), carried))
     return _sample_indices(_probabilities(state.amplitudes), shots, rng)
 
 
@@ -593,15 +572,15 @@ def exact_evolve(
     n_steps: int,
     record_every: int = 1,
 ) -> list[StateVector]:
-    """Evolve under exp(-i H dt) per step; returns snapshots at t_k = k*dt.
+    """Evolve under exp(-i H dt) per step; returns x-frame snapshots at t_k = k*dt.
 
     Snapshots are recorded at k = 0, record_every, 2*record_every, ... and
     always at k = n_steps. H commutes with translations, so a translation-
     invariant state stays in the k = 0 sector: the evolution runs on the
-    orbit coefficients c_a = sqrt(R_a) psi(rep_a) under the sector matrix
-    that ED uses, with a dense eigensystem up to edsolver.DENSE_EIG_MAX
+    orbit coefficients c_a = sqrt(R_a) psi_x(rep_a) under the x-basis sector
+    matrix that ED uses, with a dense eigensystem up to edsolver.DENSE_EIG_MAX
     dims and scipy's expm_multiply above. Only the returned snapshots are
-    expanded to 2**L amplitudes, psi(s) = c_rep(s) / sqrt(R_rep(s)). A state
+    expanded to 2**L amplitudes, psi_x(s) = c_rep(s) / sqrt(R_rep(s)). A state
     that is not translation invariant raises ValueError.
     """
     if not (math.isfinite(dt) and dt > 0):
@@ -610,7 +589,6 @@ def exact_evolve(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    _require_lab(state)
     if state.L != params.L:
         raise ValueError("state size does not match params.L")
     L = params.L

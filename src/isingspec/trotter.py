@@ -11,12 +11,12 @@ joins the even layer so the two layers still cover all L bonds.
 
 build_step writes that step as a gate list and decompose_to_native lowers it
 to CNOTs; they describe the circuit. run_quench compiles that gate list
-(frame_layers) and evolves the state in the x frame (Hadamard-rotated
-basis, see statevec), where the polarized start state |+...+> is |0...0>
-and every sx sx bond is diagonal. The bonds commute, so U_odd * U_even is
-the single diagonal exp(i dt (L - 2 popcount(s XOR rot(s)))), stored as a
-uint8 popcount index plus a phase table; U_1q becomes H u1 H on every site,
-fused 4 sites at a time into 16x16 blocks.
+(frame_layers) and evolves the x-frame amplitudes that statevec stores
+(Hadamard-rotated basis), where the polarized start state |+...+> is
+|0...0> and every sx sx bond is diagonal. The bonds commute, so
+U_odd * U_even is the single diagonal exp(i dt (L - 2 popcount(s XOR
+rot(s)))), stored as a uint8 popcount index plus a phase table; U_1q
+becomes H u1 H on every site, fused 4 sites at a time into 16x16 blocks.
 
 run_quench applies U_step n_steps times and records observables after every
 step (and at t = 0), exactly for shots = 0 or through sampled per-axis
@@ -271,7 +271,7 @@ def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, p
 def run_quench(
     params: ModelParams, plan: QuenchPlan, record_correlator: bool = False
 ) -> QuenchRecord:
-    """Trotter-evolve the polarized state in the x frame and record observables per step.
+    """Trotter-evolve the polarized state and record observables per step.
 
     shots = 0 records exact expectations; otherwise each recorded time point
     spends `shots` samples per measured axis (split across noise trajectories
@@ -288,7 +288,7 @@ def run_quench(
     gate_noise = nz is not None and nz.has_gate_noise
     # sampling leaves the state in its last axis's basis; the next step's first layer undoes that
     last = _sampling_order(plan.measured_axes)[-1] if plan.shots > 0 else None
-    layers = frame_layers(params, plan.dt, gate_noise, statevec.readout_turn("x", None, last))
+    layers = frame_layers(params, plan.dt, gate_noise, statevec.readout_turn(None, last))
     # only a gate-noisy exact run measures the correlator site by site
     exact_pairs = record_correlator and gate_noise and plan.shots == 0
     tables = obs.correlator_tables(L) if exact_pairs else None
@@ -309,8 +309,7 @@ def run_quench(
         weight_total += w
         gate_ss, meas_root = traj_ss.spawn(2)
         gate_rng = np.random.default_rng(gate_ss)
-        # |+...+> is |0...0> in the x frame; k = 0 records it unevolved
-        state = StateVector(L, statevec.zero_state(L).amplitudes, frame="x")
+        state = statevec.init_all_plus(L)  # k = 0 records it unevolved
         for k, meas_ss in enumerate(meas_root.spawn(n_rec)):
             for layer in layers if k > 0 else ():
                 layer.apply(state)

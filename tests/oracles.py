@@ -3,7 +3,9 @@
 Everything here is assembled from explicit Kronecker products on the full
 2**L space, independently of the package's stride kernels, so agreement is
 meaningful. Site j occupies bit j-1 of the state index, i.e. site 1 is the
-least significant bit, matching the package convention.
+least significant bit, matching the package convention. The references work
+in the lab frame; hadamard_all carries a lab state to the x-frame
+amplitudes that a package StateVector holds, and back.
 """
 
 import numpy as np
@@ -14,6 +16,28 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"x": X, "y": Y, "z": Z}
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def hadamard_all(psi: np.ndarray) -> np.ndarray:
+    """H on every site of a state, or of every column of a (2**L, n) matrix.
+
+    H^{(x)L} is its own inverse, so this maps lab amplitudes to x-frame ones
+    and x-frame amplitudes back to lab ones.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    L = psi.shape[0].bit_length() - 1
+    v = psi.reshape((2,) * L + psi.shape[1:])
+    for axis in range(L):
+        v = np.moveaxis(np.tensordot(HADAMARD, v, axes=(1, axis)), 0, axis)
+    return v.reshape(psi.shape)
+
+
+def basis_state(L: int, index: int) -> np.ndarray:
+    """The lab computational basis state |index> as 2**L dense amplitudes."""
+    psi = np.zeros(2**L, dtype=complex)
+    psi[index] = 1.0
+    return psi
 
 
 def op_at(op: np.ndarray, site: int, L: int) -> np.ndarray:

@@ -233,6 +233,21 @@ def test_rerun_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
+def test_ed_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # an L = 20 sector takes eigsh, which runs on scipy's own OpenBLAS; the
+    # eigenvalues once changed in the last digits with OPENBLAS_NUM_THREADS
+    import scipy.sparse.linalg  # noqa: F401  (loads that library, as eigsh does)
+
+    cfg = {"model.L": 20, "model.g": 1.0, "model.h": 0.3}
+    for threads in ("1", "2"):
+        f = write_config(tmp_path / f"{threads}.cfg", **cfg, **{"output.dir": tmp_path / threads})
+        res = run_cli("ed", "--config", f, env={"OPENBLAS_NUM_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+        stats = json.loads((tmp_path / threads / "run_stats.json").read_text())
+        assert stats["threads"]["scipy_blas"] == (1 if statevec.blas_threads("scipy") else None)
+    assert (tmp_path / "1" / "levels.json").read_bytes() == (tmp_path / "2" / "levels.json").read_bytes()
+
+
 def test_sweep_table_has_one_row_per_point(tmp_path):
     f = write_config(
         tmp_path / "s.cfg", **SWEEP_BASE,
@@ -335,7 +350,7 @@ def test_run_stats_sidecar(tmp_path):
     assert stats["max_rss_kb"] > 0
     assert "trace.csv" in stats["files"]
     # the CLI pins BLAS to one thread; a 4-site state never splits a kernel pass
-    assert stats["threads"] == {"blas": 1 if statevec.blas_threads() else None, "kernels": 1}
+    assert stats["threads"] == {"blas": 1 if statevec.blas_threads() else None, "scipy_blas": None, "kernels": 1}
 
 
 def test_run_stats_records_split_kernel_passes_at_18_sites(tmp_path):
@@ -346,7 +361,11 @@ def test_run_stats_records_split_kernel_passes_at_18_sites(tmp_path):
     assert cli.main(["quench", "--config", f]) == 0
     stats = json.loads((tmp_path / "out" / "run_stats.json").read_text())
     kernels = 2 if (os.cpu_count() or 1) >= 2 else 1
-    assert stats["threads"] == {"blas": 1 if statevec.blas_threads() else None, "kernels": kernels}
+    assert stats["threads"] == {
+        "blas": 1 if statevec.blas_threads() else None,
+        "scipy_blas": statevec.blas_threads("scipy"),
+        "kernels": kernels,
+    }
 
 
 @pytest.mark.parametrize("line", ["model.g = nan", "model.h = inf", "plan.dt = inf"])
@@ -359,39 +378,40 @@ def test_non_finite_physics_exits_1_and_writes_nothing(tmp_path, line):
     assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
 
 
+# every row runs with plan.n_steps = 10 unless it sets its own, so a sweep
+# passes its spectrum check (plan.n_steps >= 7) and reaches the row's check
 @pytest.mark.parametrize(
-    "command, lines",
+    "command, lines, shown",
     [
-        ("quench", "model.L = 30"),
-        ("quench", "plan.dt = -0.4"),
-        ("quench", "plan.n_steps = 0"),
-        ("quench", "plan.shots = -5"),
-        ("quench", "noise.enabled = true\nnoise.p1 = 1.5"),
+        ("quench", "model.L = 30", "L=30 outside"),
+        ("quench", "plan.dt = -0.4", "dt must be"),
+        ("quench", "plan.n_steps = 0", "n_steps must be"),
+        ("quench", "plan.shots = -5", "shots must be"),
+        ("quench", "noise.enabled = true\nnoise.p1 = 1.5", "p1=1.5"),
         # mitigation cannot invert a readout channel with p_eff >= 0.5
         ("quench", "plan.shots = 200\nnoise.enabled = true\nnoise.p1 = 0\nnoise.p2 = 0\n"
-                   "noise.p01 = 0.5\nnoise.p10 = 0.5"),
+                   "noise.p01 = 0.5\nnoise.p10 = 0.5", "p01=0.5, p10=0.5"),
         ("quench", "plan.shots = 200\nnoise.enabled = true\nnoise.p1 = 0\nnoise.p2 = 0\n"
-                   "noise.p01 = 0.7\nnoise.p10 = 0.6"),
-        ("ed", "model.L = 30"),
-        ("sweep", "plan.n_steps = 0"),
-        ("correlate", "plan.dt = -0.4"),
-        ("ed", "ed.n_low = -3"),
-        ("sweep", "spectro.pad_factor = 0"),
-        ("sweep", "spectro.window = foo"),
-        ("sweep", "spectro.min_height_frac = 1.5"),
-        ("sweep", "spectro.min_height_frac = -1"),
-        ("correlate", "correlate.threshold = -1"),
-        ("quench", "plan.seed = -1"),
-        # enough steps for the sweep's spectrum check to pass, so the seed is what fails
-        ("sweep", "plan.n_steps = 10\nplan.seed = -1"),
+                   "noise.p01 = 0.7\nnoise.p10 = 0.6", "p01=0.7, p10=0.6"),
+        ("ed", "model.L = 30", "model.L: "),
+        ("sweep", "plan.n_steps = 0", "plan.n_steps: "),
+        ("correlate", "plan.dt = -0.4", "dt must be"),
+        ("ed", "ed.n_low = -3", "ed.n_low: "),
+        ("sweep", "spectro.pad_factor = 0", "spectro.pad_factor: "),
+        ("sweep", "spectro.window = foo", "spectro.window: "),
+        ("sweep", "spectro.min_height_frac = 1.5", "spectro.min_height_frac: "),
+        ("sweep", "spectro.min_height_frac = -1", "spectro.min_height_frac: "),
+        ("correlate", "correlate.threshold = -1", "correlate.threshold: "),
+        ("quench", "plan.seed = -1", "seed must be"),
+        ("sweep", "plan.seed = -1", "seed must be"),
     ],
 )
-def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, command, lines):
+def test_out_of_range_values_exit_1_and_write_nothing(tmp_path, command, lines, shown):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"model.L = 4\nplan.n_steps = 3\n{lines}\noutput.dir = {tmp_path / 'out'}\n")
+    cfg.write_text(f"model.L = 4\nplan.n_steps = 10\n{lines}\noutput.dir = {tmp_path / 'out'}\n")
     res = run_cli(command, "--config", str(cfg))
     assert res.returncode == 1, res.stderr
-    assert "config error" in res.stderr
+    assert "config error" in res.stderr and shown in res.stderr, res.stderr
     assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
 
 
@@ -411,7 +431,7 @@ def test_n_low_below_one_fails_and_writes_nothing(tmp_path, command, line):
         f"output.dir = {tmp_path / 'out'}\n"
     )
     res = run_cli(command, "--config", str(cfg))
-    assert res.returncode != 0
+    assert res.returncode == 1, res.stderr
     assert "n_low must be >= 1" in res.stderr
     assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,9 @@ def test_sector_matrix_is_the_dense_hamiltonian_projected_onto_k0(L):
     for a, rep in enumerate(basis.reps):
         orbit = {int(((rep << s) | (rep >> (L - s))) & mask) for s in range(L)}
         V[sorted(orbit), a] = 1.0 / np.sqrt(len(orbit))
-    projected = V.T @ oracles.hamiltonian(L, p.g, p.h) @ V
+    # the package's sector is in the x basis: H^{(x)L} H H^{(x)L}, H^{(x)L} real
+    x_frame = oracles.hadamard_all(oracles.hadamard_all(oracles.hamiltonian(L, p.g, p.h)).T).T
+    projected = V.T @ x_frame @ V
     mat = edsolver.assemble_sector_hamiltonian(p, basis)
     arr = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
     assert np.abs(arr - projected).max() < 1e-12
@@ -171,3 +175,22 @@ def test_dense_and_sparse_assembly_agree(monkeypatch, h):
             edsolver.eigensolve(sparse, n_low=None).eigenvalues,
             edsolver.eigensolve(dense, n_low=None).eigenvalues,
         )
+
+
+# Zamolodchikov's E8 mass ratios of the critical chain (g = 1) in a small
+# longitudinal field: m2/m1 = 2 cos(pi/5) and m3/m1 = 2 cos(pi/30)
+E8_RATIOS = (2 * math.cos(math.pi / 5), 2 * math.cos(math.pi / 30))
+
+
+def test_critical_chain_in_a_small_field_has_the_e8_mass_ratios():
+    # The ratios hold as h -> 0; at finite h the lattice moves them by a
+    # correction that grows linearly in h (m1^2 ~ h^(16/15)). Where L = 18 and
+    # 20 agree (h = 0.25, 0.3, 0.4), e2/e1 sits -0.66, -0.81, -1.12 % and
+    # e3/e1 -1.08, -1.19, -1.57 % off; the lines through them predict -0.5 %
+    # and -0.9 % at h = 0.2. Each tolerance is twice that: 1 % and 2 %.
+    # At L = 18 the sector (14,602 orbits) takes the sparse assembly.
+    lv = edsolver.solve_sector(ModelParams(18, 1.0, 0.2), n_low=4)
+    assert lv.method == "iterative"
+    ratios = (lv.gap(2) / lv.gap(1), lv.gap(3) / lv.gap(1))
+    for ratio, e8, tol in zip(ratios, E8_RATIOS, (0.01, 0.02)):
+        assert abs(ratio / e8 - 1.0) < tol, (ratio, e8)

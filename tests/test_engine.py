@@ -102,7 +102,7 @@ def test_mixed_axis_probabilities_match_dense_rotations():
     state = sv.StateVector(L, amps / np.linalg.norm(amps))
     axes = ("x", "y", "z", "y", "x", "y")
     rotation = {"x": sv.HADAMARD, "y": sv.HADAMARD @ sv.S_DAGGER, "z": np.eye(2)}
-    psi = state.amplitudes
+    psi = oracles.hadamard_all(state.amplitudes)
     for j, ax in enumerate(axes, start=1):
         psi = oracles.op_at(rotation[ax], j, L) @ psi
     assert np.abs(sv.measurement_probabilities(state, axes) - np.abs(psi) ** 2).max() < 1e-12
@@ -112,26 +112,25 @@ def test_x_frame_measurements_match_the_lab_frame():
     rng = np.random.default_rng(5)
     L = 5
     amps = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
-    lab = sv.StateVector(L, amps / np.linalg.norm(amps))
-    hadamards = np.eye(2**L, dtype=complex)
-    for j in range(1, L + 1):
-        hadamards = oracles.op_at(sv.HADAMARD, j, L) @ hadamards
-    framed = sv.StateVector(L, hadamards @ lab.amplitudes, frame="x")
+    lab = amps / np.linalg.norm(amps)
+    framed = sv.StateVector(L, oracles.hadamard_all(lab))
+    rotation = {"x": sv.HADAMARD, "y": sv.HADAMARD @ sv.S_DAGGER, "z": np.eye(2)}
     for axes in ("x", "y", "z", ("x", "y", "z", "y", "x")):
-        diff = sv.measurement_probabilities(framed, axes) - sv.measurement_probabilities(lab, axes)
+        psi = lab
+        for j, ax in enumerate(axes * L if len(axes) == 1 else axes, start=1):
+            psi = oracles.op_at(rotation[ax], j, L) @ psi
+        diff = sv.measurement_probabilities(framed, axes) - np.abs(psi) ** 2
         assert np.abs(diff).max() < 1e-12
     for axis in "xyz":
-        diff = sv.site_expectations(framed, axis) - sv.site_expectations(lab, axis)
-        assert np.abs(diff).max() < 1e-12
-    assert np.abs(obs.correlator_profile(framed) - obs.correlator_profile(lab)).max() < 1e-12
-    with pytest.raises(ValueError, match="frame"):
-        sv.exact_evolve(framed, ModelParams(L, 0.5, 0.3), dt=0.1, n_steps=1)
+        expected = [oracles.site_expectation(lab, axis, j, L) for j in range(1, L + 1)]
+        assert np.abs(sv.site_expectations(framed, axis) - expected).max() < 1e-12
+    assert np.abs(obs.correlator_profile(framed) - dense_correlator(lab, L)).max() < 1e-12
 
 
 def test_noiseless_step_allocates_under_a_quarter_of_the_state():
     L = 16
     layers = trotter.frame_layers(ModelParams(L, 0.5, 0.3), 0.4)
-    state = sv.StateVector(L, sv.zero_state(L).amplitudes, frame="x")
+    state = sv.init_all_plus(L)
     for layer in layers:  # warm up: first calls may allocate lazily
         layer.apply(state)
     tracemalloc.start()

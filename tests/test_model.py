@@ -26,20 +26,6 @@ def test_validate_rejects_fractional_length():
     assert validate(8.5, 0.5, 0.3).severity == "error"
 
 
-def test_validate_warns_outside_the_confining_regime():
-    # permitted, but flagged: the bound-state physics lives at g <= 1, h < 1
-    for g, h in ((1.5, 0.3), (0.5, 1.0), (-0.2, 0.3), (0.5, -0.1)):
-        rep = validate(12, g, h)
-        assert rep.ok
-        assert rep.severity == "warn"
-        assert rep.messages
-
-
-def test_params_bonds_wrap_around():
-    p = ModelParams(4, 0.5, 0.3)
-    assert p.bonds() == [(1, 2), (2, 3), (3, 4), (4, 1)]
-
-
 def test_params_reject_bad_length():
     with pytest.raises(ValueError):
         ModelParams(1, 0.5, 0.3)

@@ -45,7 +45,7 @@ def test_gate_noise_flip_rate():
     flips = 0
     n = 4000
     for _ in range(n):
-        st = sv.zero_state(1)
+        st = sv.StateVector(1, oracles.hadamard_all(oracles.basis_state(1, 0)))
         noise.apply_gate_noise(st, "1q", (1,), nz, rng)
         if sv.expectation(st, "z", 1) < 0:
             flips += 1
@@ -58,7 +58,7 @@ def test_gate_noise_flip_rate():
 def test_gate_noise_kind_must_be_known():
     nz = NoiseParams()
     with pytest.raises(ValueError):
-        noise.apply_gate_noise(sv.zero_state(2), "3q", (1,), nz, np.random.default_rng(0))
+        noise.apply_gate_noise(sv.init_all_plus(2), "3q", (1,), nz, np.random.default_rng(0))
 
 
 def test_readout_error_rates():

@@ -13,10 +13,7 @@ def x_ghz(L: int) -> sv.StateVector:
     amps = np.zeros(2**L, dtype=complex)
     amps[0] = 1 / np.sqrt(2)
     amps[-1] = 1 / np.sqrt(2)
-    st = sv.StateVector(L, amps)
-    for j in range(1, L + 1):
-        sv.apply_gate(st, sv.h_gate(j))
-    return st
+    return sv.StateVector(L, amps)  # x-frame amplitudes: |0...0> is |+...+>
 
 
 def test_product_state_has_no_connected_correlations():
@@ -46,7 +43,7 @@ def test_profile_matches_sitewise_average():
             # <X_j X_k> via parity of the two rotated bits
             sv.apply_gate(pair, sv.h_gate(j + 1))
             sv.apply_gate(pair, sv.h_gate(k + 1))
-            probs = np.abs(pair.amplitudes) ** 2
+            probs = np.abs(oracles.hadamard_all(pair.amplitudes)) ** 2
             idx = np.arange(2**6)
             signs = 1.0 - 2.0 * (((idx >> j) & 1) ^ ((idx >> k) & 1))
             acc += float(probs @ signs) - x[j] * x[k]

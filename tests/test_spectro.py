@@ -222,6 +222,24 @@ def test_quench_pipeline_recovers_the_lowest_gap():
         assert abs((e2.omega - e1.omega) - e21.omega) < 2 * spec.d_omega
 
 
+def test_quench_peaks_at_the_critical_point_keep_the_ed_mass_ratio():
+    # L = 16, g = 1, h = 0.2: the E8 regime, where e2/e1 is near 2 cos(pi/5).
+    # The pipeline's ratio of the labelled e2 and e1 peaks must agree with
+    # ED's e2/e1 within what 2 d_omega on each peak allows.
+    params = ModelParams(16, 1.0, 0.2)
+    record = trotter.run_quench(params, QuenchPlan(dt=0.1, n_steps=400))
+    spec = spectro.power_spectrum(spectro.series_from_record(record, "y"))
+    levels = edsolver.solve_sector(params, n_low=6)
+    peaks = spectro.match_peaks(spectro.find_peaks(spec), levels)
+    e1, e2 = peaks.get("e1"), peaks.get("e2")
+    assert e1 is not None and e2 is not None
+    g1, g2 = levels.gap(1), levels.gap(2)
+    delta = 2 * spec.d_omega
+    # the largest change of e2/e1 when each gap moves by delta
+    tol = delta * (g1 + g2) / (g1 * (g1 - delta))
+    assert abs(e2.omega / e1.omega - g2 / g1) < tol
+
+
 def test_sweep_points_are_complete_and_ordered():
     template = ModelParams(6, 0.5, 0.3)
     plan = QuenchPlan(dt=0.2, n_steps=100, seed=4)

@@ -34,13 +34,14 @@ def rx(theta: float, site: int) -> sv.Gate:
 
 def test_all_plus_state():
     st = sv.init_all_plus(3)
-    assert np.allclose(st.amplitudes, np.full(8, 8**-0.5))
+    assert np.allclose(oracles.hadamard_all(st.amplitudes), np.full(8, 8**-0.5))
     assert st.norm() == pytest.approx(1.0)
 
 
 def test_basis_state_and_bitstring_use_site_one_as_lowest_bit():
-    st = sv.basis_state(3, 1)
-    assert st.amplitudes[1] == 1.0
+    st = sv.StateVector(3, oracles.hadamard_all(oracles.basis_state(3, 1)))
+    assert sv.measurement_probabilities(st, "z")[1] == pytest.approx(1.0)
+    assert np.allclose(sv.site_expectations(st, "z"), [-1.0, 1.0, 1.0])
     # site 1 is column 0 of the bit matrix
     bits = sv.bits_from_indices(np.array([1, 4, 5]), np.array([1, 1, 1]), 3)
     assert bits.tolist() == [[1, 0, 0], [0, 0, 1], [1, 0, 1]]
@@ -69,7 +70,8 @@ def test_single_qubit_gates_match_dense_embedding():
     for gate in (sv.h_gate(2), sv.Gate(sv.PAULI_X, (4,)), sv.Gate(sv.S_DAGGER, (1,)),
                  rx(0.7, 3), sv.rz_gate(-1.2, 5)):
         st = random_state(L, rng)
-        expected = oracles.embed_gate(gate.matrix, gate.sites, L) @ st.amplitudes
+        lab = oracles.embed_gate(gate.matrix, gate.sites, L) @ oracles.hadamard_all(st.amplitudes)
+        expected = oracles.hadamard_all(lab)
         sv.apply_gate(st, gate)
         assert np.abs(st.amplitudes - expected).max() < 1e-12
 
@@ -80,7 +82,8 @@ def test_two_qubit_gates_match_dense_embedding():
     for gate in (sv.cnot_gate(2, 4), sv.cnot_gate(4, 2),
                  sv.xx_rotation_gate(0.37, 1, 5), sv.cnot_gate(5, 1)):
         st = random_state(L, rng)
-        expected = oracles.embed_gate(gate.matrix, gate.sites, L) @ st.amplitudes
+        lab = oracles.embed_gate(gate.matrix, gate.sites, L) @ oracles.hadamard_all(st.amplitudes)
+        expected = oracles.hadamard_all(lab)
         sv.apply_gate(st, gate)
         assert np.abs(st.amplitudes - expected).max() < 1e-12
 
@@ -88,9 +91,9 @@ def test_two_qubit_gates_match_dense_embedding():
 def test_cnot_truth_table():
     # control site 1, target site 2: flips bit 2 only when bit 1 is set
     for idx, expected in ((0, 0), (1, 3), (2, 2), (3, 1)):
-        st = sv.basis_state(2, idx)
+        st = sv.StateVector(2, oracles.hadamard_all(oracles.basis_state(2, idx)))
         sv.apply_gate(st, sv.cnot_gate(1, 2))
-        assert st.amplitudes[expected] == pytest.approx(1.0)
+        assert sv.measurement_probabilities(st, "z")[expected] == pytest.approx(1.0)
 
 
 def test_xx_rotation_matches_exponential():
@@ -124,7 +127,7 @@ def test_expectations_on_product_states():
         assert sv.expectation(st, "x", j) == pytest.approx(1.0)
         assert sv.expectation(st, "y", j) == pytest.approx(0.0)
         assert sv.expectation(st, "z", j) == pytest.approx(0.0)
-    st = sv.zero_state(4)
+    st = sv.StateVector(4, oracles.hadamard_all(oracles.basis_state(4, 0)))
     assert sv.expectation(st, "z", 2) == pytest.approx(1.0)
 
 
@@ -134,13 +137,14 @@ def test_site_expectations_match_dense_oracle():
     st = random_state(L, rng)
     for axis in "xyz":
         vals = sv.site_expectations(st, axis)
-        expected = [oracles.site_expectation(st.amplitudes, axis, j, L) for j in range(1, L + 1)]
+        lab = oracles.hadamard_all(st.amplitudes)
+        expected = [oracles.site_expectation(lab, axis, j, L) for j in range(1, L + 1)]
         assert np.abs(vals - expected).max() < 1e-12
 
 
 def x_frame_trotter_state(params: ModelParams, dt: float, n_steps: int) -> sv.StateVector:
     """|+...+> after n_steps noiseless Trotter steps, in the x frame run_quench uses."""
-    st = sv.StateVector(params.L, sv.zero_state(params.L).amplitudes, frame="x")
+    st = sv.init_all_plus(params.L)
     layers = trotter.frame_layers(params, dt)
     for _ in range(n_steps):
         for layer in layers:
@@ -180,7 +184,7 @@ def test_measurement_probabilities_z_basis_is_amplitude_squared():
     rng = np.random.default_rng(3)
     st = random_state(4, rng)
     probs = sv.measurement_probabilities(st, "z")
-    assert np.abs(probs - np.abs(st.amplitudes) ** 2).max() < 1e-14
+    assert np.abs(probs - np.abs(oracles.hadamard_all(st.amplitudes)) ** 2).max() < 1e-14
     assert probs.sum() == pytest.approx(1.0)
 
 
@@ -234,7 +238,6 @@ rates = strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 0.3))
 @settings(max_examples=80, deadline=None)
 @given(
     L=strategies.integers(1, 10),
-    frame=strategies.sampled_from(sv.FRAMES),
     mixed=strategies.booleans(),
     shots=strategies.integers(1, 5000),
     p01=rates,
@@ -242,12 +245,11 @@ rates = strategies.one_of(strategies.just(0.0), strategies.floats(0.0, 0.3))
     seed=strategies.integers(0, 2**32 - 1),
     data=strategies.data(),
 )
-def test_sampler_makes_the_oracle_samplers_draws(L, frame, mixed, shots, p01, p10, seed, data):
+def test_sampler_makes_the_oracle_samplers_draws(L, mixed, shots, p01, p10, seed, data):
     assume(p01 != p10)  # asymmetric readout
     axis = strategies.sampled_from(AXES)
     axes = tuple(data.draw(strategies.lists(axis, min_size=L, max_size=L))) if mixed else data.draw(axis)
     st = random_state(L, np.random.default_rng(seed))
-    st = sv.StateVector(L, st.amplitudes, frame)
     nz = NoiseParams(p1=0.0, p2=0.0, p01=p01, p10=p10)
 
     rng = np.random.default_rng(seed)
@@ -275,15 +277,13 @@ def test_sampler_makes_the_oracle_samplers_draws(L, frame, mixed, shots, p01, p1
 def test_in_place_sampling_rotates_the_state_from_the_carried_axes():
     L = 5
     st = random_state(L, np.random.default_rng(8))
-    for frame in sv.FRAMES:
-        framed = sv.StateVector(L, st.amplitudes, frame)
-        held = framed.copy()
-        for carried, axes in ((None, "y"), ("y", "z"), ("z", ("x", "y", "z", "y", "x")), (("x", "y", "z", "y", "x"), "x")):
-            sv.sample_in_place(held, axes, 10, 0, carried)
-            assert np.abs(np.abs(held.amplitudes) ** 2 - sv.measurement_probabilities(framed, axes)).max() < 1e-12
-        # undoing the last rotation gives the state back
-        sv.apply_site_blocks(held, sv.fuse_site_matrices([sv.readout_turn(frame, None, "x")] * L))
-        assert np.abs(held.amplitudes - framed.amplitudes).max() < 1e-12
+    held = st.copy()
+    for carried, axes in ((None, "y"), ("y", "z"), ("z", ("x", "y", "z", "y", "x")), (("x", "y", "z", "y", "x"), "x")):
+        sv.sample_in_place(held, axes, 10, 0, carried)
+        assert np.abs(np.abs(held.amplitudes) ** 2 - sv.measurement_probabilities(st, axes)).max() < 1e-12
+    # undoing the last rotation gives the state back
+    sv.apply_site_blocks(held, sv.fuse_site_matrices([sv.readout_turn(None, "x")] * L))
+    assert np.abs(held.amplitudes - st.amplitudes).max() < 1e-12
 
 
 def test_bits_from_indices_round_trip():
@@ -302,9 +302,10 @@ def test_energy_expectation_matches_dense_hamiltonian():
     p = ModelParams(6, 0.45, 0.25)
     dense = oracles.hamiltonian(p.L, p.g, p.h)
     for _ in range(5):
-        psi = random_state(p.L, rng).amplitudes
+        st = random_state(p.L, rng)
+        psi = oracles.hadamard_all(st.amplitudes)
         expected = float(np.real(np.vdot(psi, dense @ psi)))
-        assert sv.energy_expectation(sv.StateVector(p.L, psi), p) == pytest.approx(
+        assert sv.energy_expectation(st, p) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -323,7 +324,7 @@ def test_exact_evolve_matches_dense_expm():
     snaps = sv.exact_evolve(st, p, dt=0.3, n_steps=5)
     assert len(snaps) == 6
     for k in (1, 3, 5):
-        expected = oracles.evolve(st.amplitudes, p.L, p.g, p.h, 0.3 * k)
+        expected = oracles.hadamard_all(oracles.evolve(oracles.hadamard_all(st.amplitudes), p.L, p.g, p.h, 0.3 * k))
         assert np.abs(snaps[k].amplitudes - expected).max() < 1e-10
 
 
@@ -334,14 +335,14 @@ def test_sector_evolution_of_the_polarized_state_matches_dense_expm(L, g, h, dt)
     start = sv.init_all_plus(L)
     snaps = sv.exact_evolve(start, p, dt=dt, n_steps=3)
     for k, snap in enumerate(snaps):
-        expected = oracles.evolve(start.amplitudes, L, g, h, dt * k)
+        expected = oracles.hadamard_all(oracles.evolve(oracles.hadamard_all(start.amplitudes), L, g, h, dt * k))
         assert np.abs(snap.amplitudes - expected).max() < 1e-10
 
 
 def test_exact_evolve_rejects_a_state_that_is_not_translation_invariant():
     p = ModelParams(5, 0.5, 0.3)
     with pytest.raises(ValueError, match="translation-invariant"):
-        sv.exact_evolve(sv.basis_state(5, 1), p, dt=0.1, n_steps=1)
+        sv.exact_evolve(sv.StateVector(5, oracles.basis_state(5, 1)), p, dt=0.1, n_steps=1)
     with pytest.raises(ValueError, match="translation-invariant"):
         sv.exact_evolve(random_state(5, np.random.default_rng(2)), p, dt=0.1, n_steps=1)
 
@@ -408,7 +409,7 @@ def test_rotation_blocks_are_built_once_per_run_and_read_only(monkeypatch):
         counts.append(len(calls))
     # one build for the step layer and one per measured axis, whatever n_steps
     assert counts[0] == counts[1] <= 4
-    blocks = sv._rotation_blocks("x", ("y",) * 8)
+    blocks = sv._rotation_blocks(("y",) * 8)
     assert blocks
     for _, _, m in blocks:
         with pytest.raises(ValueError):
@@ -420,14 +421,6 @@ def split_every_pass(monkeypatch):
     """Kernel passes split at every size, as on a host with two CPUs."""
     monkeypatch.setattr(sv, "SPLIT_MIN", 2)
     monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
-
-
-def hadamard_product(L: int) -> np.ndarray:
-    """H on every site, which maps lab amplitudes to x-frame ones and back."""
-    out = np.eye(1, dtype=complex)
-    for _ in range(L):
-        out = np.kron(sv.HADAMARD, out)
-    return out
 
 
 def test_step_state_is_the_step_unitary_on_a_vector():
@@ -444,12 +437,12 @@ def test_step_state_is_the_step_unitary_on_a_vector():
 @pytest.mark.parametrize("g, h", [(0.5, 0.3), (0.0, 0.0)])
 def test_split_kernel_passes_match_dense_oracles(split_every_pass, L, g, h):
     rng = np.random.default_rng(L)
-    hadamards = hadamard_product(L)
+    hadamards = oracles.hadamard_all(np.eye(2**L))
     lab = random_state(L, rng).amplitudes
     passes = sv.split_passes
 
     # one Trotter step, both kernels: fused site blocks and phase diagonals
-    st = sv.StateVector(L, hadamards @ lab, frame="x")
+    st = sv.StateVector(L, hadamards @ lab)
     for layer in trotter.frame_layers(ModelParams(L, g, h), 0.3, split_bonds=True):
         layer.apply(st)
     expected = hadamards @ oracles.step_state(lab, L, g, h, 0.3)
@@ -484,7 +477,7 @@ def test_split_passes_are_byte_identical_to_serial_at_L18(monkeypatch):
     for cpus in (1, 2):
         monkeypatch.setattr(sv.os, "cpu_count", lambda: cpus)
         passes = sv.split_passes
-        st = sv.StateVector(L, amps / np.linalg.norm(amps), frame="x")
+        st = sv.StateVector(L, amps / np.linalg.norm(amps))
         for layer in layers:
             layer.apply(st)
         results.append((st.amplitudes, sv.measurement_probabilities(st, "y")))

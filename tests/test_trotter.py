@@ -225,7 +225,7 @@ def reference_sampled_quench(params: ModelParams, plan: QuenchPlan) -> dict[str,
         total += shots
         gate_ss, meas_root = traj_ss.spawn(2)
         gate_rng = np.random.default_rng(gate_ss)
-        state = sv.StateVector(L, sv.zero_state(L).amplitudes, frame="x")
+        state = sv.init_all_plus(L)
         for k, meas_ss in enumerate(meas_root.spawn(n_rec)):
             for layer in layers if k > 0 else ():
                 layer.apply(state)
