@@ -1,18 +1,11 @@
 """Trotterized quench simulation and meson spectroscopy for the mixed-field Ising chain."""
 
-from .model import (
-    AXES,
-    ModelParams,
-    QuenchPlan,
-    ValidationReport,
-    validate,
-)
+from .model import AXES, ModelParams, QuenchPlan
 from .statevec import (
     Gate,
     StateVector,
     energy_expectation,
     exact_evolve,
-    expectation,
     init_all_plus,
 )
 from .trotter import QuenchRecord, TrotterStep, build_step, decompose_to_native, run_quench

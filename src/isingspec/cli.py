@@ -223,7 +223,7 @@ def _run_provenance(cfg: RunConfig, command: str, g: float | None = None, seed=N
 
 
 def render_trace_csv(record, prov: dict, per_site: bool) -> str:
-    axes = [a for a in ("y", "x") if a in record.per_site]
+    axes = [a for a in ("y", "x", "z") if a in record.per_site]
     cols = ["t"] + [f"sigma_{a}" for a in axes]
     if per_site:
         L = record.per_site[axes[0]].shape[1]
@@ -348,11 +348,15 @@ def _spectrum_files(cfg: RunConfig, prov: dict, spectrum, peaks, levels) -> dict
 
 _SPECTRO_CHECKS = {f"spectro.{key}": check for key, check in spectro.SETTING_CHECKS.items()}
 # the settings each command's analysis reads, with the library check for each;
-# a sweep's spectrum is taken over its n_steps + 1 recorded points
+# a sweep's spectrum is that of sigma_y over its n_steps + 1 recorded points
 _SETTING_CHECKS = {
     "ed": {"model.L": edsolver.check_L, "ed.n_low": edsolver.check_n_low},
     "spectrum": _SPECTRO_CHECKS,
-    "sweep": {**_SPECTRO_CHECKS, "plan.n_steps": lambda n: spectro.check_samples(n + 1)},
+    "sweep": {
+        **_SPECTRO_CHECKS,
+        "plan.n_steps": lambda n: spectro.check_samples(n + 1),
+        "plan.axes": spectro.check_axes,
+    },
     "correlate": {"correlate.threshold": obs.check_threshold},
 }
 

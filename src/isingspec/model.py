@@ -25,46 +25,21 @@ L_MAX = 24  # dense statevector bound: 2**L amplitudes
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a parameter check: severity plus human-readable messages."""
-
-    severity: str  # "ok" | "error"
-    messages: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.severity != "error"
-
-
-def validate(L: int, g: float, h: float) -> ValidationReport:
-    """Classify raw chain parameters as ok / error.
-
-    Errors are the parameters the engine cannot represent: L out of range
-    and non-finite couplings.
-    """
-    if int(L) != L:
-        return ValidationReport("error", (f"L={L!r} is not an integer",))
-    if not L_MIN <= L <= L_MAX:
-        return ValidationReport(
-            "error", (f"L={L} outside supported range [{L_MIN}, {L_MAX}]",)
-        )
-    if not (math.isfinite(g) and math.isfinite(h)):
-        return ValidationReport("error", (f"couplings must be finite, got g={g}, h={h}",))
-    return ValidationReport("ok")
-
-
-@dataclass(frozen=True)
 class ModelParams:
-    """Chain parameters. Construction rejects sizes the engine cannot hold."""
+    """Chain parameters. Construction rejects the parameters the engine
+    cannot represent: L out of range and non-finite couplings."""
 
     L: int
     g: float
     h: float
 
     def __post_init__(self):
-        report = validate(self.L, self.g, self.h)
-        if not report.ok:
-            raise ValueError("; ".join(report.messages))
+        if int(self.L) != self.L:
+            raise ValueError(f"L={self.L!r} is not an integer")
+        if not L_MIN <= self.L <= L_MAX:
+            raise ValueError(f"L={self.L} outside supported range [{L_MIN}, {L_MAX}]")
+        if not (math.isfinite(self.g) and math.isfinite(self.h)):
+            raise ValueError(f"couplings must be finite, got g={self.g}, h={self.h}")
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,12 @@ def check_samples(n: int) -> None:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for a spectrum, got {n}")
 
 
+def check_axes(axes) -> None:
+    """A sweep's spectroscopy reads sigma_y, so its quenches must measure y."""
+    if "y" not in axes:
+        raise ValueError(f"the sweep's spectrum needs 'y' among the measured axes, got {tuple(axes)}")
+
+
 def power_spectrum(series: TimeSeries, window: str = "hann", pad_factor: int = 8) -> Spectrum:
     """Mean-subtract, window, zero-pad, and return |FFT|^2 on omega >= 0."""
     check_window(window)
@@ -337,10 +343,10 @@ def eta_sweep(
     plan.seed is None), so serial and parallel execution produce identical
     results and a single-point sweep reproduces a plain quench with the same
     seed exactly. h <= 0, out-of-range settings, a plan too short for a
-    spectrum and, with the ED reference on, an L that ED cannot solve are
-    rejected before any point runs. At most os.cpu_count() worker processes
-    are started, each with numpy's BLAS pinned to one thread; with one, the
-    points run in this process.
+    spectrum or without the y axis and, with the ED reference on, an L that
+    ED cannot solve are rejected before any point runs. At most
+    os.cpu_count() worker processes are started, each with numpy's BLAS
+    pinned to one thread; with one, the points run in this process.
     """
     h = float(h)
     if not h > 0:
@@ -349,6 +355,7 @@ def eta_sweep(
         if key in settings:
             check(settings[key])
     check_samples(plan.n_steps + 1)
+    check_axes(plan.measured_axes)
     if "n_low" not in settings or settings["n_low"] is not None:
         edsolver.check_L(template.L)
     points = [

@@ -17,10 +17,11 @@ z of measurements, expectations and gate noise are the lab's. The raw
 kernels (apply_matrix1/2, the fused site blocks and the phase diagonals)
 act on the stored amplitudes as they are.
 
-Sampling holds one float64 array of 2**L entries besides the state:
-sample_in_place (run_quench's sampler) turns the amplitudes in place into
-the measured basis, the CDF overwrites |psi|^2, and sorted draws give the
-index histogram; sample_index_counts does the same on a rotated copy.
+A measurement holds one float64 array of 2**L entries besides the state:
+turn_in_place (run_quench's per-site measurement) turns the amplitudes in
+place into the measured basis and returns |psi|^2; sample_in_place then
+overwrites it with the CDF, and sorted draws give the index histogram.
+sample_index_counts and site_expectations do the same on a rotated copy.
 
 Gate application is in place via bit-masked stride views; any site pair is
 allowed for two-site gates. The x-frame kernels fuse the same 2x2 matrix on
@@ -404,14 +405,6 @@ def bit_marginals(probs: np.ndarray, L: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def expectation(state: StateVector, axis: str, site: int) -> float:
-    """Exact <pauli_axis(site)> from the amplitudes."""
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    _check_site(state.L, site)
-    return float(site_expectations(state, axis)[site - 1])
-
-
 def site_expectations(state: StateVector, axis: str) -> np.ndarray:
     """<pauli_axis> for every site, shape (L,): bit marginals of the outcome
     probabilities in that basis."""
@@ -504,7 +497,7 @@ def _sample_indices(probs: np.ndarray, shots: int, rng) -> tuple[np.ndarray, np.
     """Draw basis indices by inverse CDF, written over probs; returns (unique
     indices, counts), read off the runs of the indices of sorted draws."""
     if shots < 1:
-        raise ValueError("shots must be >= 1; use expectation() for exact values")
+        raise ValueError("shots must be >= 1; use site_expectations() for exact values")
     cdf = np.cumsum(probs, out=probs)
     cdf /= cdf[-1]
     draws = np.searchsorted(cdf, np.sort(np.random.default_rng(rng).random(shots)), side="right")
@@ -517,12 +510,17 @@ def sample_index_counts(state: StateVector, axes, shots: int, rng) -> tuple[np.n
     return _sample_indices(measurement_probabilities(state, axes), shots, rng)
 
 
-def sample_in_place(state: StateVector, axes, shots: int, rng, carried=None) -> tuple[np.ndarray, np.ndarray]:
-    """sample_index_counts on the state's own amplitudes, turned in place from
-    the readout rotation of the carried axes (None: none) to that of axes."""
+def turn_in_place(state: StateVector, axes, carried=None) -> np.ndarray:
+    """Turn the amplitudes in place from the readout rotation of the carried
+    axes (None: none) to that of axes; returns the outcome probabilities."""
     carried = carried and _normalize_axes(carried, state.L)
     apply_site_blocks(state, _rotation_blocks(_normalize_axes(axes, state.L), carried))
-    return _sample_indices(_probabilities(state.amplitudes), shots, rng)
+    return _probabilities(state.amplitudes)
+
+
+def sample_in_place(state: StateVector, axes, shots: int, rng, carried=None) -> tuple[np.ndarray, np.ndarray]:
+    """sample_index_counts on the state's own amplitudes, turned by turn_in_place."""
+    return _sample_indices(turn_in_place(state, axes, carried), shots, rng)
 
 
 def bits_from_indices(indices: np.ndarray, counts: np.ndarray, L: int) -> np.ndarray:

@@ -19,16 +19,16 @@ rot(s)))), stored as a uint8 popcount index plus a phase table; U_1q
 becomes H u1 H on every site, fused 4 sites at a time into 16x16 blocks.
 
 run_quench applies U_step n_steps times and records observables after every
-step (and at t = 0), exactly for shots = 0 or through sampled per-axis
-measurement blocks otherwise. Sampling turns the state in place into each
-axis's basis (x first, which needs no turn) and leaves it in the last one's,
+step (and at t = 0). Without gate noise U_step commutes with translations,
+so the state stays translation invariant: its exact values are read at
+site L alone (statevec.top_site_expectations and
+obs.invariant_correlator_profile) and copied to every site. Every other
+point (sampled, or on a gate-noisy trajectory, which is not invariant)
+turns the state in place into each axis's basis (x first, which needs no
+turn) and reads the outcome probabilities: their bit marginals for shots =
+0, draws from them otherwise. The state is left in the last axis's basis,
 R; the next step's on-site blocks, built once per run, are H u1 H R^dagger
-(at g = h = 0, R^dagger is a gateless layer of its own). Without gate noise
-U_step commutes with translations, so the state stays translation
-invariant: its exact values are read at site L alone
-(statevec.top_site_expectations and obs.invariant_correlator_profile) and
-copied to every site. A gate-noisy exact trajectory is not invariant and is
-measured site by site.
+(at g = h = 0, R^dagger is a gateless layer of its own).
 
 With gate noise the bond layers stay separate diagonals (odd, even, and on
 an odd ring the wrap bond on its own), and the Paulis drawn per gate, in
@@ -232,39 +232,41 @@ def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, p
     """One time point: per-axis site values, and G(r) when correlator is set.
 
     Exact values of an invariant state (no gate noise) come from site L and
-    stand for every site; otherwise every site is measured. Sampled axes take
-    one path: the state turned in place into the axis's basis -> index
-    histogram -> bit matrix -> twirled readout (only with readout error) ->
-    site estimates, mitigated by noise.trex_mitigate at p_mitigate (p_eff,
-    or 0.0 when there is nothing to mitigate), and, on the x axis, the
-    correlator with the same factor 1 - 2 p_mitigate. The state is left in
-    the last axis's basis; each axis keeps its seed.spawn stream.
+    stand for every site. Every other point takes one path per axis: the
+    state turned in place into the axis's basis -> outcome probabilities ->
+    exact bit marginals, or sampled: index histogram -> bit matrix ->
+    twirled readout (only with readout error) -> site estimates, mitigated
+    by noise.trex_mitigate at p_mitigate (p_eff, or 0.0 when there is
+    nothing to mitigate), and, on the x axis, the correlator with the same
+    factor 1 - 2 p_mitigate. The state is left in the last axis's basis;
+    each sampled axis keeps its seed.spawn stream.
     """
-    values, G = {}, None
     if shots == 0 and invariant:
-        values = statevec.top_site_expectations(state)
-        if correlator:
-            G = obs.invariant_correlator_profile(state)
-    elif shots == 0:
-        values = {ax: statevec.site_expectations(state, ax) for ax in axes}
-        if correlator:
-            G = obs.correlator_profile(state, tables)
-    else:
-        streams = dict(zip(axes, seed.spawn(len(axes))))
-        carried = None
-        for ax in _sampling_order(axes):
-            rng = np.random.default_rng(streams[ax])
-            idx, counts = statevec.sample_in_place(state, ax, shots, rng, carried)
+        G = obs.invariant_correlator_profile(state) if correlator else None
+        return statevec.top_site_expectations(state), G
+    values, G = {}, None
+    streams = dict(zip(axes, seed.spawn(len(axes)))) if shots else None
+    carried = None
+    for ax in _sampling_order(axes):
+        if shots == 0:
+            if ax == "x" and correlator:  # x comes first, so the state is not turned yet
+                G = obs.correlator_profile(state, tables)
+            marginals = statevec.bit_marginals(statevec.turn_in_place(state, ax, carried), state.L)
+            values[ax] = 1.0 - 2.0 * marginals
             carried = ax
-            bits = statevec.bits_from_indices(idx, counts, state.L)
-            if readout is not None:
-                bits = noise_mod.twirled_readout(bits, readout, rng)
-            values[ax] = noise_mod.trex_mitigate(statevec.estimates_from_bits(bits), p_mitigate)
-            if ax == "x" and correlator:
-                G = obs.correlator_profile_from_bits(bits, 1.0 - 2.0 * p_mitigate)
-            # released before the next axis's probabilities, so that the bit
-            # matrix does not pin the heap under the next 2**L float64 array
-            del bits
+            continue
+        rng = np.random.default_rng(streams[ax])
+        idx, counts = statevec.sample_in_place(state, ax, shots, rng, carried)
+        carried = ax
+        bits = statevec.bits_from_indices(idx, counts, state.L)
+        if readout is not None:
+            bits = noise_mod.twirled_readout(bits, readout, rng)
+        values[ax] = noise_mod.trex_mitigate(statevec.estimates_from_bits(bits), p_mitigate)
+        if ax == "x" and correlator:
+            G = obs.correlator_profile_from_bits(bits, 1.0 - 2.0 * p_mitigate)
+        # released before the next axis's probabilities, so that the bit
+        # matrix does not pin the heap under the next 2**L float64 array
+        del bits
     return values, G
 
 
@@ -286,10 +288,11 @@ def run_quench(
         nz = None  # all-zero noise must follow the noiseless path bit for bit
     L = params.L
     gate_noise = nz is not None and nz.has_gate_noise
-    # sampling leaves the state in its last axis's basis; the next step's first layer undoes that
-    last = _sampling_order(plan.measured_axes)[-1] if plan.shots > 0 else None
+    # a per-site measurement leaves the state in its last axis's basis; the
+    # next step's first layer undoes that
+    last = _sampling_order(plan.measured_axes)[-1] if plan.shots > 0 or gate_noise else None
     layers = frame_layers(params, plan.dt, gate_noise, statevec.readout_turn(None, last))
-    # only a gate-noisy exact run measures the correlator site by site
+    # only a gate-noisy exact run reads the correlator from every pair of sites
     exact_pairs = record_correlator and gate_noise and plan.shots == 0
     tables = obs.correlator_tables(L) if exact_pairs else None
     readout = nz if nz is not None and nz.has_readout_error else None

@@ -24,6 +24,8 @@ LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
         ("quench", {"plan.shots": 500, "plan.axes": "x,y"}),
         ("sweep", {"sweep.g_list": "0.4, 0.6"}),
         ("quench", {"plan.shots": 500, "noise.enabled": "true", "noise.trajectories": 4}),
+        # gate-noisy and exact: every time point is turned in place axis by axis
+        ("correlate", {"plan.axes": "x,y,z", "noise.enabled": "true", "noise.trajectories": 4}),
     ],
 )
 def test_traced_launch_runs_to_completion(tmp_path, command, extra):
@@ -47,3 +49,8 @@ def test_traced_launch_runs_to_completion(tmp_path, command, extra):
     if extra.get("noise.enabled") == "true":
         # gate noise must go through noise.apply_gate_noise, the name the tracer wraps
         assert spans["noise.gate_noise"]["calls"] > 0
+    if command == "correlate":
+        # the in-place path: no rotated copies and no site_expectations calls
+        assert doc["trace"]["counts"].get("copies", 0) == 0
+        assert spans.get("statevec.expect", {"calls": 0})["calls"] == 0
+        assert spans["obs.correlator"]["calls"] > 0

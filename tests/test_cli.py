@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from childenv import child_env
-from isingspec import cli, statevec
+from isingspec import cli, statevec, trotter
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -91,6 +91,27 @@ def test_per_site_columns(tmp_path):
     header = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1]
     assert header.split(",")[:3] == ["t", "sigma_y", "sigma_x"]
     assert "sy_1" in header and "sx_4" in header
+
+
+@pytest.mark.parametrize("per_site", ["false", "true"])
+def test_trace_csv_holds_every_measured_axis(tmp_path, capsys, per_site):
+    f = write_config(
+        tmp_path / "run.cfg",
+        **{"model.L": 4, "plan.n_steps": 5, "plan.axes": "z,x", "output.per_site": per_site,
+           "output.format": "both", "output.dir": tmp_path / "out"},
+    )
+    assert cli.main(["quench", "--config", f]) == 0, capsys.readouterr().err
+    _, times, cols = cli.parse_trace_csv((tmp_path / "out" / "trace.csv").read_text())
+    doc = json.loads((tmp_path / "out" / "trace.json").read_text())
+    names = ["sigma_x", "sigma_z"]
+    if per_site == "true":
+        names += [f"s{a}_{j}" for a in "xz" for j in range(1, 5)]
+    assert list(cols) == names
+    for a in "xz":
+        assert cols[f"sigma_{a}"].tolist() == doc["aggregate"][a]
+        if per_site == "true":
+            site_cols = np.stack([cols[f"s{a}_{j}"] for j in range(1, 5)], axis=1)
+            assert site_cols.tolist() == doc["per_site"][a]
 
 
 def test_format_json_mirrors_the_trace(tmp_path):
@@ -448,9 +469,14 @@ def test_n_low_below_one_fails_and_writes_nothing(tmp_path, command, line):
         ("ed", "model.L", "21", "L=21 outside supported range [2, 20]"),
         ("sweep", "model.L", "21", "L=21 outside supported range [2, 20]"),
         ("sweep", "plan.n_steps", "2", "need at least 8 samples for a spectrum, got 3"),
+        ("sweep", "plan.axes", "x", "needs 'y' among the measured axes, got ('x',)"),
     ],
 )
-def test_analysis_setting_errors_name_the_key_and_value(tmp_path, capsys, command, key, value, shown):
+def test_analysis_setting_errors_name_the_key_and_value(tmp_path, capsys, monkeypatch, command, key, value, shown):
+    def no_quench(*args, **kwargs):
+        raise AssertionError("no quench may run before the settings are checked")
+
+    monkeypatch.setattr(trotter, "run_quench", no_quench)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"model.L = 6\n{key} = {value}\noutput.dir = {tmp_path / 'out'}\n")
     assert cli.main([command, "--config", str(cfg)]) == 1

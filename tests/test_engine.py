@@ -48,11 +48,12 @@ def test_exact_quench_matches_dense_step_products(L, g, h, dt):
 
 
 def replay_noisy_quench(params, plan, nz):
-    """run_quench's noisy exact path rebuilt from the gate list, gate by gate."""
+    """run_quench's noisy exact path rebuilt from the gate list, gate by gate,
+    and measured on unturned copies."""
     L = params.L
     step = trotter.build_step(params, plan.dt)
     n_rec = plan.n_steps + 1
-    sums = {ax: np.zeros((n_rec, L)) for ax in "xy"}
+    sums = {ax: np.zeros((n_rec, L)) for ax in plan.measured_axes}
     corr = np.zeros((n_rec, L // 2))
     for traj in np.random.SeedSequence(plan.seed).spawn(nz.trajectories):
         gate_ss, _ = traj.spawn(2)
@@ -64,7 +65,7 @@ def replay_noisy_quench(params, plan, nz):
                     sv.apply_gate(state, gate)
                     kind = "1q" if len(gate.sites) == 1 else "2q"
                     noise.apply_gate_noise(state, kind, gate.sites, nz, rng)
-            for ax in "xy":
+            for ax in plan.measured_axes:
                 sums[ax][k] += sv.site_expectations(state, ax)
             corr[k] += obs.correlator_profile(state)
     n = nz.trajectories
@@ -81,10 +82,11 @@ def replay_noisy_quench(params, plan, nz):
 def test_noisy_quench_equals_gate_by_gate_replay(L, g, h):
     params = ModelParams(L, g, h)
     nz = NoiseParams(p1=0.05, p2=0.2, p01=0.0, p10=0.0, trajectories=5)
-    plan = QuenchPlan(dt=0.4, n_steps=6, seed=11, noise=nz)
+    # x, y and z: the run carries the turn from y to z and undoes z in the next step
+    plan = QuenchPlan(dt=0.4, n_steps=6, measured_axes=("x", "y", "z"), seed=11, noise=nz)
     rec = trotter.run_quench(params, plan, record_correlator=True)
     per_site, corr = replay_noisy_quench(params, plan, nz)
-    for ax in "xy":
+    for ax in "xyz":
         assert np.abs(rec.per_site[ax] - per_site[ax]).max() < 1e-12
     assert np.abs(rec.correlator - corr).max() < 1e-12
     # the noise really acted: the trace is not the noiseless one. At g = h = 0

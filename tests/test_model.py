@@ -5,25 +5,24 @@ from isingspec.model import (
     L_MIN,
     ModelParams,
     QuenchPlan,
-    validate,
 )
 
 
 def test_validate_accepts_the_reference_point():
-    rep = validate(12, 0.5, 0.3)
-    assert rep.ok
-    assert rep.severity == "ok"
-    assert rep.messages == ()
+    p = ModelParams(12, 0.5, 0.3)  # raises nothing
+    assert (p.L, p.g, p.h) == (12, 0.5, 0.3)
 
 
 def test_validate_rejects_sizes_the_engine_cannot_hold():
-    assert validate(L_MIN - 1, 0.5, 0.3).severity == "error"
-    assert validate(L_MAX + 1, 0.5, 0.3).severity == "error"
-    assert not validate(L_MAX + 1, 0.5, 0.3).ok
+    with pytest.raises(ValueError, match=rf"L={L_MIN - 1} outside supported range \[{L_MIN}, {L_MAX}\]"):
+        ModelParams(L_MIN - 1, 0.5, 0.3)
+    with pytest.raises(ValueError, match=rf"L={L_MAX + 1} outside supported range \[{L_MIN}, {L_MAX}\]"):
+        ModelParams(L_MAX + 1, 0.5, 0.3)
 
 
 def test_validate_rejects_fractional_length():
-    assert validate(8.5, 0.5, 0.3).severity == "error"
+    with pytest.raises(ValueError, match="L=8.5 is not an integer"):
+        ModelParams(8.5, 0.5, 0.3)
 
 
 def test_params_reject_bad_length():
@@ -50,9 +49,8 @@ def test_plan_defaults():
 
 def test_validate_rejects_non_finite_couplings():
     for g, h in ((float("nan"), 0.3), (0.5, float("inf")), (-float("inf"), 0.3)):
-        assert validate(12, g, h).severity == "error"
-    with pytest.raises(ValueError, match="finite"):
-        ModelParams(12, float("nan"), 0.3)
+        with pytest.raises(ValueError, match=f"couplings must be finite, got g={g}, h={h}"):
+            ModelParams(12, g, h)
 
 
 def test_plan_requires_a_finite_step():

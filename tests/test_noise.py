@@ -47,7 +47,7 @@ def test_gate_noise_flip_rate():
     for _ in range(n):
         st = sv.StateVector(1, oracles.hadamard_all(oracles.basis_state(1, 0)))
         noise.apply_gate_noise(st, "1q", (1,), nz, rng)
-        if sv.expectation(st, "z", 1) < 0:
+        if sv.site_expectations(st, "z")[0] < 0:
             flips += 1
     rate = flips / n
     expected = nz.p1 * 2 / 3  # one third of the inserted Paulis are Z

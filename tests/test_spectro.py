@@ -325,6 +325,16 @@ def test_sweep_rejects_a_short_plan_or_an_ed_size_before_any_quench(monkeypatch,
         spectro.eta_sweep([0.4, 0.5], 0.3, template, plan)
 
 
+def test_sweep_rejects_a_plan_without_y_before_any_quench(monkeypatch):
+    def no_quench(*args, **kwargs):
+        raise AssertionError("no quench may run for a plan that does not measure y")
+
+    monkeypatch.setattr(trotter, "run_quench", no_quench)
+    template, plan = ModelParams(4, 0.5, 0.3), QuenchPlan(dt=0.2, n_steps=40, measured_axes=("x",))
+    with pytest.raises(ValueError, match="needs 'y'"):
+        spectro.eta_sweep([0.4, 0.6], 0.3, template, plan)
+
+
 def test_sweep_without_the_ed_reference_accepts_an_L_beyond_ed(monkeypatch):
     monkeypatch.setattr(spectro, "sweep_point", lambda params, plan, **settings: params.L)
     template, plan = ModelParams(21, 0.5, 0.3), QuenchPlan(dt=0.2, n_steps=40)

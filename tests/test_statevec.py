@@ -123,12 +123,10 @@ def test_norm_survives_a_long_random_circuit():
 
 def test_expectations_on_product_states():
     st = sv.init_all_plus(4)
-    for j in range(1, 5):
-        assert sv.expectation(st, "x", j) == pytest.approx(1.0)
-        assert sv.expectation(st, "y", j) == pytest.approx(0.0)
-        assert sv.expectation(st, "z", j) == pytest.approx(0.0)
+    for axis, value in (("x", 1.0), ("y", 0.0), ("z", 0.0)):
+        assert sv.site_expectations(st, axis) == pytest.approx([value] * 4)
     st = sv.StateVector(4, oracles.hadamard_all(oracles.basis_state(4, 0)))
-    assert sv.expectation(st, "z", 2) == pytest.approx(1.0)
+    assert sv.site_expectations(st, "z")[1] == pytest.approx(1.0)
 
 
 def test_site_expectations_match_dense_oracle():
@@ -284,6 +282,17 @@ def test_in_place_sampling_rotates_the_state_from_the_carried_axes():
     # undoing the last rotation gives the state back
     sv.apply_site_blocks(held, sv.fuse_site_matrices([sv.readout_turn(None, "x")] * L))
     assert np.abs(held.amplitudes - st.amplitudes).max() < 1e-12
+
+
+def test_turn_in_place_returns_the_probabilities_of_the_turned_state():
+    L = 5
+    st = random_state(L, np.random.default_rng(8))
+    held = st.copy()
+    for carried, axes in ((None, "x"), ("x", "y"), ("y", "z"), ("z", ("x", "y", "z", "y", "x"))):
+        probs = sv.turn_in_place(held, axes, carried)
+        assert not np.shares_memory(probs, held.amplitudes)
+        assert np.abs(probs - sv.measurement_probabilities(st, axes)).max() < 1e-12
+        assert np.abs(probs - np.abs(held.amplitudes) ** 2).max() < 1e-12
 
 
 def test_bits_from_indices_round_trip():

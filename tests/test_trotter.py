@@ -154,10 +154,11 @@ def test_noiseless_exact_run_measures_without_copies_or_site_loops(monkeypatch):
     plan = QuenchPlan(dt=0.1, n_steps=20, measured_axes=("x", "y", "z"))
     trotter.run_quench(p, plan, record_correlator=True)
     assert not calls
-    # the counters do see a gate-noisy exact run, which is measured site by site
+    # a gate-noisy exact run is turned in place axis by axis: still no copy and
+    # no site_expectations; only its correlator reads every pair of sites
     nz = NoiseParams(p1=0.01, p2=0.01, p01=0.0, p10=0.0, trajectories=1)
     trotter.run_quench(p, replace(plan, n_steps=2, noise=nz), record_correlator=True)
-    assert set(calls) == {"copy", "site_expectations", "correlator_tables"}
+    assert set(calls) == {"correlator_tables"}
 
 
 def test_aggregate_unknown_axis_lists_what_was_measured():
