@@ -18,6 +18,7 @@ matrix XORed with its own roll by r.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,20 +32,35 @@ def correlator_tables(L: int) -> list[np.ndarray]:
     return [L - 2 * statevec.ring_xor_popcount(L, r).astype(np.int8) for r in range(1, L // 2 + 1)]
 
 
-def correlator_profile(state: StateVector, tables: list[np.ndarray] | None = None) -> np.ndarray:
+def correlator_profile(
+    state: StateVector,
+    tables: list[np.ndarray] | None = None,
+    probs: np.ndarray | None = None,
+    sx: np.ndarray | None = None,
+) -> np.ndarray:
     """Exact G(r) for all r = 1 .. L//2, shape (L//2,).
 
     tables are correlator_tables(state.L); a caller that evaluates many
-    states of one size builds them once and passes them in.
+    states of one size builds them once and passes them in. probs, the
+    state's x-basis probabilities, and sx, its <sx_i> (1 - 2 * their bit
+    marginals), are computed here unless the caller already has them.
     """
     L = state.L
     if tables is None:
         tables = correlator_tables(L)
-    probs = statevec.measurement_probabilities(state, "x")
-    m = 1.0 - 2.0 * statevec.bit_marginals(probs, L)
+    if probs is None:
+        probs = statevec.measurement_probabilities(state, "x")
+    if sx is None:
+        sx = 1.0 - 2.0 * statevec.bit_marginals(probs, L)
     pair_sums = np.array([float(probs @ t) for t in tables])
-    disconnected = np.array([float(m @ np.roll(m, -r)) for r in range(1, L // 2 + 1)])
+    disconnected = np.array([float(sx @ shifted) for shifted in sx[_shifts(L)]])
     return (pair_sums - disconnected) / L
+
+
+@functools.cache
+def _shifts(L: int) -> np.ndarray:
+    """(i + r) mod L for r = 1 .. L//2 (rows) and i = 0 .. L-1 (columns)."""
+    return (np.arange(1, L // 2 + 1)[:, None] + np.arange(L)) % L
 
 
 def invariant_correlator_profile(state: StateVector) -> np.ndarray:

@@ -14,8 +14,8 @@ state |+...+> is |0...0>, every sx sx bond is diagonal, and x-basis outcome
 probabilities are |psi_x|^2 without a rotated copy. The API speaks lab
 physics: apply_gate applies a lab-frame Gate m as H m H, and the axes x, y,
 z of measurements, expectations and gate noise are the lab's. The raw
-kernels (apply_matrix1/2, the fused site blocks and the phase diagonals)
-act on the stored amplitudes as they are.
+kernels (apply_matrix1/2, the site layers and the phase diagonals) act on
+the stored amplitudes as they are.
 
 A measurement holds one float64 array of 2**L entries besides the state:
 turn_in_place (run_quench's per-site measurement) turns the amplitudes in
@@ -24,8 +24,15 @@ overwrites it with the CDF, and sorted draws give the index histogram.
 sample_index_counts and site_expectations do the same on a rotated copy.
 
 Gate application is in place via bit-masked stride views; any site pair is
-allowed for two-site gates. The x-frame kernels fuse the same 2x2 matrix on
-4 neighbouring sites into one 16x16 block and apply blocks and diagonals in
+allowed for two-site gates. The x-frame kernels take a layer of per-site
+2x2 matrices as a SiteLayer: each unitary splits as diag(left) R
+diag(right) with R real orthogonal (the Z-Y decomposition), so the layer is
+three passes. The right phases of all sites form one product diagonal,
+applied as low * high[row] without a 2**L array; the rotations of 4
+neighbouring sites fuse into one real 16x16 block, applied by real matmul
+to the float64 view of the amplitudes; the left phases form a second
+product diagonal. A real matrix (H) needs no diagonal, and a readout turn
+drops its left one, since only |psi|^2 is read after it. Every pass runs in
 place over cache-sized chunks, so a step allocates a few chunks, never a
 state-sized temporary. From SPLIT_MIN amplitudes on, each block or diagonal
 pass runs as two independent halves on two threads (numpy releases the GIL
@@ -53,7 +60,6 @@ import numpy as np
 from . import edsolver
 from .model import AXES, L_MAX, ModelParams
 
-IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -62,11 +68,16 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 S_DAGGER = np.array([[1, 0], [0, -1j]], dtype=complex)
 _HADAMARD_2 = np.kron(HADAMARD, HADAMARD)
 # per-site readout pre-rotation by measured axis. The lab rotation R (H for
-# x, H S-dagger for y, none for z) acts on H-rotated amplitudes, so it becomes R H.
-_MEAS_ROTATION = {"x": None, "y": HADAMARD @ S_DAGGER @ HADAMARD, "z": HADAMARD}
+# x, H S-dagger for y, none for z) acts on H-rotated amplitudes, so it becomes
+# R H. Only |psi|^2 is read after it, so a left phase diagonal may go: for y,
+# H S-dagger H = diag(e^{-i pi/4}, e^{i pi/4}) H S, and H S is a real rotation
+# after the phase diagonal S. The next step's first layer undoes the turn as
+# applied.
+_MEAS_ROTATION = {"x": None, "y": HADAMARD @ S_DAGGER.conj(), "z": HADAMARD}
 
 _UNITARY_TOL = 1e-12
 CHUNK = 1 << 13  # amplitudes per in-place kernel chunk (128 KiB of complex128)
+PHASE_BITS = 12  # low bits of a product phase diagonal stored in full (64 KiB)
 BLOCK_SITES = 4  # sites fused into one 2**4 x 2**4 block
 SPLIT_MIN = 1 << 18  # amplitudes from which a kernel pass runs on two threads
 split_passes = 0  # kernel passes this process has run on two threads
@@ -274,83 +285,222 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# x-frame kernels: fused site blocks, popcount phase diagonals, bit marginals
+# x-frame kernels: site layers (phase diagonals and real blocks), popcount
+# bond diagonals, bit marginals
 # ---------------------------------------------------------------------------
 
 
-def fuse_site_matrices(mats) -> list[tuple[int, int, np.ndarray]]:
-    """Group per-site 2x2 matrices (index = bit, None = identity) into blocks.
+def _unit(z: complex) -> complex:
+    """z / |z|, or 1 at z = 0."""
+    a = abs(z)
+    return z / a if a else 1.0
 
-    Returns (lowest bit, bit count, 2**k x 2**k matrix) for every run of up
-    to BLOCK_SITES neighbouring bits that holds a non-identity matrix. Within
-    a block the highest bit is the most significant factor of the Kronecker
-    product, matching the basis-index layout.
+
+def _phase_pair(p0: complex, p1: complex) -> tuple[complex, complex] | None:
+    return None if p0 == 1 and p1 == 1 else (p0, p1)
+
+
+def split_u2(m: np.ndarray):
+    """m = diag(left) @ rot @ diag(right) with rot real orthogonal: (left, rot, right).
+
+    left and right are pairs of unit phases, None where both are 1; rot is
+    None where it is the identity. A real m is its own rot. Otherwise this is
+    the Z-Y decomposition e^{i phi} Rz(a) Ry(b) Rz(c): rot = [[c, -s], [s, c]]
+    with c = |m00| and s = |m10|, and the phases are read off the larger
+    pair of entries, so that the ill-defined phase of a near-zero entry only
+    meets its own small magnitude. A diagonal m is all left.
     """
+    if not m.imag.any():
+        return None, (None if np.array_equal(m.real, np.eye(2)) else m.real), None
+    c, s = abs(m[0, 0]), abs(m[1, 0])
+    if s == 0:
+        return _phase_pair(_unit(m[0, 0]), _unit(m[1, 1])), None, None
+    if c >= s:
+        l0 = _unit(m[0, 0])
+        r0, r1 = 1.0, _unit(-m[0, 1]) / l0
+        l1 = _unit(m[1, 1]) / r1
+    else:
+        l0 = _unit(-m[0, 1])
+        r0, r1 = (_unit(m[0, 0]) / l0 if c else 1.0), 1.0
+        l1 = _unit(m[1, 0]) / r0
+    return _phase_pair(l0, l1), np.array([[c, -s], [s, c]]), _phase_pair(r0, r1)
+
+
+def _product_diagonal(pairs) -> tuple | None:
+    """prod_b pairs[b][bit_b(s)] as (low, high) factors, or None where every pair is None.
+
+    low covers the lowest PHASE_BITS bits (2**min(L, PHASE_BITS) entries),
+    high the bits above them (None where those pairs are all None), so the
+    diagonal over a row of low.size amplitudes is low * high[row] and no
+    2**L array is built.
+    """
+    if all(p is None for p in pairs):
+        return None
+    factors = []
+    for group in (pairs[:PHASE_BITS], pairs[PHASE_BITS:]):
+        d = None
+        if any(p is not None for p in group):
+            d = np.ones(1, dtype=complex)
+            for p in group:
+                d = np.kron(np.asarray((1, 1) if p is None else p, dtype=complex), d)
+            d.setflags(write=False)
+        factors.append(d)
+    return tuple(factors)
+
+
+@dataclass(frozen=True, eq=False)
+class SiteLayer:
+    """Per-site 2x2 matrices as three passes: the product phase diagonal
+    right, real fused blocks, then the product phase diagonal left.
+
+    blocks holds (lowest bit, bit count k, real matrix) per fused run of
+    sites; iterating a layer yields them. A block on bit 0 is stored as
+    kron(block, I2), which acts on rows of 2**k amplitudes read as 2**(k+1)
+    interleaved real and imaginary parts. Every array is read-only.
+    """
+
+    right: tuple | None
+    blocks: tuple
+    left: tuple | None
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    @property
+    def identity(self) -> bool:
+        return self.right is None and not self.blocks and self.left is None
+
+
+def fuse_site_matrices(mats) -> SiteLayer:
+    """Split per-site 2x2 matrices (index = bit, None = identity) by split_u2
+    into a SiteLayer.
+
+    The rotations of up to BLOCK_SITES neighbouring bits are fused into one
+    real block wherever one of them is not the identity. Within a block the
+    highest bit is the most significant factor of the Kronecker product,
+    matching the basis-index layout.
+    """
+    parts = [(None, None, None) if m is None else split_u2(m) for m in mats]
     blocks = []
-    for lo in range(0, len(mats), BLOCK_SITES):
-        group = mats[lo : lo + BLOCK_SITES]
-        if all(m is None for m in group):
+    for lo in range(0, len(parts), BLOCK_SITES):
+        rots = [rot for _, rot, _ in parts[lo : lo + BLOCK_SITES]]
+        if all(r is None for r in rots):
             continue
-        block = np.ones((1, 1), dtype=complex)
-        for m in group:
-            block = np.kron(IDENTITY_2 if m is None else m, block)
-        blocks.append((lo, len(group), block))
-    return blocks
+        block = np.ones((1, 1))
+        for r in rots:
+            block = np.kron(np.eye(2) if r is None else r, block)
+        if lo == 0:
+            block = np.kron(block, np.eye(2))
+        block.setflags(write=False)
+        blocks.append((lo, len(rots), block))
+    right = _product_diagonal([r for _, _, r in parts])
+    return SiteLayer(right, tuple(blocks), _product_diagonal([left for left, _, _ in parts]))
 
 
 def _apply_block(v: np.ndarray, m: np.ndarray) -> None:
-    """v <- m along axis 1 of a (rest, 2**k, C) view, in place, by chunks.
+    """v <- m along axis 1 of a real (rest, K, C) view, in place, by chunks.
 
     The chunks run over the index axes the block does not touch: rows of the
-    (rest, 2**k) view when C == 1, else (rest, 2**k, C) slabs, split along
-    the low columns when one slab exceeds CHUNK.
+    (rest, K) view when C == 1 (the block on bit 0), else (rest, K, C) slabs,
+    split along the low columns when one slab exceeds a CHUNK of amplitudes
+    (2 * CHUNK floats).
     """
     _, K, C = v.shape
     if C == 1:
         rows = v[:, :, 0]
         mt = m.T
-        step = max(1, CHUNK // K)
+        step = max(1, 2 * CHUNK // K)
         for a in range(0, rows.shape[0], step):
             blk = rows[a : a + step]
             blk[...] = blk @ mt
         return
-    a_step = max(1, CHUNK // (K * C))
-    c_step = min(C, max(1, CHUNK // K))
+    a_step = max(1, 2 * CHUNK // (K * C))
+    c_step = min(C, max(1, 2 * CHUNK // K))
     for a in range(0, v.shape[0], a_step):
         for c in range(0, C, c_step):
             blk = v[a : a + a_step, :, c : c + c_step]
             blk[...] = m @ blk
 
 
+def _block_view(amps: np.ndarray, lo: int, m: np.ndarray) -> np.ndarray:
+    """The (rest, K, C) float64 view of amps that block m at bit lo acts on;
+    the block on bit 0, kron(block, I2), takes rows of interleaved floats."""
+    return amps.view(np.float64).reshape(-1, len(m), 2 << lo if lo else 1)
+
+
 def _apply_blocks(amps: np.ndarray, blocks) -> None:
-    for lo, k, m in blocks:
-        _apply_block(amps.reshape(-1, 1 << k, 1 << lo), m)
+    for lo, _, m in blocks:
+        _apply_block(_block_view(amps, lo, m), m)
 
 
-def apply_site_blocks(state: StateVector, blocks) -> StateVector:
-    """Apply fused blocks from fuse_site_matrices to the amplitudes, in place.
+def _real_blocks(amps: np.ndarray, blocks) -> None:
+    """Apply real blocks to the float64 view of amps, in place.
 
     A split pass applies each run of blocks below the top bit to the two
     halves of the array that the top bit separates, and splits a block on
     the top bit along its low columns; a ring whose top block starts at
     bit 0 has no columns to split, so that block runs serially.
     """
-    amps = state.amplitudes
     if not _splits(amps):
         _apply_blocks(amps, blocks)
-        return state
+        return
     half = amps.size // 2
     for below, run in itertools.groupby(blocks, key=lambda b: 1 << (b[0] + b[1]) < amps.size):
         if below:
             _both(functools.partial(_apply_blocks, blocks=list(run)), amps[:half], amps[half:])
             continue
-        for lo, k, m in run:  # blocks that hold the top bit
-            C = 1 << lo
-            v = amps.reshape(1, 1 << k, C)
+        for lo, _, m in run:  # blocks that hold the top bit
+            v = _block_view(amps, lo, m)
+            C = v.shape[2]
             if C > 1:
                 _both(functools.partial(_apply_block, m=m), v[:, :, : C // 2], v[:, :, C // 2 :])
             else:
                 _apply_block(v, m)
+
+
+def _phase_pass(amps: np.ndarray, offset: int, low: np.ndarray, high: np.ndarray | None) -> None:
+    """amps[s] *= low[...] * high[...] by rows of low.size amplitudes; amps
+    starts at basis index offset."""
+    n = min(low.size, amps.size)
+    for a in range(0, amps.size, n):
+        row = amps[a : a + n]
+        s = offset + a
+        row *= low[s % low.size : s % low.size + n]
+        if high is not None:
+            row *= high[s // low.size]
+
+
+def _bond_pass(amps: np.ndarray, offset: int, index: np.ndarray, table: np.ndarray) -> None:
+    for a in range(0, amps.size, CHUNK):
+        chunk = amps[a : a + CHUNK]
+        chunk *= table.take(index[offset + a : offset + a + chunk.size])
+
+
+def _diagonal(amps: np.ndarray, pass_fn, *args) -> None:
+    """pass_fn(part, offset, *args) over amps, as two halves on two threads when it splits."""
+    if _splits(amps):
+        half = amps.size // 2
+        _both(lambda a: pass_fn(amps[a : a + half], a, *args), 0, half)
+    else:
+        pass_fn(amps, 0, *args)
+
+
+def apply_phase_index(state: StateVector, index: np.ndarray, table: np.ndarray) -> StateVector:
+    """amps[s] *= table[index[s]], in place, by chunks: a diagonal stored as
+    a small phase table plus an integer index instead of 2**L complex phases."""
+    _diagonal(state.amplitudes, _bond_pass, index, table)
+    return state
+
+
+def apply_site_blocks(state: StateVector, layer: SiteLayer) -> StateVector:
+    """Apply a SiteLayer from fuse_site_matrices to the amplitudes, in place:
+    its right phase diagonal, its real blocks, then its left phase diagonal."""
+    if layer.right is not None:
+        _diagonal(state.amplitudes, _phase_pass, *layer.right)
+    if layer.blocks:
+        _real_blocks(state.amplitudes, layer.blocks)
+    if layer.left is not None:
+        _diagonal(state.amplitudes, _phase_pass, *layer.left)
     return state
 
 
@@ -370,23 +520,6 @@ def ring_xor_popcount(L: int, r: int = 1, mask: int | None = None) -> np.ndarray
     if mask is not None and mask != full:
         d &= np.uint32(mask)
     return np.bitwise_count(d)
-
-
-def _phase_pass(amps: np.ndarray, index: np.ndarray, table: np.ndarray) -> None:
-    for lo in range(0, amps.size, CHUNK):
-        amps[lo : lo + CHUNK] *= table[index[lo : lo + CHUNK]]
-
-
-def apply_phase_index(state: StateVector, index: np.ndarray, table: np.ndarray) -> StateVector:
-    """amps[s] *= table[index[s]], in place, by chunks: a diagonal stored as
-    a small phase table plus a uint8 index instead of 2**L complex phases."""
-    amps = state.amplitudes
-    if _splits(amps):
-        half = amps.size // 2
-        _both(lambda part: _phase_pass(amps[part], index[part], table), slice(0, half), slice(half, None))
-    else:
-        _phase_pass(amps, index, table)
-    return state
 
 
 def bit_marginals(probs: np.ndarray, L: int) -> np.ndarray:
@@ -452,17 +585,14 @@ def readout_turn(to: str | None, carried: str | None) -> np.ndarray | None:
 
 
 @functools.lru_cache(maxsize=32)
-def _rotation_blocks(axes: tuple[str, ...], carried: tuple[str, ...] | None = None) -> tuple:
-    """Fused readout pre-rotation blocks for per-site axes.
+def _rotation_blocks(axes: tuple[str, ...], carried: tuple[str, ...] | None = None) -> SiteLayer:
+    """The readout pre-rotation of per-site axes as a SiteLayer.
 
-    With carried, they start from the rotation of the carried axes. Built
-    once per key and shared by every later call, so the arrays are read-only.
+    With carried, it starts from the rotation of the carried axes. Built
+    once per key and shared by every later call; its arrays are read-only.
     """
     carried = carried or (None,) * len(axes)
-    blocks = tuple(fuse_site_matrices([readout_turn(a, c) for a, c in zip(axes, carried)]))
-    for _, _, m in blocks:
-        m.setflags(write=False)
-    return blocks
+    return fuse_site_matrices([readout_turn(a, c) for a, c in zip(axes, carried)])
 
 
 def measurement_probabilities(state: StateVector, axes) -> np.ndarray:
@@ -471,11 +601,11 @@ def measurement_probabilities(state: StateVector, axes) -> np.ndarray:
     axes is a single axis character (applied to all sites) or one per site.
     When no rotation is needed (x on every site) the probabilities come
     straight from the amplitudes, otherwise from one copy rotated by the
-    fused blocks of _rotation_blocks, which are built once per axes.
+    layer of _rotation_blocks, which is built once per axes.
     """
     axes = _normalize_axes(axes, state.L)
-    blocks = _rotation_blocks(axes, None)  # the key sample_in_place uses
-    amps = apply_site_blocks(state.copy(), blocks).amplitudes if blocks else state.amplitudes
+    layer = _rotation_blocks(axes, None)  # the key sample_in_place uses
+    amps = state.amplitudes if layer.identity else apply_site_blocks(state.copy(), layer).amplitudes
     return _probabilities(amps)
 
 

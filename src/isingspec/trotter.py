@@ -15,8 +15,11 @@ to CNOTs; they describe the circuit. run_quench compiles that gate list
 (Hadamard-rotated basis), where the polarized start state |+...+> is
 |0...0> and every sx sx bond is diagonal. The bonds commute, so
 U_odd * U_even is the single diagonal exp(i dt (L - 2 popcount(s XOR
-rot(s)))), stored as a uint8 popcount index plus a phase table; U_1q
-becomes H u1 H on every site, fused 4 sites at a time into 16x16 blocks.
+rot(s)))), stored as a uint8 popcount index plus a phase table. U_1q
+becomes H u1 H on every site, split as diag(left) R diag(right) with R a
+real rotation (statevec.SiteLayer): a product phase diagonal, real blocks
+of 4 sites, and a left phase diagonal that joins the bond diagonal right
+after it (the index then also counts popcount(s), as uint16).
 
 run_quench applies U_step n_steps times and records observables after every
 step (and at t = 0). Without gate noise U_step commutes with translations,
@@ -27,7 +30,7 @@ point (sampled, or on a gate-noisy trajectory, which is not invariant)
 turns the state in place into each axis's basis (x first, which needs no
 turn) and reads the outcome probabilities: their bit marginals for shots =
 0, draws from them otherwise. The state is left in the last axis's basis,
-R; the next step's on-site blocks, built once per run, are H u1 H R^dagger
+R; the next step's on-site layer, built once per run, is H u1 H R^dagger
 (at g = h = 0, R^dagger is a gateless layer of its own).
 
 With gate noise the bond layers stay separate diagonals (odd, even, and on
@@ -41,7 +44,7 @@ averaged over trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,14 +112,15 @@ def build_step(params: ModelParams, dt: float) -> TrotterStep:
 class FrameLayer:
     """One layer of mutually commuting gates, acting on x-frame amplitudes.
 
-    Either blocks (fused H u1 H site blocks) or diagonal (a uint8 popcount
-    index and its phase table) is set. gates lists each gate's sites in
-    gate-list order; gate noise draws follow that order.
+    Either blocks (the H u1 H matrices as a statevec.SiteLayer) or diagonal
+    (an integer popcount index and its phase table) is set. gates lists
+    each gate's sites in gate-list order; gate noise draws follow that
+    order.
     """
 
     kind: str  # "1q" | "2q": which noise rate the gates draw
     gates: tuple[tuple[int, ...], ...]
-    blocks: tuple = ()
+    blocks: statevec.SiteLayer | None = None
     diagonal: tuple[np.ndarray, np.ndarray] | None = None
 
     def apply(self, state: StateVector) -> StateVector:
@@ -131,11 +135,16 @@ def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False, undo
     A layer is a run of consecutive gates of one arity on disjoint sites, so
     the Paulis drawn for its gates commute past the rest of it. Without
     split_bonds all bonds share one diagonal, since they commute. A u1 run
-    becomes fused H u1 H blocks, a bond run one popcount diagonal at angle dt.
-    undo, a 2x2 applied to every site first, is folded into the u1 blocks
-    (H u1 H undo), or at g = h = 0 made a block layer without gates or noise.
+    becomes a SiteLayer of H u1 H, a bond run one popcount diagonal at angle
+    dt. undo, a 2x2 applied to every site first, is folded into the u1
+    layer (H u1 H undo), or at g = h = 0 made a site layer without gates or
+    noise. Where no gate noise comes between a site layer and the bond
+    diagonal after it, the site layer's left phase diagonal joins the bond
+    table: every site holds the same phase pair (l0, l1), so that diagonal
+    is l0**(L - popcount(s)) * l1**popcount(s).
     """
     step = build_step(params, dt)
+    L = step.L
     runs: list[list[Gate]] = []
     for gate in step.gates:
         run = runs[-1] if runs else []
@@ -152,16 +161,26 @@ def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False, undo
     for run in runs:
         sites = tuple(g.sites for g in run)
         if not run or len(sites[0]) == 1:
-            mats = [undo] * step.L
+            mats = [undo] * L
             for g in run:
                 m = statevec.HADAMARD @ g.matrix @ statevec.HADAMARD
                 mats[g.sites[0] - 1] = m if undo is None else m @ undo
-            layers.append(FrameLayer("1q", sites, blocks=tuple(statevec.fuse_site_matrices(mats))))
+            onsite = mats[0]  # every site holds the same matrix
+            layers.append(FrameLayer("1q", sites, blocks=statevec.fuse_site_matrices(mats)))
             continue
         # sum over the run's bonds of z_a z_b = n - 2 * (broken bonds)
         n = len(run)
-        index = statevec.ring_xor_popcount(step.L, 1, sum(1 << (a - 1) for a, _ in sites))
+        index = statevec.ring_xor_popcount(L, 1, sum(1 << (a - 1) for a, _ in sites))
         table = np.exp(1j * step.dt * (n - 2.0 * np.arange(n + 1)))
+        last = layers[-1] if layers else None
+        if last is not None and last.blocks is not None and last.blocks.left is not None and not (
+            split_bonds and last.gates
+        ):
+            l0, l1 = statevec.split_u2(onsite)[0]
+            ones = np.arange(L + 1)
+            table = np.outer(table, l0 ** (L - ones) * l1**ones).ravel()
+            index = index.astype(np.uint16) * (L + 1) + np.bitwise_count(np.arange(1 << L, dtype=np.uint32))
+            layers[-1] = replace(last, blocks=replace(last.blocks, left=None))
         layers.append(FrameLayer("2q", sites, diagonal=(index, table)))
     return layers
 
@@ -249,10 +268,10 @@ def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, p
     carried = None
     for ax in _sampling_order(axes):
         if shots == 0:
-            if ax == "x" and correlator:  # x comes first, so the state is not turned yet
-                G = obs.correlator_profile(state, tables)
-            marginals = statevec.bit_marginals(statevec.turn_in_place(state, ax, carried), state.L)
-            values[ax] = 1.0 - 2.0 * marginals
+            probs = statevec.turn_in_place(state, ax, carried)
+            values[ax] = 1.0 - 2.0 * statevec.bit_marginals(probs, state.L)
+            if ax == "x" and correlator:  # x comes first, so the state is not turned
+                G = obs.correlator_profile(state, tables, probs, values[ax])
             carried = ax
             continue
         rng = np.random.default_rng(streams[ax])

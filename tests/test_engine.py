@@ -144,3 +144,31 @@ def test_noiseless_step_allocates_under_a_quarter_of_the_state():
     finally:
         tracemalloc.stop()
     assert peak - base < state.amplitudes.nbytes / 4
+
+
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_undo_folded_step_and_turns_allocate_under_a_quarter_of_the_state(axis):
+    # the step that undoes a readout turn, and the turn itself with its phase
+    # vectors built inside the window; a turn's only state-sized array is the
+    # probabilities it returns
+    L = 16
+    layers = trotter.frame_layers(ModelParams(L, 0.5, 0.3), 0.4, undo=sv.readout_turn(None, axis))
+    state = sv.init_all_plus(L)
+    for layer in layers:  # warm up: first calls may allocate lazily
+        layer.apply(state)
+    sv.turn_in_place(state.copy(), axis)
+    sv._rotation_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for layer in layers:
+            layer.apply(state)
+        step_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        probs = sv.turn_in_place(state, axis)
+        turn_peak = tracemalloc.get_traced_memory()[1] - base - probs.nbytes
+    finally:
+        tracemalloc.stop()
+    assert step_peak < state.amplitudes.nbytes / 4
+    assert turn_peak < state.amplitudes.nbytes / 4

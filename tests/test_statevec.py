@@ -476,6 +476,47 @@ def test_split_kernel_passes_match_dense_oracles(split_every_pass, L, g, h):
     assert sv.split_passes > passes
 
 
+def u2(phi: float, a: float, b: float, c: float) -> np.ndarray:
+    """e^{i phi} Rz(a) Ry(b) Rz(c): every 2x2 unitary for some angles."""
+    rz = lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+    ry = np.array([[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]])
+    return np.exp(1j * phi) * rz(a) @ ry @ rz(c)
+
+
+# generic angles, the degenerate ones (b = 0: diagonal, b = pi: anti-diagonal)
+# and angles within 1e-9 of them
+angles = strategies.one_of(
+    strategies.floats(-np.pi, np.pi),
+    strategies.sampled_from([0.0, np.pi, -np.pi, np.pi / 2]),
+    strategies.floats(-1e-9, 1e-9),
+    strategies.floats(-1e-9, 1e-9).map(lambda e: np.pi + e),
+)
+site_matrices = strategies.one_of(
+    strategies.none(),
+    strategies.builds(u2, angles, angles, angles, angles),
+    strategies.sampled_from([sv.HADAMARD, sv.PAULI_X, sv.PAULI_Z, 1j * sv.HADAMARD]),  # det = -1 and real
+    strategies.builds(lambda phi, m: np.exp(1j * phi) * m, angles, strategies.sampled_from([sv.HADAMARD, sv.S_DAGGER])),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=strategies.data(), L=strategies.sampled_from([1, 2, 3, 5, 7]), split=strategies.booleans())
+def test_site_layer_kernel_matches_dense_site_products(data, L, split):
+    mats = data.draw(strategies.lists(site_matrices, min_size=L, max_size=L))
+    lab = random_state(L, np.random.default_rng(L)).amplitudes
+    expected = lab
+    for j, m in enumerate(mats, start=1):
+        if m is not None:
+            expected = oracles.op_at(m, j, L) @ expected
+    st = sv.StateVector(L, lab.copy())
+    with pytest.MonkeyPatch.context() as mp:
+        if split:  # as the split_every_pass fixture, which hypothesis cannot take
+            mp.setattr(sv, "SPLIT_MIN", 2)
+            mp.setattr(sv.os, "cpu_count", lambda: 2)
+        sv.apply_site_blocks(st, sv.fuse_site_matrices(mats))
+    assert np.abs(st.amplitudes - expected).max() < 1e-12
+
+
 def test_split_passes_are_byte_identical_to_serial_at_L18(monkeypatch):
     L = 18
     assert 1 << L >= sv.SPLIT_MIN
