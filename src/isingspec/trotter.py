@@ -179,7 +179,9 @@ def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False, undo
             l0, l1 = statevec.split_u2(onsite)[0]
             ones = np.arange(L + 1)
             table = np.outer(table, l0 ** (L - ones) * l1**ones).ravel()
-            index = index.astype(np.uint16) * (L + 1) + np.bitwise_count(np.arange(1 << L, dtype=np.uint32))
+            index = index.astype(np.uint16)
+            index *= L + 1
+            index += np.bitwise_count(np.arange(1 << L, dtype=np.uint32))
             layers[-1] = replace(last, blocks=replace(last.blocks, left=None))
         layers.append(FrameLayer("2q", sites, diagonal=(index, table)))
     return layers
