@@ -19,7 +19,7 @@ rot(s)))), stored as a uint8 popcount index plus a phase table. U_1q
 becomes H u1 H on every site, split as diag(left) R diag(right) with R a
 real rotation (statevec.SiteLayer): a product phase diagonal, real blocks
 of 4 sites, and a left phase diagonal that joins the bond diagonal right
-after it (the index then also counts popcount(s), as uint16).
+after it (its index then also counts popcount(s)).
 
 run_quench applies U_step n_steps times and records observables after every
 step (and at t = 0). Without gate noise U_step commutes with translations,
@@ -138,10 +138,9 @@ def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False, undo
     becomes a SiteLayer of H u1 H, a bond run one popcount diagonal at angle
     dt. undo, a 2x2 applied to every site first, is folded into the u1
     layer (H u1 H undo), or at g = h = 0 made a site layer without gates or
-    noise. Where no gate noise comes between a site layer and the bond
-    diagonal after it, the site layer's left phase diagonal joins the bond
-    table: every site holds the same phase pair (l0, l1), so that diagonal
-    is l0**(L - popcount(s)) * l1**popcount(s).
+    noise. Without split_bonds, the site layer's left phase diagonal joins
+    the bond diagonal after it: every site holds the same phase pair
+    (l0, l1), so that diagonal is l0**(L - popcount(s)) * l1**popcount(s).
     """
     step = build_step(params, dt)
     L = step.L
@@ -173,13 +172,14 @@ def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False, undo
         index = statevec.ring_xor_popcount(L, 1, sum(1 << (a - 1) for a, _ in sites))
         table = np.exp(1j * step.dt * (n - 2.0 * np.arange(n + 1)))
         last = layers[-1] if layers else None
-        if last is not None and last.blocks is not None and last.blocks.left is not None and not (
-            split_bonds and last.gates
-        ):
+        if not split_bonds and last is not None and last.blocks is not None and last.blocks.left is not None:
+            # broken bonds on the whole ring come in pairs, so b // 2 and
+            # popcount(s) index one table, in uint8 up to L = 21
             l0, l1 = statevec.split_u2(onsite)[0]
             ones = np.arange(L + 1)
-            table = np.outer(table, l0 ** (L - ones) * l1**ones).ravel()
-            index = index.astype(np.uint16)
+            table = np.outer(table[::2], l0 ** (L - ones) * l1**ones).ravel()
+            index >>= 1
+            index = index.astype(np.min_scalar_type(table.size - 1), copy=False)
             index *= L + 1
             index += np.bitwise_count(np.arange(1 << L, dtype=np.uint32))
             layers[-1] = replace(last, blocks=replace(last.blocks, left=None))
