@@ -291,7 +291,9 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def _unit(z: complex) -> complex:
-    """z / |z|, or 1 at z = 0."""
+    """z / |z|, or 1 at z = 0. Python's complex division, unlike numpy's,
+    stays finite for a subnormal z."""
+    z = complex(z)
     a = abs(z)
     return z / a if a else 1.0
 

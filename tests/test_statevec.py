@@ -517,6 +517,13 @@ def test_site_layer_kernel_matches_dense_site_products(data, L, split):
     assert np.abs(st.amplitudes - expected).max() < 1e-12
 
 
+def test_split_u2_stays_finite_at_a_subnormal_angle():
+    # numpy's complex division overflows on a subnormal divisor; found by the test above
+    m = u2(0.0, 0.0, 2.225073858507203e-309, 1.0)
+    left, rot, right = sv.split_u2(m)
+    assert np.abs(np.diag(left) @ rot @ np.diag(right) - m).max() < 1e-15
+
+
 def test_split_passes_are_byte_identical_to_serial_at_L18(monkeypatch):
     L = 18
     assert 1 << L >= sv.SPLIT_MIN
