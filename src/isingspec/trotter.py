@@ -171,8 +171,8 @@ def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False, undo
         n = len(run)
         index = statevec.ring_xor_popcount(L, 1, sum(1 << (a - 1) for a, _ in sites))
         table = np.exp(1j * step.dt * (n - 2.0 * np.arange(n + 1)))
-        last = layers[-1] if layers else None
-        if not split_bonds and last is not None and last.blocks is not None and last.blocks.left is not None:
+        # without split_bonds, a layer before the one bond run is the site layer
+        if not split_bonds and layers and layers[-1].blocks.left is not None:
             # broken bonds on the whole ring come in pairs, so b // 2 and
             # popcount(s) index one table, in uint8 up to L = 21
             l0, l1 = statevec.split_u2(onsite)[0]
@@ -182,7 +182,7 @@ def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False, undo
             index = index.astype(np.min_scalar_type(table.size - 1), copy=False)
             index *= L + 1
             index += np.bitwise_count(np.arange(1 << L, dtype=np.uint32))
-            layers[-1] = replace(last, blocks=replace(last.blocks, left=None))
+            layers[-1] = replace(layers[-1], blocks=replace(layers[-1].blocks, left=None))
         layers.append(FrameLayer("2q", sites, diagonal=(index, table)))
     return layers
 

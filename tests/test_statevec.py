@@ -494,7 +494,7 @@ angles = strategies.one_of(
 site_matrices = strategies.one_of(
     strategies.none(),
     strategies.builds(u2, angles, angles, angles, angles),
-    strategies.sampled_from([sv.HADAMARD, sv.PAULI_X, sv.PAULI_Z, 1j * sv.HADAMARD]),  # det = -1 and real
+    strategies.sampled_from([sv.HADAMARD, sv.PAULI_X, sv.PAULI_Z, 1j * sv.HADAMARD]),  # real with det = -1, and i H
     strategies.builds(lambda phi, m: np.exp(1j * phi) * m, angles, strategies.sampled_from([sv.HADAMARD, sv.S_DAGGER])),
 )
 
