@@ -561,6 +561,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     statevec.pin_blas_threads()
     split_passes = statevec.split_passes
+    trotter.trajectory_processes = 1
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
@@ -593,6 +594,7 @@ def main(argv=None) -> int:
             "scipy_blas": statevec.blas_threads("scipy"),
             "kernels": 2 if statevec.split_passes > split_passes else 1,
         },
+        "trajectory_processes": trotter.trajectory_processes,
     }
     files["run_stats.json"] = _json_text(stats)
     try:

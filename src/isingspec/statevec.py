@@ -37,13 +37,15 @@ place over cache-sized chunks, so a step allocates a few chunks, never a
 state-sized temporary. From SPLIT_MIN amplitudes on, each block or diagonal
 pass runs as two independent halves on two threads (numpy releases the GIL
 in matmul), with the same per-amplitude arithmetic as the serial pass; no
-thread outlives the call. Exact time evolution runs in the k = 0 translation
+thread outlives the call, and none starts while worker processes of this
+one run (serial_passes). Exact time evolution runs in the k = 0 translation
 sector on the x-basis orbit basis and sector matrix that edsolver builds for
 ED; only the returned snapshots are expanded to 2**L amplitudes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -81,6 +83,7 @@ PHASE_BITS = 12  # low bits of a product phase diagonal stored in full (64 KiB)
 BLOCK_SITES = 4  # sites fused into one 2**4 x 2**4 block
 SPLIT_MIN = 1 << 18  # amplitudes from which a kernel pass runs on two threads
 split_passes = 0  # kernel passes this process has run on two threads
+_serial = False  # set by serial_passes
 
 
 # each package's bundled OpenBLAS: the library in <package>.libs and the
@@ -121,14 +124,30 @@ def blas_threads(package: str = "numpy") -> int | None:
     return None if ops is None else int(ops[1]())
 
 
+def cpus() -> int:
+    """CPUs this process may keep busy: os.cpu_count(), but 1 inside any
+    multiprocessing child (a sweep or trajectory worker), whose siblings
+    hold the others."""
+    return (os.cpu_count() or 1) if multiprocessing.parent_process() is None else 1
+
+
+@contextlib.contextmanager
+def serial_passes():
+    """Run every kernel pass in the block on one thread, as while worker
+    processes of this one hold the other CPUs."""
+    global _serial
+    saved, _serial = _serial, True
+    try:
+        yield
+    finally:
+        _serial = saved
+
+
 def _splits(amps: np.ndarray) -> bool:
     """Whether a pass over amps runs as two halves on two threads: from
-    SPLIT_MIN amplitudes, on two or more CPUs, and never in a pool worker."""
-    return (
-        amps.size >= SPLIT_MIN
-        and (os.cpu_count() or 1) >= 2
-        and multiprocessing.parent_process() is None
-    )
+    SPLIT_MIN amplitudes, when this process may keep two CPUs busy and no
+    worker process of its own holds one (serial_passes)."""
+    return amps.size >= SPLIT_MIN and not _serial and cpus() >= 2
 
 
 def _both(fn, a, b) -> None:

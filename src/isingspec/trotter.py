@@ -39,11 +39,20 @@ gate-list order, are applied after the layer their gate belongs to; gates
 within a layer act on disjoint sites, so the Paulis commute past the rest
 of it. Readout noise is applied per shot, and noisy observables are
 averaged over trajectories.
+
+The trajectories run over up to statevec.cpus() processes, that is up to
+os.cpu_count() and never inside a multiprocessing child such as a sweep
+worker. This process runs the first contiguous chunk and forked workers the
+rest, each with its own 2**L state; the sums are taken in trajectory order,
+so the record does not depend on the process count. While workers run, this
+process's kernel passes stay on one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +60,10 @@ import numpy as np
 from . import noise as noise_mod, obs, statevec
 from .model import ModelParams, QuenchPlan
 from .statevec import Gate, StateVector
+
+# the most processes one run_quench call has run its trajectories on; the CLI
+# resets it per command and reports it in run_stats.json
+trajectory_processes = 1
 
 
 @dataclass
@@ -291,6 +304,56 @@ def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, p
     return values, G
 
 
+def _worker(conn, run, chunk) -> None:
+    """A forked trajectory process: sends run's results for chunk, or what it raised."""
+    try:
+        out = [run(*item) for item in chunk]
+    except BaseException as exc:  # re-raised in the parent
+        out = exc
+    with conn:
+        conn.send(out)
+
+
+def _results(run, chunks):
+    """run(*item) for every item of chunks, in order.
+
+    This process runs chunks[0] while a forked process runs each later
+    chunk. Under fork nothing is pickled on the way in, and each worker
+    sends its chunk's results, or the exception it raised, through a pipe.
+    On any failure the workers are terminated; none outlives the iteration.
+    """
+    workers = []
+    try:
+        for chunk in chunks[1:]:
+            ctx = multiprocessing.get_context("fork")
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(send, run, chunk), daemon=True)
+            with send:  # the worker holds its own end; EOF once it exits
+                proc.start()
+            workers.append((proc, recv))
+        with statevec.serial_passes() if workers else contextlib.nullcontext():
+            yield from (run(*item) for item in chunks[0])
+        for proc, recv in workers:
+            try:
+                out = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"trajectory worker exited with code {proc.exitcode} before sending results"
+                ) from None
+            if isinstance(out, BaseException):
+                raise out
+            yield from out
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in workers:
+            proc.join()
+            recv.close()
+
+
 def run_quench(
     params: ModelParams, plan: QuenchPlan, record_correlator: bool = False
 ) -> QuenchRecord:
@@ -300,18 +363,21 @@ def run_quench(
     spends `shots` samples per measured axis (split across noise trajectories
     when gate noise is active). The RNG substream layout is fixed per
     (trajectory, time point, axis), so any single stream's draws do not
-    depend on how many other blocks ran before it.
+    depend on how many other blocks ran before it, and the record does not
+    depend on how many processes the trajectories run on (see _results).
     """
+    global trajectory_processes
     if record_correlator and "x" not in plan.measured_axes:
         raise ValueError("the correlator needs x-basis data; add 'x' to measured_axes")
     nz = plan.noise
     if nz is not None and nz.is_null:
         nz = None  # all-zero noise must follow the noiseless path bit for bit
     L = params.L
+    axes = plan.measured_axes
     gate_noise = nz is not None and nz.has_gate_noise
     # a per-site measurement leaves the state in its last axis's basis; the
     # next step's first layer undoes that
-    last = _sampling_order(plan.measured_axes)[-1] if plan.shots > 0 or gate_noise else None
+    last = _sampling_order(axes)[-1] if plan.shots > 0 or gate_noise else None
     layers = frame_layers(params, plan.dt, gate_noise, statevec.readout_turn(None, last))
     # only a gate-noisy exact run reads the correlator from every pair of sites
     exact_pairs = record_correlator and gate_noise and plan.shots == 0
@@ -321,35 +387,53 @@ def run_quench(
 
     n_traj = nz.trajectories if gate_noise else 1
     n_rec = plan.n_steps + 1
-    per_site = {ax: np.zeros((n_rec, L)) for ax in plan.measured_axes}
-    correlator = np.zeros((n_rec, L // 2)) if record_correlator else None
-    weight_total = 0.0
-    for t, traj_ss in enumerate(np.random.SeedSequence(plan.seed).spawn(n_traj)):
+
+    def trajectory(t, traj_ss):
+        """(weight, per-axis (n_rec, L) values, correlator rows) of trajectory
+        t, or None when it gets no shots."""
         # shot split across trajectories; the first (shots % n_traj) get one extra
         shots = plan.shots // n_traj + (1 if t < plan.shots % n_traj else 0)
         if plan.shots > 0 and shots == 0:
-            continue  # more trajectories than shots; nothing to average in
-        w = shots if plan.shots > 0 else 1.0
-        weight_total += w
+            return None  # more trajectories than shots; nothing to average in
         gate_ss, meas_root = traj_ss.spawn(2)
         gate_rng = np.random.default_rng(gate_ss)
         state = statevec.init_all_plus(L)  # k = 0 records it unevolved
+        values = {ax: np.empty((n_rec, L)) for ax in axes}
+        G = np.empty((n_rec, L // 2)) if record_correlator else None
         for k, meas_ss in enumerate(meas_root.spawn(n_rec)):
             for layer in layers if k > 0 else ():
                 layer.apply(state)
                 if gate_noise:
                     for sites in layer.gates:
                         noise_mod.apply_gate_noise(state, layer.kind, sites, nz, gate_rng)
-            values, G = _measure(
-                state, plan.measured_axes, shots, meas_ss, record_correlator,
+            point, G_k = _measure(
+                state, axes, shots, meas_ss, record_correlator,
                 not gate_noise, tables, readout, p_mitigate,
             )
-            for ax in plan.measured_axes:
-                per_site[ax][k] += w * values[ax]
-            if correlator is not None:
-                correlator[k] += w * G
+            for ax in axes:
+                values[ax][k] = point[ax]
+            if G is not None:
+                G[k] = G_k
+        return (shots if plan.shots > 0 else 1.0), values, G
 
-    for ax in plan.measured_axes:
+    items = list(enumerate(np.random.SeedSequence(plan.seed).spawn(n_traj)))
+    processes = min(n_traj, statevec.cpus())
+    trajectory_processes = max(trajectory_processes, processes)
+    cuts = [n_traj * i // processes for i in range(processes + 1)]
+    per_site = {ax: np.zeros((n_rec, L)) for ax in axes}
+    correlator = np.zeros((n_rec, L // 2)) if record_correlator else None
+    weight_total = 0.0
+    for out in _results(trajectory, [items[a:b] for a, b in zip(cuts, cuts[1:])]):
+        if out is None:
+            continue
+        w, values, G = out
+        weight_total += w
+        for ax in axes:
+            per_site[ax] += w * values[ax]
+        if correlator is not None:
+            correlator += w * G
+
+    for ax in axes:
         per_site[ax] /= weight_total
     if correlator is not None:
         correlator /= weight_total

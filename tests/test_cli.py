@@ -240,6 +240,23 @@ def test_parallel_sweep_equals_serial_bytes(tmp_path):
         assert (tmp_path / "ser" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
+def test_gate_noisy_parallel_sweep_equals_serial_bytes(tmp_path):
+    # a serial sweep forks trajectory workers for each point; a --parallel
+    # worker is a daemonic process, which may not fork, and runs them itself
+    cfg = dict(SWEEP_BASE, **{"sweep.g_list": "0.3, 0.5", "noise.enabled": "true", "noise.trajectories": 3})
+    processes = {}
+    for k in ("1", "2"):
+        f = write_config(tmp_path / f"{k}.cfg", **cfg, **{"output.dir": tmp_path / k})
+        res = run_cli("sweep", "--config", f, "--parallel", k)
+        assert res.returncode == 0, res.stderr
+        processes[k] = json.loads((tmp_path / k / "run_stats.json").read_text())["trajectory_processes"]
+    assert processes == {"1": min(3, os.cpu_count() or 1), "2": 1}
+    names = [p.name for p in sorted((tmp_path / "1").iterdir()) if p.name != "run_stats.json"]
+    assert "trace_p01.csv" in names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_rerun_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
     # the first point of the benchmark's L = 12 sweep; its ED gaps once
     # changed in the last digits with OPENBLAS_NUM_THREADS
@@ -387,6 +404,18 @@ def test_run_stats_records_split_kernel_passes_at_18_sites(tmp_path):
         "scipy_blas": statevec.blas_threads("scipy"),
         "kernels": kernels,
     }
+
+
+@pytest.mark.parametrize("trajectories", [None, 1, 3])
+def test_run_stats_records_trajectory_processes(tmp_path, trajectories):
+    noise = {} if trajectories is None else {"noise.enabled": "true", "noise.trajectories": trajectories}
+    f = write_config(
+        tmp_path / "run.cfg",
+        **{"model.L": 6, "plan.n_steps": 5, **noise, "output.dir": tmp_path / "out"},
+    )
+    assert run_cli("quench", "--config", f).returncode == 0
+    stats = json.loads((tmp_path / "out" / "run_stats.json").read_text())
+    assert stats["trajectory_processes"] == min(trajectories or 1, os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("line", ["model.g = nan", "model.h = inf", "plan.dt = inf"])
