@@ -416,16 +416,14 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
     prov, times, cols = parse_trace_csv(trace_path.read_text())
     if "sigma_y" not in cols:
         raise ValueError("trace has no sigma_y column; spectroscopy needs it")
-    params = None
+    levels = None
     if cfg["spectro.join_ed"] and all(f"model.{k}" in prov for k in ("L", "g", "h")):
         params = ModelParams(
             int(prov["model.L"]), float(prov["model.g"]), float(prov["model.h"])
         )
-    spectrum, peaks, levels = spectro.analyze_series(
-        spectro.TimeSeries(times, cols["sigma_y"]),
-        params,
-        n_low=cfg["spectro.n_low"],
-        **_spectro_settings(cfg),
+        levels = edsolver.solve_sector(params, n_low=cfg["spectro.n_low"])
+    spectrum, peaks = spectro.analyze_series(
+        spectro.TimeSeries(times, cols["sigma_y"]), levels, **_spectro_settings(cfg)
     )
     return _spectrum_files(cfg, prov, spectrum, peaks, levels)
 

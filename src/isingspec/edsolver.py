@@ -45,6 +45,10 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
 
+    def __reduce__(self):
+        # args holds only the message; a worker process sends the residual too
+        return type(self), (self.args[0], self.residual)
+
 
 @dataclass
 class SectorBasis:

@@ -74,7 +74,9 @@ def invariant_correlator_profile(state: StateVector) -> np.ndarray:
     L = state.L
     p = statevec.measurement_probabilities(state, "x")
     half = p.size >> 1
-    q = p[:half] - p[half:]
+    # in place: a fresh 2**(L-1) array per time point can leave the heap top
+    # free for glibc to trim and fault in again at the next point
+    q = np.subtract(p[:half], p[half:], out=p[:half])
     m = q.sum()
     pair = m - 2.0 * statevec.bit_marginals(q, L - 1)
     return pair[::-1][: L // 2] - m * m

@@ -9,8 +9,12 @@ candidate set {e_n} union {e_m - e_n}.
 
 The dimensionless scaling parameter eta = 2 pi (1 - g) / h^(8/15) indexes the
 sweep points: small eta means strong confinement relative to the kink scale.
-eta_sweep is the one sweep driver: each point runs sweep_point (quench, then
-analyze_series) and returns the record, spectrum, peaks and levels in memory.
+eta_sweep is the one sweep driver: it runs each point's quench and k = 0 ED
+reference, then sweep_point (analyze_series against the point's levels), and
+returns the record, spectrum, peaks and levels in memory. Without --parallel
+workers the quenches run in this process and, when a second CPU is free,
+every ED reference runs in one forked worker beside them
+(trotter.forked_results).
 """
 
 from __future__ import annotations
@@ -257,21 +261,16 @@ def eta(g: float, h: float) -> float:
 
 def analyze_series(
     series: TimeSeries,
-    params: ModelParams | None = None,
+    levels: EnergyLevels | None = None,
     *,
     window: str = "hann",
     pad_factor: int = 8,
     min_height_frac: float = 0.05,
-    n_low: int = 6,
-) -> tuple[Spectrum, PeakSet, EnergyLevels | None]:
-    """Spectrum, peaks and, given the chain parameters, ED levels and labels."""
+) -> tuple[Spectrum, PeakSet]:
+    """Spectrum and peaks, labelled against the ED levels when given."""
     spectrum = power_spectrum(series, window=window, pad_factor=pad_factor)
     peaks = find_peaks(spectrum, min_height_frac=min_height_frac)
-    levels = None
-    if params is not None:
-        levels = edsolver.solve_sector(params, n_low=n_low)
-        peaks = match_peaks(peaks, levels)
-    return spectrum, peaks, levels
+    return spectrum, peaks if levels is None else match_peaks(peaks, levels)
 
 
 @dataclass
@@ -308,19 +307,24 @@ class EtaPoint:
 
 
 def sweep_point(
-    params: ModelParams, plan: QuenchPlan, *, n_low: int | None = 6, **settings
+    params: ModelParams,
+    record: trotter.QuenchRecord,
+    levels: EnergyLevels | None = None,
+    **settings,
 ) -> EtaPoint:
-    """Quench, spectrum of sigma_y, peaks and their ED match at one (g, h).
+    """Spectrum of the record's sigma_y and its peaks matched to levels, at one (g, h).
 
-    settings are further analyze_series keywords; n_low = None skips the ED
-    reference, so the peaks stay unassigned.
+    settings are further analyze_series keywords; levels = None (no ED
+    reference) leaves the peaks unassigned.
     """
-    record = trotter.run_quench(params, plan)
-    reference = None if n_low is None else params
-    spectrum, peaks, levels = analyze_series(
-        series_from_record(record, "y"), reference, n_low=n_low, **settings
-    )
+    spectrum, peaks = analyze_series(series_from_record(record, "y"), levels, **settings)
     return EtaPoint(params.g, params.h, record, spectrum, peaks, levels)
+
+
+def _quench_and_levels(params: ModelParams, plan: QuenchPlan, n_low: int | None):
+    """A point's quench record and, unless n_low is None, its ED levels."""
+    record = trotter.run_quench(params, plan)
+    return record, None if n_low is None else edsolver.solve_sector(params, n_low=n_low)
 
 
 # the check of each analysis setting, by keyword; the CLI checks its
@@ -336,17 +340,21 @@ SETTING_CHECKS = {
 def eta_sweep(
     g_list, h: float, template: ModelParams, plan: QuenchPlan, *, processes: int = 1, **settings
 ) -> list[EtaPoint]:
-    """sweep_point at each g of g_list; deterministic for a fixed seed.
+    """Quench, ED levels and sweep_point at each g of g_list; deterministic for a fixed seed.
 
-    settings are sweep_point keywords (window, pad_factor, min_height_frac,
-    n_low). Point i runs with seed plan.seed + i (left None when
+    settings are the analysis keywords (window, pad_factor, min_height_frac)
+    and n_low, the ED eigenvalue count (6 by default; None skips the ED
+    reference). Point i runs with seed plan.seed + i (left None when
     plan.seed is None), so serial and parallel execution produce identical
     results and a single-point sweep reproduces a plain quench with the same
     seed exactly. h <= 0, out-of-range settings, a plan too short for a
     spectrum or without the y axis and, with the ED reference on, an L that
     ED cannot solve are rejected before any point runs. At most
-    os.cpu_count() worker processes are started, each with numpy's BLAS
-    pinned to one thread; with one, the points run in this process.
+    os.cpu_count() pool processes are started, each with numpy's BLAS
+    pinned to one thread. With one, the quenches run in this process; when
+    they run in one process (no gate noise, or one trajectory) and a second
+    CPU is free, one forked worker solves every point's ED reference beside
+    them, and otherwise each point's ED follows its quench here.
     """
     h = float(h)
     if not h > 0:
@@ -356,7 +364,8 @@ def eta_sweep(
             check(settings[key])
     check_samples(plan.n_steps + 1)
     check_axes(plan.measured_axes)
-    if "n_low" not in settings or settings["n_low"] is not None:
+    n_low = settings.pop("n_low", 6)
+    if n_low is not None:
         edsolver.check_L(template.L)
     points = [
         (
@@ -365,9 +374,18 @@ def eta_sweep(
         )
         for i, g in enumerate(g_list)
     ]
-    run = partial(sweep_point, **settings)
     workers = min(processes, len(points), os.cpu_count() or 1)
-    if workers <= 1:
-        return [run(*point) for point in points]
-    with get_context("fork").Pool(workers, initializer=statevec.pin_blas_threads) as pool:
-        return pool.starmap(run, points)
+    if workers > 1:
+        with get_context("fork").Pool(workers, initializer=statevec.pin_blas_threads) as pool:
+            parts = pool.starmap(partial(_quench_and_levels, n_low=n_low), points)
+    elif n_low is not None and statevec.cpus() >= 2 and trotter.trajectories(plan) == 1:
+        quenches = [(trotter.run_quench, *point) for point in points]
+        references = [(edsolver.solve_sector, params, n_low) for params, _ in points]
+        out = list(trotter.forked_results(lambda fn, *args: fn(*args), [quenches, references]))
+        parts = zip(out[: len(points)], out[len(points) :])
+    else:
+        parts = [_quench_and_levels(*point, n_low) for point in points]
+    return [
+        sweep_point(params, record, levels=levels, **settings)
+        for (params, _), (record, levels) in zip(points, parts)
+    ]

@@ -44,8 +44,14 @@ The trajectories run over up to statevec.cpus() processes, that is up to
 os.cpu_count() and never inside a multiprocessing child such as a sweep
 worker. This process runs the first contiguous chunk and forked workers the
 rest, each with its own 2**L state; the sums are taken in trajectory order,
-so the record does not depend on the process count. While workers run, this
-process's kernel passes stay on one thread.
+so the record does not depend on the process count.
+
+forked_results is the one fork path: run_quench spreads its trajectories
+with it, and spectro.eta_sweep runs a sweep's ED references beside its
+quenches. It runs the first chunk of calls in this process and each later
+chunk in a forked worker, returns the results in chunk order, re-raises
+what a worker raised, and terminates and joins every worker on a failure.
+While workers run, this process's kernel passes stay on one thread.
 """
 
 from __future__ import annotations
@@ -305,7 +311,7 @@ def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, p
 
 
 def _worker(conn, run, chunk) -> None:
-    """A forked trajectory process: sends run's results for chunk, or what it raised."""
+    """A forked worker: sends run's results for chunk, or what it raised."""
     try:
         out = [run(*item) for item in chunk]
     except BaseException as exc:  # re-raised in the parent
@@ -314,7 +320,7 @@ def _worker(conn, run, chunk) -> None:
         conn.send(out)
 
 
-def _results(run, chunks):
+def forked_results(run, chunks):
     """run(*item) for every item of chunks, in order.
 
     This process runs chunks[0] while a forked process runs each later
@@ -339,7 +345,7 @@ def _results(run, chunks):
             except EOFError:
                 proc.join()
                 raise RuntimeError(
-                    f"trajectory worker exited with code {proc.exitcode} before sending results"
+                    f"worker process exited with code {proc.exitcode} before sending results"
                 ) from None
             if isinstance(out, BaseException):
                 raise out
@@ -354,6 +360,12 @@ def _results(run, chunks):
             recv.close()
 
 
+def trajectories(plan: QuenchPlan) -> int:
+    """The trajectories run_quench runs for plan: 1 without gate noise."""
+    nz = plan.noise
+    return nz.trajectories if nz is not None and nz.has_gate_noise else 1
+
+
 def run_quench(
     params: ModelParams, plan: QuenchPlan, record_correlator: bool = False
 ) -> QuenchRecord:
@@ -364,7 +376,7 @@ def run_quench(
     when gate noise is active). The RNG substream layout is fixed per
     (trajectory, time point, axis), so any single stream's draws do not
     depend on how many other blocks ran before it, and the record does not
-    depend on how many processes the trajectories run on (see _results).
+    depend on how many processes the trajectories run on (see forked_results).
     """
     global trajectory_processes
     if record_correlator and "x" not in plan.measured_axes:
@@ -385,7 +397,7 @@ def run_quench(
     readout = nz if nz is not None and nz.has_readout_error else None
     p_mitigate = nz.p_eff if readout is not None and nz.mitigate else 0.0
 
-    n_traj = nz.trajectories if gate_noise else 1
+    n_traj = trajectories(plan)
     n_rec = plan.n_steps + 1
 
     def trajectory(t, traj_ss):
@@ -400,7 +412,8 @@ def run_quench(
         state = statevec.init_all_plus(L)  # k = 0 records it unevolved
         values = {ax: np.empty((n_rec, L)) for ax in axes}
         G = np.empty((n_rec, L // 2)) if record_correlator else None
-        for k, meas_ss in enumerate(meas_root.spawn(n_rec)):
+        # an exact run reads no measurement seeds
+        for k, meas_ss in enumerate(meas_root.spawn(n_rec) if plan.shots else [None] * n_rec):
             for layer in layers if k > 0 else ():
                 layer.apply(state)
                 if gate_noise:
@@ -423,7 +436,7 @@ def run_quench(
     per_site = {ax: np.zeros((n_rec, L)) for ax in axes}
     correlator = np.zeros((n_rec, L // 2)) if record_correlator else None
     weight_total = 0.0
-    for out in _results(trajectory, [items[a:b] for a, b in zip(cuts, cuts[1:])]):
+    for out in forked_results(trajectory, [items[a:b] for a, b in zip(cuts, cuts[1:])]):
         if out is None:
             continue
         w, values, G = out

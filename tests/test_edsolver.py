@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -85,6 +86,14 @@ def test_unconverged_eigenpairs_are_reported(monkeypatch):
     with pytest.raises(edsolver.ConvergenceError) as exc:
         edsolver.solve_sector(ModelParams(8, 0.5, 0.3), n_low=3)
     assert exc.value.residual > 1e-8
+
+
+def test_convergence_error_survives_pickling():
+    # a worker process sends the error to its parent pickled
+    err = pickle.loads(pickle.dumps(edsolver.ConvergenceError("residual 2.50e-03 exceeds 1e-08", 2.5e-3)))
+    assert type(err) is edsolver.ConvergenceError
+    assert str(err) == "residual 2.50e-03 exceeds 1e-08"
+    assert err.residual == 2.5e-3
 
 
 def test_iterative_solves_are_reproducible(monkeypatch):

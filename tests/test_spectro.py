@@ -336,9 +336,10 @@ def test_sweep_rejects_a_plan_without_y_before_any_quench(monkeypatch):
 
 
 def test_sweep_without_the_ed_reference_accepts_an_L_beyond_ed(monkeypatch):
-    monkeypatch.setattr(spectro, "sweep_point", lambda params, plan, **settings: params.L)
+    monkeypatch.setattr(trotter, "run_quench", lambda params, plan: "record")
+    monkeypatch.setattr(spectro, "sweep_point", lambda params, record, levels, **settings: (params.L, record, levels))
     template, plan = ModelParams(21, 0.5, 0.3), QuenchPlan(dt=0.2, n_steps=40)
-    assert spectro.eta_sweep([0.4], 0.3, template, plan, n_low=None) == [21]
+    assert spectro.eta_sweep([0.4], 0.3, template, plan, n_low=None) == [(21, "record", None)]
 
 
 def test_series_from_record_carries_the_grid():
