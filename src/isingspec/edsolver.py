@@ -8,7 +8,8 @@ its R members, normalized by 1/sqrt(R), so the sector Hamiltonian is real
 symmetric. The bits are those of statevec's x frame (bit 0 <-> sx = +1),
 where the bonds and the h term are diagonal and only the g term flips bits;
 translations do not see the frame, so the orbits are those of any basis.
-statevec.exact_evolve evolves in the same basis with the same matrix.
+statevec.exact_evolve evolves in the same basis with the same matrix, and
+statevec.orbit_sums measures invariant states on its zero_momentum_orbits.
 
 At h = 0 the chain maps to free fermions; free_fermion_oracle reproduces the
 full many-body spectrum from the single-particle dispersion
@@ -22,6 +23,7 @@ the unpaired k = 0 mode carries signed energy 2 (g - 1)).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,6 +38,7 @@ BASIS_L_MAX = 20
 DENSE_EIG_MAX = 4096
 DEGENERACY_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
+ORBIT_BLOCK = 1 << 16  # states screened at once by zero_momentum_orbits
 
 
 class ConvergenceError(RuntimeError):
@@ -65,9 +68,9 @@ class SectorBasis:
         return int(self.reps.size)
 
 
-def _translate(states: np.ndarray, L: int, mask: int) -> np.ndarray:
-    """Cyclic shift: site j -> j+1, i.e. bit b -> b+1 mod L."""
-    return ((states << 1) & mask) | (states >> (L - 1))
+def translate(states: np.ndarray, L: int, mask: int, by: int = 1) -> np.ndarray:
+    """Cyclic shift by `by` sites: site j -> j+by, i.e. bit b -> b+by mod L."""
+    return ((states << by) & mask) | (states >> (L - by))
 
 
 def check_L(L: int) -> None:
@@ -75,24 +78,37 @@ def check_L(L: int) -> None:
         raise ValueError(f"L={L} outside supported range [2, {BASIS_L_MAX}]")
 
 
+@functools.cache
+def zero_momentum_orbits(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 (reps, periods) of the translation orbits: the states
+    that are <= each of their rotations, screened ORBIT_BLOCK at a time (no
+    2**L temporary), and the first rotation that returns each."""
+    mask = (1 << L) - 1
+    found = []
+    for lo in range(0, 1 << L, ORBIT_BLOCK):
+        states = np.arange(lo, min(lo + ORBIT_BLOCK, 1 << L), dtype=np.uint32)
+        for by in range(1, L):
+            states = states[states <= translate(states, L, mask, by)]
+        found.append(states)
+    reps = np.concatenate(found).astype(np.int64)
+    divisors = [d for d in range(1, L + 1) if L % d == 0]  # every period divides L
+    periods = np.select([translate(reps, L, mask, d) == reps for d in divisors], divisors)
+    reps.flags.writeable = periods.flags.writeable = False
+    return reps, periods
+
+
 def build_zero_momentum_basis(L: int) -> SectorBasis:
     """All translation-orbit representatives; dimension = binary necklace count."""
     check_L(L)
-    dim_full = 1 << L
-    mask = dim_full - 1
-    states = np.arange(dim_full, dtype=np.int64)
-    rep = states.copy()
-    period = np.zeros(dim_full, dtype=np.int64)
-    rot = states
-    for l in range(1, L + 1):
-        rot = _translate(rot, L, mask)
-        np.minimum(rep, rot, out=rep)
-        fresh = (period == 0) & (rot == states)
-        period[fresh] = l
-    reps = states[rep == states]
-    index_of = np.full(dim_full, -1, dtype=np.int64)
+    reps, periods = zero_momentum_orbits(L)
+    rep_of = np.empty(1 << L, dtype=np.int64)
+    rot = reps
+    for _ in range(L):  # scatter each rep over its rotations
+        rep_of[rot] = reps
+        rot = translate(rot, L, (1 << L) - 1)
+    index_of = np.full(1 << L, -1, dtype=np.int64)
     index_of[reps] = np.arange(reps.size)
-    return SectorBasis(L, reps, period[reps], rep, index_of)
+    return SectorBasis(L, reps, periods, rep_of, index_of)
 
 
 def assemble_sector_hamiltonian(
@@ -115,7 +131,7 @@ def assemble_sector_hamiltonian(
     dim = basis.dim
     periods = basis.periods.astype(np.float64)
     src = np.arange(dim)
-    broken = np.bitwise_count(reps ^ _translate(reps, L, (1 << L) - 1))
+    broken = np.bitwise_count(reps ^ translate(reps, L, (1 << L) - 1))
     rows = [src]
     cols = [src]
     vals = [-(L - 2.0 * broken) - h * (L - 2.0 * np.bitwise_count(reps))]

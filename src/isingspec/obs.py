@@ -5,15 +5,15 @@ G(r, t) = (1/L) sum_i [ <sx_i sx_{i+r}> - <sx_i><sx_{i+r}> ]
 is translation-averaged over the ring, for separations r = 1 .. L//2 (beyond
 L//2 the periodic distance wraps back: G(r) = G(L-r)). In the x basis sx is
 diagonal, so both exact and sampled estimates reduce to bit statistics of
-the x-basis distribution p. A translation-invariant state (every noiseless
-exact run) needs only the pairs that hold site L: with q the half of p
-signed by site L's bit, invariant_correlator_profile reads all of G from
-the bit marginals of q. A state that is not invariant (a gate-noisy exact
-trajectory) takes correlator_profile: sum_i <sx_i sx_{i+r}> = p . t_r with
-the int8 table t_r(s) = L - 2 popcount(s XOR rot^r(s)), the same popcount
-kernel that gives the Trotter engine its bond diagonal. Sampled, one shared
-bit matrix serves all pairs: <z_i z_{i+r}> is the site estimate of the bit
-matrix XORed with its own roll by r.
+the x-basis distribution p, and sum_i <sx_i sx_{i+r}> = p . t_r with the
+table t_r(s) = L - 2 popcount(s XOR rot^r(s)), the same popcount kernel
+that gives the Trotter engine its bond diagonal. t_r and sum_i sx_i are
+constant on translation orbits, so invariant_correlator_profile reads G of
+a translation-invariant state (every noiseless exact run) from its 2**L / L
+orbit weights R_a p(rep_a) (statevec.orbit_sums). Any other state (a
+gate-noisy exact trajectory) takes correlator_profile, with int8 tables.
+Sampled, one shared bit matrix serves all pairs: <z_i z_{i+r}> is the site
+estimate of the bit matrix XORed with its own roll by r.
 """
 
 from __future__ import annotations
@@ -63,23 +63,16 @@ def _shifts(L: int) -> np.ndarray:
     return (np.arange(1, L // 2 + 1)[:, None] + np.arange(L)) % L
 
 
-def invariant_correlator_profile(state: StateVector) -> np.ndarray:
+def invariant_correlator_profile(state: StateVector, sums: np.ndarray | None = None) -> np.ndarray:
     """Exact G(r) for all r = 1 .. L//2 of a translation-invariant state.
 
-    With q = p[:N/2] - p[N/2:] (p the x-basis probabilities, signed by site
-    L's bit) and m = sum q = <sx>, <sx_L sx_j> = m - 2 * (bit j marginal of
-    q), and invariance gives G(r) = <sx_L sx_{L-r}> - m^2. Invariance is not
-    checked; any other state needs correlator_profile.
+    Invariance gives G(r) = (1/L) sum_i <sx_i sx_{i+r}> - <sx>^2, both read
+    by statevec.orbit_sums (sums, if the caller has them with pairs).
+    Invariance is not checked; any other state needs correlator_profile.
     """
-    L = state.L
-    p = statevec.measurement_probabilities(state, "x")
-    half = p.size >> 1
-    # in place: a fresh 2**(L-1) array per time point can leave the heap top
-    # free for glibc to trim and fault in again at the next point
-    q = np.subtract(p[:half], p[half:], out=p[:half])
-    m = q.sum()
-    pair = m - 2.0 * statevec.bit_marginals(q, L - 1)
-    return pair[::-1][: L // 2] - m * m
+    sums = statevec.orbit_sums(state, pairs=True) if sums is None else sums
+    m = sums[1] / sums[0]
+    return sums[2:] / sums[0] - m * m
 
 
 def correlator_profile_from_bits(bits: np.ndarray, mitigation: float = 1.0) -> np.ndarray:

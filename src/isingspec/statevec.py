@@ -17,11 +17,13 @@ z of measurements, expectations and gate noise are the lab's. The raw
 kernels (apply_matrix1/2, the site layers and the phase diagonals) act on
 the stored amplitudes as they are.
 
-A measurement holds one float64 array of 2**L entries besides the state:
-turn_in_place (run_quench's per-site measurement) turns the amplitudes in
-place into the measured basis and returns |psi|^2; sample_in_place then
-overwrites it with the CDF, and sorted draws give the index histogram.
-sample_index_counts and site_expectations do the same on a rotated copy.
+A per-site measurement holds one float64 array of 2**L entries besides the
+state: turn_in_place (run_quench's) turns the amplitudes in place into the
+measured basis and returns |psi|^2; sample_in_place then overwrites it with
+the CDF, and sorted draws give the index histogram. sample_index_counts and
+site_expectations do the same on a rotated copy. A translation-invariant
+state needs no such array: orbit_sums and top_site_expectations read it
+from its 2**L / L k = 0 orbit amplitudes and one top-bit overlap.
 
 Gate application is in place via bit-masked stride views; any site pair is
 allowed for two-site gates. The x-frame kernels take a layer of per-site
@@ -565,21 +567,44 @@ def site_expectations(state: StateVector, axis: str) -> np.ndarray:
     return 1.0 - 2.0 * bit_marginals(measurement_probabilities(state, axis), state.L)
 
 
-def top_site_expectations(state: StateVector) -> dict[str, float]:
-    """Lab-frame <sx>, <sy>, <sz> of site L, keyed by axis, without a copy.
+@functools.cache
+def _orbit_table(L: int, pairs: bool) -> np.ndarray:
+    """Read-only rows R_a, R_a (L - 2 popcount(rep_a)) / L and, with pairs,
+    R_a t_r(rep_a) / L (r = 1 .. L//2, t_r as in obs.correlator_tables) over
+    the k = 0 orbits."""
+    reps, periods = edsolver.zero_momentum_orbits(L)
+    table = np.empty((2 + pairs * (L // 2), reps.size))
+    table[0] = periods
+    for r, row in enumerate(table[1:]):  # row by row: no temporary of the table's size
+        flips = reps ^ edsolver.translate(reps, L, (1 << L) - 1, r) if r else reps
+        np.multiply(periods, (L - 2.0 * np.bitwise_count(flips)) / L, out=row)
+    table.setflags(write=False)
+    return table
 
-    Site L is the top bit, so the halves of the amplitude array hold its 0
-    and 1 components; their norms n0, n1 and overlap c = <half 0|half 1>
-    give its reduced state [[n0, c*], [c, n1]] / n. That state is
-    H-rotated: sx and sz swap and sy changes sign. In a translation-invariant
-    state every site holds these values.
+
+def orbit_sums(state: StateVector, pairs: bool = False) -> np.ndarray:
+    """n, n <sx_j> and, with pairs, n (1/L) sum_i <sx_i sx_{i+r}> (r = 1 ..
+    L//2) of a translation-invariant state of squared norm n (not checked),
+    by one gather of its amplitudes psi(rep_a), which every orbit member holds."""
+    weights = np.abs(state.amplitudes[edsolver.zero_momentum_orbits(state.L)[0]]) ** 2
+    sums = _orbit_table(state.L, pairs) @ weights
+    _check_mass(sums[0])
+    return sums
+
+
+def top_site_expectations(state: StateVector, phase: complex = 1.0, sums=None) -> dict[str, float]:
+    """Lab-frame <sx>, <sy>, <sz> of a translation-invariant state, keyed by
+    axis, without a copy; every site holds these values.
+
+    n and <sx> come from orbit_sums (or the caller's sums). The halves of
+    the amplitudes hold site L's (top bit's) 0 and 1 components; their
+    overlap c, times phase (r0 conj(r1) after trotter.frame_layers'
+    fold_right layers), gives sy = -2 Im c / n and sz = 2 Re c / n.
     """
+    n, sx = orbit_sums(state)[:2] if sums is None else sums[:2]
     half = state.amplitudes.size >> 1
-    a0, a1 = state.amplitudes[:half], state.amplitudes[half:]
-    n0, n1 = np.vdot(a0, a0).real, np.vdot(a1, a1).real
-    c = np.vdot(a0, a1)
-    n = _check_mass(n0 + n1)
-    return {"x": (n0 - n1) / n, "y": -2.0 * c.imag / n, "z": 2.0 * c.real / n}
+    c = phase * np.vdot(state.amplitudes[:half], state.amplitudes[half:])
+    return {"x": sx / n, "y": -2.0 * c.imag / n, "z": 2.0 * c.real / n}
 
 
 def _normalize_axes(axes, L: int) -> tuple[str, ...]:

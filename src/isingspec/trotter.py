@@ -23,15 +23,16 @@ after it (its index then also counts popcount(s)).
 
 run_quench applies U_step n_steps times and records observables after every
 step (and at t = 0). Without gate noise U_step commutes with translations,
-so the state stays translation invariant: its exact values are read at
-site L alone (statevec.top_site_expectations and
-obs.invariant_correlator_profile) and copied to every site. Every other
-point (sampled, or on a gate-noisy trajectory, which is not invariant)
-turns the state in place into each axis's basis (x first, which needs no
-turn) and reads the outcome probabilities: their bit marginals for shots =
-0, draws from them otherwise. The state is left in the last axis's basis,
-R; the next step's on-site layer, built once per run, is H u1 H R^dagger
-(at g = h = 0, R^dagger is a gateless layer of its own).
+so the state stays translation invariant: its exact values are read from
+its k = 0 orbits and top-bit overlap (statevec.top_site_expectations and
+obs.invariant_correlator_profile), its step folds all on-site phases into
+the bond diagonal, and it builds no random streams. Every other point
+(sampled, or on a gate-noisy trajectory, which is not invariant) turns the
+state in place into each axis's basis (x first, which needs no turn) and
+reads the outcome probabilities: their bit marginals for shots = 0, draws
+from them otherwise. The state is left in the last axis's basis, R; the
+next step's on-site layer, built once per run, is H u1 H R^dagger (at
+g = h = 0, R^dagger is a gateless layer of its own).
 
 With gate noise the bond layers stay separate diagonals (odd, even, and on
 an odd ring the wrap bond on its own), and the Paulis drawn per gate, in
@@ -141,6 +142,7 @@ class FrameLayer:
     gates: tuple[tuple[int, ...], ...]
     blocks: statevec.SiteLayer | None = None
     diagonal: tuple[np.ndarray, np.ndarray] | None = None
+    phase: complex = 1.0  # r0 conj(r1) where fold_right joined D_R to the diagonal
 
     def apply(self, state: StateVector) -> StateVector:
         if self.diagonal is None:
@@ -148,7 +150,9 @@ class FrameLayer:
         return statevec.apply_phase_index(state, *self.diagonal)
 
 
-def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False, undo=None) -> list[FrameLayer]:
+def frame_layers(
+    params: ModelParams, dt: float, split_bonds: bool = False, undo=None, fold_right: bool = False
+) -> list[FrameLayer]:
     """build_step's gate list as x-frame layers, in application order.
 
     A layer is a run of consecutive gates of one arity on disjoint sites, so
@@ -160,6 +164,9 @@ def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False, undo
     noise. Without split_bonds, the site layer's left phase diagonal joins
     the bond diagonal after it: every site holds the same phase pair
     (l0, l1), so that diagonal is l0**(L - popcount(s)) * l1**popcount(s).
+    fold_right (noiseless exact runs) joins the right one, D_R, too: the
+    layers then evolve D_R psi up to a global phase, which x-basis
+    probabilities do not see; top-bit overlaps take the bond layer's phase.
     """
     step = build_step(params, dt)
     L = step.L
@@ -191,18 +198,23 @@ def frame_layers(params: ModelParams, dt: float, split_bonds: bool = False, undo
         index = statevec.ring_xor_popcount(L, 1, sum(1 << (a - 1) for a, _ in sites))
         table = np.exp(1j * step.dt * (n - 2.0 * np.arange(n + 1)))
         # without split_bonds, a layer before the one bond run is the site layer
-        if not split_bonds and layers and layers[-1].blocks.left is not None:
+        left, _, right = statevec.split_u2(onsite) if layers and not split_bonds else (None,) * 3
+        right = right if fold_right else None
+        phase = 1.0 if right is None else right[0] * right[1].conjugate()
+        if left or right:
             # broken bonds on the whole ring come in pairs, so b // 2 and
             # popcount(s) index one table, in uint8 up to L = 21
-            l0, l1 = statevec.split_u2(onsite)[0]
+            l0, l1 = np.multiply(left or 1.0, right) if right else left
             ones = np.arange(L + 1)
             table = np.outer(table[::2], l0 ** (L - ones) * l1**ones).ravel()
             index >>= 1
             index = index.astype(np.min_scalar_type(table.size - 1), copy=False)
             index *= L + 1
             index += np.bitwise_count(np.arange(1 << L, dtype=np.uint32))
-            layers[-1] = replace(layers[-1], blocks=replace(layers[-1].blocks, left=None))
-        layers.append(FrameLayer("2q", sites, diagonal=(index, table)))
+            site = layers[-1].blocks
+            site = replace(site, left=None, right=None if right else site.right)
+            layers[-1] = replace(layers[-1], blocks=site)
+        layers.append(FrameLayer("2q", sites, diagonal=(index, table), phase=phase))
     return layers
 
 
@@ -268,11 +280,12 @@ def _sampling_order(axes) -> list[str]:
     return sorted(axes, key=lambda ax: ax != "x")  # x needs no rotation in the x frame
 
 
-def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, p_mitigate):
+def _measure(state, axes, shots, seed, correlator, phase, tables, readout, p_mitigate):
     """One time point: per-axis site values, and G(r) when correlator is set.
 
-    Exact values of an invariant state (no gate noise) come from site L and
-    stand for every site. Every other point takes one path per axis: the
+    Exact values of an invariant state (phase not None: no gate noise) come
+    from its k = 0 orbits and top-bit overlap times phase, and stand for
+    every site. Every other point takes one path per axis: the
     state turned in place into the axis's basis -> outcome probabilities ->
     exact bit marginals, or sampled: index histogram -> bit matrix ->
     twirled readout (only with readout error) -> site estimates, mitigated
@@ -281,9 +294,10 @@ def _measure(state, axes, shots, seed, correlator, invariant, tables, readout, p
     factor 1 - 2 p_mitigate. The state is left in the last axis's basis;
     each sampled axis keeps its seed.spawn stream.
     """
-    if shots == 0 and invariant:
-        G = obs.invariant_correlator_profile(state) if correlator else None
-        return statevec.top_site_expectations(state), G
+    if phase is not None:
+        sums = statevec.orbit_sums(state, correlator)
+        G = obs.invariant_correlator_profile(state, sums) if correlator else None
+        return statevec.top_site_expectations(state, phase, sums), G
     values, G = {}, None
     streams = dict(zip(axes, seed.spawn(len(axes)))) if shots else None
     carried = None
@@ -389,8 +403,10 @@ def run_quench(
     gate_noise = nz is not None and nz.has_gate_noise
     # a per-site measurement leaves the state in its last axis's basis; the
     # next step's first layer undoes that
-    last = _sampling_order(axes)[-1] if plan.shots > 0 or gate_noise else None
-    layers = frame_layers(params, plan.dt, gate_noise, statevec.readout_turn(None, last))
+    seeded = plan.shots > 0 or gate_noise
+    last = _sampling_order(axes)[-1] if seeded else None
+    layers = frame_layers(params, plan.dt, gate_noise, statevec.readout_turn(None, last), not seeded)
+    phase = None if seeded else layers[-1].phase
     # only a gate-noisy exact run reads the correlator from every pair of sites
     exact_pairs = record_correlator and gate_noise and plan.shots == 0
     tables = obs.correlator_tables(L) if exact_pairs else None
@@ -407,8 +423,8 @@ def run_quench(
         shots = plan.shots // n_traj + (1 if t < plan.shots % n_traj else 0)
         if plan.shots > 0 and shots == 0:
             return None  # more trajectories than shots; nothing to average in
-        gate_ss, meas_root = traj_ss.spawn(2)
-        gate_rng = np.random.default_rng(gate_ss)
+        gate_ss, meas_root = traj_ss.spawn(2) if seeded else (None, None)
+        gate_rng = np.random.default_rng(gate_ss) if gate_noise else None
         state = statevec.init_all_plus(L)  # k = 0 records it unevolved
         values = {ax: np.empty((n_rec, L)) for ax in axes}
         G = np.empty((n_rec, L // 2)) if record_correlator else None
@@ -421,7 +437,7 @@ def run_quench(
                         noise_mod.apply_gate_noise(state, layer.kind, sites, nz, gate_rng)
             point, G_k = _measure(
                 state, axes, shots, meas_ss, record_correlator,
-                not gate_noise, tables, readout, p_mitigate,
+                phase, tables, readout, p_mitigate,
             )
             for ax in axes:
                 values[ax][k] = point[ax]
@@ -429,7 +445,8 @@ def run_quench(
                 G[k] = G_k
         return (shots if plan.shots > 0 else 1.0), values, G
 
-    items = list(enumerate(np.random.SeedSequence(plan.seed).spawn(n_traj)))
+    seeds = np.random.SeedSequence(plan.seed).spawn(n_traj) if seeded else [None] * n_traj
+    items = list(enumerate(seeds))
     processes = min(n_traj, statevec.cpus())
     trajectory_processes = max(trajectory_processes, processes)
     cuts = [n_traj * i // processes for i in range(processes + 1)]

@@ -120,6 +120,27 @@ def step_state(psi: np.ndarray, L: int, g: float, h: float, dt: float) -> np.nda
     return psi
 
 
+def zero_momentum_orbits(L: int):
+    """(reps, periods, rep_of, index_of) of the translation orbits of L-bit states, by definition.
+
+    rep_of[s] is the smallest of the L cyclic rotations of s, the reps are
+    the states that are their own rep (ascending), a period is the first
+    rotation k >= 1 that returns its rep, and index_of maps each rep to its
+    position in reps and every other state to -1. Built from all L rotations
+    of all 2**L states at once.
+    """
+    states = np.arange(2**L, dtype=np.int64)
+    rotations = np.array(
+        [((states >> k) | (states << (L - k))) & (2**L - 1) for k in range(1, L + 1)]
+    )
+    rep_of = rotations.min(axis=0)
+    reps = np.flatnonzero(rep_of == states)
+    periods = 1 + np.argmax(rotations[:, reps] == reps, axis=0)
+    index_of = np.full(2**L, -1, dtype=np.int64)
+    index_of[reps] = np.arange(reps.size)
+    return reps, periods, rep_of, index_of
+
+
 def site_expectation(psi: np.ndarray, axis: str, site: int, L: int) -> float:
     return float(np.real(np.vdot(psi, op_at(PAULIS[axis], site, L) @ psi)))
 

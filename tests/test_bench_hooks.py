@@ -26,6 +26,8 @@ LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
         ("quench", {"plan.shots": 500, "noise.enabled": "true", "noise.trajectories": 4}),
         # gate-noisy and exact: every time point is turned in place axis by axis
         ("correlate", {"plan.axes": "x,y,z", "noise.enabled": "true", "noise.trajectories": 4}),
+        # noiseless and exact: every time point is read on the k = 0 orbits
+        ("correlate", {}),
     ],
 )
 def test_traced_launch_runs_to_completion(tmp_path, command, extra):
@@ -50,7 +52,13 @@ def test_traced_launch_runs_to_completion(tmp_path, command, extra):
         # gate noise must go through noise.apply_gate_noise, the name the tracer wraps
         assert spans["noise.gate_noise"]["calls"] > 0
     if command == "correlate":
-        # the in-place path: no rotated copies and no site_expectations calls
+        # no rotated copies and no site_expectations calls
         assert doc["trace"]["counts"].get("copies", 0) == 0
         assert spans.get("statevec.expect", {"calls": 0})["calls"] == 0
+    if command == "correlate" and extra:
+        # the in-place path: the correlator from every pair of sites
         assert spans["obs.correlator"]["calls"] > 0
+    elif command == "correlate":
+        # the orbit path: no probability array and no all-pairs correlator
+        assert "statevec.probs" not in spans
+        assert "obs.correlator" not in spans

@@ -537,6 +537,30 @@ def test_commands_load_neither_scipy_signal_nor_sparse_linalg(tmp_path):
     assert (tmp_path / "out" / "peaks.json").exists()
 
 
+def test_exact_runs_do_not_import_numpy_random(tmp_path):
+    # a noiseless exact run draws nothing, so it builds no seed sequence
+    keys = {"model.L": 8, "plan.dt": 0.2, "plan.n_steps": 40, "sweep.g_list": "0.4, 0.6"}
+    exact = write_config(tmp_path / "exact.cfg", **keys, **{"output.dir": tmp_path / "exact"})
+    sampled = write_config(
+        tmp_path / "sampled.cfg", **keys, **{"plan.shots": 100, "output.dir": tmp_path / "sampled"}
+    )
+    script = (
+        "import sys\n"
+        "from isingspec import cli\n"
+        "for args in (['quench'], ['correlate'], ['sweep', '--parallel', '1']):\n"
+        f"    assert cli.main([*args, '--config', {exact!r}]) == 0, args\n"
+        "print('numpy.random' in sys.modules)\n"
+        f"assert cli.main(['quench', '--config', {sampled!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+        env=child_env(),
+    )
+    assert res.returncode == 0, res.stderr
+    assert [ln for ln in res.stdout.splitlines() if ln in ("False", "True")] == ["False", "True"]
+
+
 @pytest.mark.parametrize("out", ["afile/sub", "afile"])
 def test_output_dir_on_a_regular_file_exits_2_and_creates_nothing(tmp_path, out):
     (tmp_path / "afile").write_text("")

@@ -24,6 +24,20 @@ def test_basis_representatives_are_orbit_minima():
         assert rep == min(orbit)
 
 
+@pytest.mark.parametrize("L", range(2, 17))
+def test_basis_matches_the_orbit_definition(L):
+    basis = edsolver.build_zero_momentum_basis(L)
+    expected = oracles.zero_momentum_orbits(L)
+    got = (basis.reps, basis.periods, basis.rep_of, basis.index_of)
+    for name, have, want in zip(("reps", "periods", "rep_of", "index_of"), got, expected):
+        assert have.dtype == np.int64, name
+        assert np.array_equal(have, want), name
+    # the measurement path reads the same cached orbits
+    reps, periods = edsolver.zero_momentum_orbits(L)
+    assert np.array_equal(reps, expected[0]) and np.array_equal(periods, expected[1])
+    assert not reps.flags.writeable and not periods.flags.writeable
+
+
 def test_sector_levels_live_inside_the_full_spectrum():
     p = ModelParams(8, 0.45, 0.25)
     full = np.linalg.eigvalsh(oracles.hamiltonian(p.L, p.g, p.h))

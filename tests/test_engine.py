@@ -172,3 +172,27 @@ def test_undo_folded_step_and_turns_allocate_under_a_quarter_of_the_state(axis):
         tracemalloc.stop()
     assert step_peak < state.amplitudes.nbytes / 4
     assert turn_peak < state.amplitudes.nbytes / 4
+
+
+def test_exact_time_point_allocates_under_a_quarter_of_the_state():
+    # one noiseless exact time point as run_quench takes it: the folded step,
+    # then the orbit gather and the top-bit overlap, with the correlator
+    L = 16
+    layers = trotter.frame_layers(ModelParams(L, 0.5, 0.3), 0.4, fold_right=True)
+    state = sv.init_all_plus(L)
+
+    def time_point():
+        for layer in layers:
+            layer.apply(state)
+        return trotter._measure(state, ("x", "y"), 0, None, True, layers[-1].phase, None, None, 0.0)
+
+    time_point()  # warm up: builds the cached orbits and their table
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        values, G = time_point()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.shape == (L // 2,) and set(values) == {"x", "y", "z"}
+    assert peak - base < state.amplitudes.nbytes / 4

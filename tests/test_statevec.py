@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies
+from hypothesis import assume, example, given, settings, strategies
 
 import oracles
 from isingspec import edsolver, noise, obs, statevec as sv, trotter
@@ -140,10 +140,10 @@ def test_site_expectations_match_dense_oracle():
         assert np.abs(vals - expected).max() < 1e-12
 
 
-def x_frame_trotter_state(params: ModelParams, dt: float, n_steps: int) -> sv.StateVector:
+def x_frame_trotter_state(params: ModelParams, dt: float, n_steps: int, fold_right: bool = False) -> sv.StateVector:
     """|+...+> after n_steps noiseless Trotter steps, in the x frame run_quench uses."""
     st = sv.init_all_plus(params.L)
-    layers = trotter.frame_layers(params, dt)
+    layers = trotter.frame_layers(params, dt, fold_right=fold_right)
     for _ in range(n_steps):
         for layer in layers:
             layer.apply(st)
@@ -159,6 +159,19 @@ def assert_one_site_values_match_every_site(st: sv.StateVector) -> None:
     assert np.abs(invariant - obs.correlator_profile(st)).max() < 1e-12
 
 
+def assert_folded_state_reads_as_the_physical_one(params: ModelParams, dt: float, n_steps: int) -> None:
+    """The state evolved by the fold_right layers (D_R psi up to a global
+    phase), read with the bond layer's phase, gives the physical state's
+    full-space values."""
+    physical = x_frame_trotter_state(params, dt, n_steps)
+    folded = x_frame_trotter_state(params, dt, n_steps, fold_right=True)
+    top = sv.top_site_expectations(folded, trotter.frame_layers(params, dt, fold_right=True)[-1].phase)
+    for axis in "xyz":
+        assert np.abs(sv.site_expectations(physical, axis) - top[axis]).max() < 1e-12
+    invariant = obs.invariant_correlator_profile(folded)
+    assert np.abs(invariant - obs.correlator_profile(physical)).max() < 1e-12
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     L=strategies.integers(2, 9),
@@ -168,14 +181,18 @@ def assert_one_site_values_match_every_site(st: sv.StateVector) -> None:
     n_steps=strategies.integers(0, 5),
     seed=strategies.integers(0, 2**32 - 1),
 )
+@example(L=5, g=0.0, h=0.0, dt=0.3, n_steps=3, seed=0)
+@example(L=6, g=0.7, h=0.0, dt=0.3, n_steps=3, seed=0)
 def test_translation_invariant_states_are_measured_at_one_site(L, g, h, dt, n_steps, seed):
     assert_one_site_values_match_every_site(random_invariant_state(L, np.random.default_rng(seed)))
     assert_one_site_values_match_every_site(x_frame_trotter_state(ModelParams(L, g, h), dt, n_steps))
+    assert_folded_state_reads_as_the_physical_one(ModelParams(L, g, h), dt, n_steps)
 
 
 def test_translation_invariant_states_are_measured_at_one_site_at_L16():
     assert_one_site_values_match_every_site(random_invariant_state(16, np.random.default_rng(16)))
     assert_one_site_values_match_every_site(x_frame_trotter_state(ModelParams(16, 0.25, 0.2), 0.2, 12))
+    assert_folded_state_reads_as_the_physical_one(ModelParams(16, 0.25, 0.2), 0.2, 12)
 
 
 def test_measurement_probabilities_z_basis_is_amplitude_squared():
