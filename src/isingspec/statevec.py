@@ -23,7 +23,8 @@ measured basis and returns |psi|^2; sample_in_place then overwrites it with
 the CDF, and sorted draws give the index histogram. sample_index_counts and
 site_expectations do the same on a rotated copy. A translation-invariant
 state needs no such array: orbit_sums and top_site_expectations read it
-from its 2**L / L k = 0 orbit amplitudes and one top-bit overlap.
+from its 2**L / L k = 0 orbit amplitudes and one top-bit overlap, and
+sample_orbits turns it in place and draws from a CDF over its orbits.
 
 Gate application is in place via bit-masked stride views; any site pair is
 allowed for two-site gates. The x-frame kernels take a layer of per-site
@@ -669,14 +670,19 @@ def _check_mass(total: float) -> float:
     return total
 
 
+def _sorted_uniforms(shots: int, rng) -> np.ndarray:
+    if shots < 1:
+        raise ValueError("shots must be >= 1; set plan.shots = 0 for exact values")
+    return np.sort(np.random.default_rng(rng).random(shots))
+
+
 def _sample_indices(probs: np.ndarray, shots: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Draw basis indices by inverse CDF, written over probs; returns (unique
     indices, counts), read off the runs of the indices of sorted draws."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1; use site_expectations() for exact values")
+    u = _sorted_uniforms(shots, rng)
     cdf = np.cumsum(probs, out=probs)
     cdf /= cdf[-1]
-    draws = np.searchsorted(cdf, np.sort(np.random.default_rng(rng).random(shots)), side="right")
+    draws = np.searchsorted(cdf, u, side="right")
     ends = np.flatnonzero(np.append(draws[1:] != draws[:-1], True)) + 1  # one past each run
     return draws[ends - 1], ends - np.append(0, ends[:-1])
 
@@ -686,17 +692,48 @@ def sample_index_counts(state: StateVector, axes, shots: int, rng) -> tuple[np.n
     return _sample_indices(measurement_probabilities(state, axes), shots, rng)
 
 
-def turn_in_place(state: StateVector, axes, carried=None) -> np.ndarray:
+def _turn(state: StateVector, axes, carried=None) -> None:
     """Turn the amplitudes in place from the readout rotation of the carried
-    axes (None: none) to that of axes; returns the outcome probabilities."""
+    axes (None: none) to that of axes."""
     carried = carried and _normalize_axes(carried, state.L)
     apply_site_blocks(state, _rotation_blocks(_normalize_axes(axes, state.L), carried))
+
+
+def turn_in_place(state: StateVector, axes, carried=None) -> np.ndarray:
+    """_turn, then the outcome probabilities of the turned state."""
+    _turn(state, axes, carried)
     return _probabilities(state.amplitudes)
 
 
 def sample_in_place(state: StateVector, axes, shots: int, rng, carried=None) -> tuple[np.ndarray, np.ndarray]:
     """sample_index_counts on the state's own amplitudes, turned by turn_in_place."""
     return _sample_indices(turn_in_place(state, axes, carried), shots, rng)
+
+
+def sample_orbits(state: StateVector, axes, shots: int, rng, carried=None) -> tuple[np.ndarray, np.ndarray]:
+    """sample_in_place for a translation-invariant state (not checked)
+    turned into one axis on every site, without a 2**L array.
+
+    All R_a members of k = 0 orbit a hold w_a = |psi(rep_a)|^2, so the
+    inverse CDF lays them out next to each other: C = cumsum(R_a w_a) /
+    total. Sorted uniforms u pick an orbit a by search and its member r =
+    floor(R_a (u - C_{a-1}) / (C_a - C_{a-1})), the state translate(rep_a, r).
+    """
+    u = _sorted_uniforms(shots, rng)
+    _turn(state, axes, carried)
+    reps, periods = edsolver.zero_momentum_orbits(state.L)
+    cdf = np.cumsum(periods * np.abs(state.amplitudes[reps]) ** 2)
+    cdf /= _check_mass(cdf[-1])
+    lo = np.append(0.0, cdf[:-1])
+    a = np.searchsorted(cdf, u, side="right")  # u < 1 = cdf[-1], so cdf[a] > u
+    u -= lo[a]  # in place, so that few shots-sized arrays are alive at once
+    u /= (cdf - lo)[a]
+    R = periods[a]
+    u *= R
+    R -= 1
+    r = np.minimum(u, R, out=u).astype(np.int64)
+    del u, cdf, lo, R  # freed before translate's temporaries
+    return np.unique(edsolver.translate(reps[a], state.L, (1 << state.L) - 1, r), return_counts=True)
 
 
 def bits_from_indices(indices: np.ndarray, counts: np.ndarray, L: int) -> np.ndarray:

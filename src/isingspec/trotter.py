@@ -26,13 +26,14 @@ step (and at t = 0). Without gate noise U_step commutes with translations,
 so the state stays translation invariant: its exact values are read from
 its k = 0 orbits and top-bit overlap (statevec.top_site_expectations and
 obs.invariant_correlator_profile), its step folds all on-site phases into
-the bond diagonal, and it builds no random streams. Every other point
-(sampled, or on a gate-noisy trajectory, which is not invariant) turns the
-state in place into each axis's basis (x first, which needs no turn) and
+the bond diagonal, and it builds no random streams. Every other point turns
+the state in place into each axis's basis (x first, which needs no turn).
+A sampled invariant state is then drawn from on its k = 0 orbits
+(statevec.sample_orbits); a gate-noisy trajectory, which is not invariant,
 reads the outcome probabilities: their bit marginals for shots = 0, draws
-from them otherwise. The state is left in the last axis's basis, R; the
-next step's on-site layer, built once per run, is H u1 H R^dagger (at
-g = h = 0, R^dagger is a gateless layer of its own).
+from their full CDF otherwise. The state is left in the last axis's basis,
+R; the next step's on-site layer, built once per run, is H u1 H R^dagger
+(at g = h = 0, R^dagger is a gateless layer of its own).
 
 With gate noise the bond layers stay separate diagonals (odd, even, and on
 an odd ring the wrap bond on its own), and the Paulis drawn per gate, in
@@ -287,14 +288,15 @@ def _measure(state, axes, shots, seed, correlator, phase, tables, readout, p_mit
     from its k = 0 orbits and top-bit overlap times phase, and stand for
     every site. Every other point takes one path per axis: the
     state turned in place into the axis's basis -> outcome probabilities ->
-    exact bit marginals, or sampled: index histogram -> bit matrix ->
+    exact bit marginals, or sampled: index histogram (drawn on the orbits
+    of an invariant state, else from the full CDF) -> bit matrix ->
     twirled readout (only with readout error) -> site estimates, mitigated
     by noise.trex_mitigate at p_mitigate (p_eff, or 0.0 when there is
     nothing to mitigate), and, on the x axis, the correlator with the same
     factor 1 - 2 p_mitigate. The state is left in the last axis's basis;
     each sampled axis keeps its seed.spawn stream.
     """
-    if phase is not None:
+    if phase is not None and shots == 0:
         sums = statevec.orbit_sums(state, correlator)
         G = obs.invariant_correlator_profile(state, sums) if correlator else None
         return statevec.top_site_expectations(state, phase, sums), G
@@ -310,7 +312,8 @@ def _measure(state, axes, shots, seed, correlator, phase, tables, readout, p_mit
             carried = ax
             continue
         rng = np.random.default_rng(streams[ax])
-        idx, counts = statevec.sample_in_place(state, ax, shots, rng, carried)
+        sample = statevec.sample_in_place if phase is None else statevec.sample_orbits
+        idx, counts = sample(state, ax, shots, rng, carried)
         carried = ax
         bits = statevec.bits_from_indices(idx, counts, state.L)
         if readout is not None:
@@ -320,7 +323,7 @@ def _measure(state, axes, shots, seed, correlator, phase, tables, readout, p_mit
             G = obs.correlator_profile_from_bits(bits, 1.0 - 2.0 * p_mitigate)
         # released before the next axis's probabilities, so that the bit
         # matrix does not pin the heap under the next 2**L float64 array
-        del bits
+        del bits, idx, counts
     return values, G
 
 
@@ -406,7 +409,7 @@ def run_quench(
     seeded = plan.shots > 0 or gate_noise
     last = _sampling_order(axes)[-1] if seeded else None
     layers = frame_layers(params, plan.dt, gate_noise, statevec.readout_turn(None, last), not seeded)
-    phase = None if seeded else layers[-1].phase
+    phase = None if gate_noise else layers[-1].phase
     # only a gate-noisy exact run reads the correlator from every pair of sites
     exact_pairs = record_correlator and gate_noise and plan.shots == 0
     tables = obs.correlator_tables(L) if exact_pairs else None

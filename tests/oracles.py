@@ -168,9 +168,10 @@ def sampled_correlator(bits: np.ndarray, mitigation: float = 1.0) -> np.ndarray:
     return np.array(out)
 
 
-# The shot sampler as plain numpy, step by step: unsorted inverse-CDF draws,
-# a sorting histogram, an int64 shift bit matrix and a two-pass twirl. The
-# package's sampler must make the same draws and give the same arrays.
+# The shot sampler as plain numpy, step by step: unsorted inverse-CDF draws
+# (sorted ones over the orbit layout), a sorting histogram, an int64 shift bit
+# matrix and a two-pass twirl. The package's samplers must make the same
+# draws and give the same arrays.
 
 
 def sample_indices(probs: np.ndarray, shots: int, rng: np.random.Generator):
@@ -179,6 +180,30 @@ def sample_indices(probs: np.ndarray, shots: int, rng: np.random.Generator):
     cdf /= cdf[-1]
     draws = np.searchsorted(cdf, rng.random(shots), side="right")
     return np.unique(draws, return_counts=True)
+
+
+def sample_orbit_layout(probs: np.ndarray, shots: int, rng: np.random.Generator):
+    """sample_indices for the probs of a translation-invariant state, with the
+    members of each translation orbit laid out next to each other.
+
+    The orbits come in order of their reps, and member r of an orbit is its
+    rep rotated up by r bits (bit b -> b + r), r = 0 .. period - 1; every
+    member holds the rep's probability. Sorted uniforms pick an orbit from
+    the CDF of period * probs[rep] and a member from where each falls within
+    its orbit's share.
+    """
+    L = probs.size.bit_length() - 1
+    reps, periods, _, _ = zero_momentum_orbits(L)
+    u = np.sort(rng.random(shots))
+    cdf = np.cumsum(periods * probs[reps])
+    cdf /= cdf[-1]
+    orbit = np.searchsorted(cdf, u, side="right")
+    start = np.concatenate(([0.0], cdf))[orbit]
+    share = (u - start) / (cdf[orbit] - start)
+    r = np.minimum((periods[orbit] * share).astype(np.int64), periods[orbit] - 1)
+    rep = reps[orbit]
+    members = ((rep << r) | (rep >> (L - r))) & (2**L - 1)
+    return np.unique(members, return_counts=True)
 
 
 def bits_from_indices(indices: np.ndarray, counts: np.ndarray, L: int) -> np.ndarray:

@@ -196,3 +196,29 @@ def test_exact_time_point_allocates_under_a_quarter_of_the_state():
         tracemalloc.stop()
     assert G.shape == (L // 2,) and set(values) == {"x", "y", "z"}
     assert peak - base < state.amplitudes.nbytes / 4
+
+
+def test_sampled_time_point_allocates_under_a_quarter_of_the_state():
+    # one noiseless sampled time point as run_quench takes it: the step that
+    # undoes the y turn, then x and y drawn on the k = 0 orbits; no 2**L
+    # float64 array of probabilities or their CDF is made
+    L = 16
+    layers = trotter.frame_layers(ModelParams(L, 0.5, 0.3), 0.4, undo=sv.readout_turn(None, "y"))
+    state = sv.init_all_plus(L)
+    seed = np.random.SeedSequence(3)
+
+    def time_point():
+        for layer in layers:
+            layer.apply(state)
+        return trotter._measure(state, ("x", "y"), 4096, seed, False, layers[-1].phase, None, None, 0.0)
+
+    time_point()  # warm up: builds the cached orbits and turn layers
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        values, G = time_point()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G is None and set(values) == {"x", "y"}
+    assert peak - base < state.amplitudes.nbytes / 4

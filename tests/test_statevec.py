@@ -312,6 +312,51 @@ def test_turn_in_place_returns_the_probabilities_of_the_turned_state():
         assert np.abs(probs - np.abs(held.amplitudes) ** 2).max() < 1e-12
 
 
+@pytest.mark.parametrize("L", [2, 3, 5, 6, 9])
+def test_orbit_sampler_makes_the_orbit_oracles_draws(L):
+    # from a rotated copy, and after turns carried from the previous axis
+    st = random_invariant_state(L, np.random.default_rng(L))
+    held = st.copy()
+    for carried, axis in ((None, "x"), ("x", "y"), ("y", "z"), ("z", "y")):
+        expected = oracles.sample_orbit_layout(sv.measurement_probabilities(st, axis), 3000, np.random.default_rng(L))
+        got = sv.sample_orbits(held, axis, 3000, np.random.default_rng(L), carried)
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a, b), axis
+        assert np.abs(np.abs(held.amplitudes) ** 2 - sv.measurement_probabilities(st, axis)).max() < 1e-12
+
+
+def invariant_states(L: int):
+    yield "random", random_invariant_state(L, np.random.default_rng(L))
+    yield "t = 0", sv.init_all_plus(L)
+    for g, h in ((0.0, 0.0), (0.8, 0.4)):
+        st = sv.init_all_plus(L)
+        for layer in trotter.frame_layers(ModelParams(L, g, h), 0.3) * 3:
+            layer.apply(st)
+        yield f"g = {g}, h = {h}", st
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 6, 9])  # 6 and 9 have orbits of period < L; 9 is odd
+def test_orbit_sampler_draws_the_outcome_probabilities(L):
+    shots = 200_000
+    for name, st in invariant_states(L):
+        for axis in "xyz":
+            p = sv.measurement_probabilities(st, axis)
+            idx, counts = sv.sample_orbits(st.copy(), axis, shots, np.random.default_rng(7))
+            seen = np.zeros(2**L)
+            seen[idx] = counts
+            # per-index binomial bounds; over 40 seeds of all these cases the
+            # correct sampler's largest |z| was 6.0 (small counts have long tails)
+            bound = 7.0 * np.sqrt(shots * p * (1.0 - p)) + 1e-6
+            assert (np.abs(seen - shots * p) <= bound).all(), (name, axis)
+
+
+def test_samplers_reject_fewer_than_one_shot():
+    st = sv.init_all_plus(4)
+    for sample in (sv.sample_in_place, sv.sample_orbits):
+        with pytest.raises(ValueError, match="plan.shots = 0"):
+            sample(st, "y", 0, 1)
+
+
 def test_bits_from_indices_round_trip():
     idx = np.array([0, 3, 5])
     counts = np.array([2, 1, 1])

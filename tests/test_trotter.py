@@ -209,8 +209,10 @@ def reference_sampled_quench(params: ModelParams, plan: QuenchPlan) -> dict[str,
     """run_quench's sampled per-site traces from unfolded layers and copy-based sampling.
 
     The state is never rotated: each axis, in the given order, is sampled
-    from a rotated copy through sv.sample_index_counts, on the same seed
-    streams and with the same weights as run_quench.
+    from a rotated copy, on the same seed streams and with the same weights
+    as run_quench: through sv.sample_index_counts with gate noise, and by
+    oracles.sample_orbit_layout without, since the state then stays
+    translation invariant and run_quench samples it on its orbits.
     """
     L, nz = params.L, plan.noise
     gate_noise = nz is not None and nz.has_gate_noise
@@ -235,7 +237,11 @@ def reference_sampled_quench(params: ModelParams, plan: QuenchPlan) -> dict[str,
                         noise.apply_gate_noise(state, layer.kind, sites, nz, gate_rng)
             for ax, ss in zip(plan.measured_axes, meas_ss.spawn(len(plan.measured_axes))):
                 rng = np.random.default_rng(ss)
-                bits = sv.bits_from_indices(*sv.sample_index_counts(state, ax, shots, rng), L)
+                if gate_noise:
+                    drawn = sv.sample_index_counts(state, ax, shots, rng)
+                else:
+                    drawn = oracles.sample_orbit_layout(sv.measurement_probabilities(state, ax), shots, rng)
+                bits = sv.bits_from_indices(*drawn, L)
                 if readout is not None:
                     bits = noise.twirled_readout(bits, readout, rng)
                 per_site[ax][k] += shots * noise.trex_mitigate(sv.estimates_from_bits(bits), p_mitigate)
@@ -259,6 +265,44 @@ def test_sampled_run_with_folded_rotations_equals_copy_based_sampling(g, h, L, a
     expected = reference_sampled_quench(params, plan if not nz.is_null else replace(plan, noise=None))
     for ax in axes:
         assert np.array_equal(rec.per_site[ax], expected[ax]), ax
+
+
+def take_only_the_orbit_path(monkeypatch):
+    def full_cdf(*args):
+        raise AssertionError("a noiseless state was sampled from its full CDF")
+
+    monkeypatch.setattr(sv, "sample_in_place", full_cdf)
+
+
+def test_readout_noisy_sampled_quench_on_the_orbits_stays_near_the_exact_values(monkeypatch):
+    # readout error leaves the state alone, so the run samples its orbits;
+    # twirling and TREX mitigation must still undo the flips on average
+    take_only_the_orbit_path(monkeypatch)
+    params = ModelParams(6, 0.8, 0.4)
+    nz = NoiseParams(p1=0.0, p2=0.0, p01=0.06, p10=0.02)
+    plan = QuenchPlan(dt=0.3, n_steps=8, shots=4000, measured_axes=("x", "y", "z"), seed=3, noise=nz)
+    rec = trotter.run_quench(params, plan)
+    exact = trotter.run_quench(params, replace(plan, shots=0, noise=None))
+    q = 1.0 - 2.0 * nz.p_eff
+    for ax in "xyz":
+        e = exact.per_site[ax]
+        se = np.sqrt(1.0 - (q * e) ** 2) / (q * np.sqrt(plan.shots))
+        # the largest |deviation| / se over these 162 values was 4.5 in 40 seeds
+        assert (np.abs(rec.per_site[ax] - e) < 6.0 * se).all(), ax
+
+
+def test_noiseless_sampled_correlator_on_the_orbits_stays_near_the_exact_one(monkeypatch):
+    # correlate's run: G(r, t) from the x bits that the orbit sampler draws
+    take_only_the_orbit_path(monkeypatch)
+    params = ModelParams(8, 0.5, 0.2)
+    plan = QuenchPlan(dt=0.25, n_steps=10, shots=4000, measured_axes=("x",), seed=4)
+    rec = trotter.run_quench(params, plan, record_correlator=True)
+    exact = trotter.run_quench(params, replace(plan, shots=0), record_correlator=True)
+    # every G(r, t) spread by at most 0.44 / sqrt(shots) over 40 seeds, and
+    # the largest deviation was 1.8 of this se
+    se = 0.5 / np.sqrt(plan.shots)
+    assert np.abs(rec.correlator - exact.correlator).max() < 4.0 * se
+    assert np.abs(exact.correlator).max() > 10.0 * se  # there is a signal to miss
 
 
 def test_folded_layers_are_built_once_per_sampled_run(monkeypatch):
