@@ -432,6 +432,8 @@ def cmd_sweep(cfg: RunConfig, processes: int) -> dict[str, str]:
     gs = cfg["sweep.g_list"]
     if not gs:
         raise ConfigError("sweep.g_list is empty")
+    if processes < 1:
+        raise ConfigError(f"--parallel must be at least 1, got {processes}")
     if not cfg["model.h"] > 0:
         raise ConfigError(f"sweep needs model.h > 0 to define eta, got {cfg['model.h']!r}")
     points = spectro.eta_sweep(
@@ -534,10 +536,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="config file (defaults apply when omitted)")
         p.add_argument("--out", help="output directory (overrides output.dir)")
         p.add_argument("--seed", type=int, help="override plan.seed")
-        p.add_argument("--parallel", type=int, default=1, metavar="K", help="worker processes")
         p.add_argument("--format", choices=("csv", "json", "both"), help="override output.format")
         if name == "spectrum":
             p.add_argument("--trace", help="input trace CSV (overrides spectro.trace)")
+        if name == "sweep":
+            p.add_argument("--parallel", type=int, default=1, metavar="K", help="most processes the points run on")
     return parser
 
 
@@ -549,7 +552,7 @@ def _dispatch(args, cfg: RunConfig, out_dir: Path) -> dict[str, str]:
     if args.command == "spectrum":
         return cmd_spectrum(cfg, out_dir)
     if args.command == "sweep":
-        return cmd_sweep(cfg, processes=max(1, args.parallel))
+        return cmd_sweep(cfg, processes=args.parallel)
     if args.command == "correlate":
         return cmd_correlate(cfg)
     raise ValueError(f"unknown command {args.command!r}")

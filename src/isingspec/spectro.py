@@ -10,20 +10,15 @@ candidate set {e_n} union {e_m - e_n}.
 The dimensionless scaling parameter eta = 2 pi (1 - g) / h^(8/15) indexes the
 sweep points: small eta means strong confinement relative to the kink scale.
 eta_sweep is the one sweep driver: it runs each point's quench and k = 0 ED
-reference, then sweep_point (analyze_series against the point's levels), and
-returns the record, spectrum, peaks and levels in memory. Without --parallel
-workers the quenches run in this process and, when a second CPU is free,
-every ED reference runs in one forked worker beside them
-(trotter.forked_results).
+reference in chunks through trotter.forked_results, then sweep_point
+(analyze_series against the point's levels), and returns the record,
+spectrum, peaks and levels in memory.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
-from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -321,12 +316,6 @@ def sweep_point(
     return EtaPoint(params.g, params.h, record, spectrum, peaks, levels)
 
 
-def _quench_and_levels(params: ModelParams, plan: QuenchPlan, n_low: int | None):
-    """A point's quench record and, unless n_low is None, its ED levels."""
-    record = trotter.run_quench(params, plan)
-    return record, None if n_low is None else edsolver.solve_sector(params, n_low=n_low)
-
-
 # the check of each analysis setting, by keyword; the CLI checks its
 # spectro.* keys through this table too
 SETTING_CHECKS = {
@@ -349,16 +338,18 @@ def eta_sweep(
     results and a single-point sweep reproduces a plain quench with the same
     seed exactly. h <= 0, out-of-range settings, a plan too short for a
     spectrum or without the y axis and, with the ED reference on, an L that
-    ED cannot solve are rejected before any point runs. At most
-    os.cpu_count() pool processes are started, each with numpy's BLAS
-    pinned to one thread. With one, the quenches run in this process; when
-    they run in one process (no gate noise, or one trajectory) and a second
-    CPU is free, one forked worker solves every point's ED reference beside
-    them, and otherwise each point's ED follows its quench here.
+    ED cannot solve are rejected before any point runs. The points run in
+    min(processes, points, statevec.cpus()) contiguous chunks, each with its
+    quenches and ED references: the first in this process, each other in a
+    forked worker. With one chunk whose quenches fork no trajectory workers
+    (one trajectory) while a second CPU is free, a forked worker solves
+    every ED reference instead.
     """
     h = float(h)
     if not h > 0:
         raise ValueError(f"eta needs h > 0, got h={h}")
+    if processes < 1:
+        raise ValueError(f"processes must be at least 1, got {processes}")
     for key, check in SETTING_CHECKS.items():
         if key in settings:
             check(settings[key])
@@ -367,25 +358,19 @@ def eta_sweep(
     n_low = settings.pop("n_low", 6)
     if n_low is not None:
         edsolver.check_L(template.L)
-    points = [
-        (
-            replace(template, g=float(g), h=h),
-            replace(plan, seed=None if plan.seed is None else plan.seed + i),
-        )
-        for i, g in enumerate(g_list)
+    params = [replace(template, g=float(g), h=h) for g in g_list]
+    n = len(params)
+    quenches = [
+        (i, trotter.run_quench, p, replace(plan, seed=None if plan.seed is None else plan.seed + i))
+        for i, p in enumerate(params)
     ]
-    workers = min(processes, len(points), os.cpu_count() or 1)
-    if workers > 1:
-        with get_context("fork").Pool(workers, initializer=statevec.pin_blas_threads) as pool:
-            parts = pool.starmap(partial(_quench_and_levels, n_low=n_low), points)
-    elif n_low is not None and statevec.cpus() >= 2 and trotter.trajectories(plan) == 1:
-        quenches = [(trotter.run_quench, *point) for point in points]
-        references = [(edsolver.solve_sector, params, n_low) for params, _ in points]
-        out = list(trotter.forked_results(lambda fn, *args: fn(*args), [quenches, references]))
-        parts = zip(out[: len(points)], out[len(points) :])
-    else:
-        parts = [_quench_and_levels(*point, n_low) for point in points]
-    return [
-        sweep_point(params, record, levels=levels, **settings)
-        for (params, _), (record, levels) in zip(points, parts)
-    ]
+    solves = [(n + i, edsolver.solve_sector, p, n_low) for i, p in enumerate(params)]
+    solves = [] if n_low is None else solves
+    workers = max(1, min(processes, n, statevec.cpus()))  # one (empty) chunk for no points
+    cuts = [n * i // workers for i in range(workers + 1)]
+    chunks = [quenches[a:b] + solves[a:b] for a, b in zip(cuts, cuts[1:])]
+    if workers == 1 and solves and statevec.cpus() >= 2 and trotter.trajectories(plan) == 1:
+        chunks = [quenches, solves]
+    # results by slot: point i's record at i, its levels at n + i
+    out = dict(trotter.forked_results(lambda slot, fn, *args: (slot, fn(*args)), chunks))
+    return [sweep_point(p, out[i], levels=out.get(n + i), **settings) for i, p in enumerate(params)]

@@ -129,15 +129,16 @@ def blas_threads(package: str = "numpy") -> int | None:
 
 def cpus() -> int:
     """CPUs this process may keep busy: os.cpu_count(), but 1 inside any
-    multiprocessing child (a sweep or trajectory worker), whose siblings
-    hold the others."""
-    return (os.cpu_count() or 1) if multiprocessing.parent_process() is None else 1
+    multiprocessing child (a sweep chunk or trajectory worker) and inside
+    serial_passes(), while worker processes of this one hold the others."""
+    return 1 if _serial or multiprocessing.parent_process() is not None else (os.cpu_count() or 1)
 
 
 @contextlib.contextmanager
 def serial_passes():
-    """Run every kernel pass in the block on one thread, as while worker
-    processes of this one hold the other CPUs."""
+    """Keep this process to one CPU in the block (cpus() reads 1): kernel
+    passes stay on one thread and run_quench forks no trajectory workers, as
+    while worker processes of this one hold the other CPUs."""
     global _serial
     saved, _serial = _serial, True
     try:
@@ -148,9 +149,8 @@ def serial_passes():
 
 def _splits(amps: np.ndarray) -> bool:
     """Whether a pass over amps runs as two halves on two threads: from
-    SPLIT_MIN amplitudes, when this process may keep two CPUs busy and no
-    worker process of its own holds one (serial_passes)."""
-    return amps.size >= SPLIT_MIN and not _serial and cpus() >= 2
+    SPLIT_MIN amplitudes, when this process may keep two CPUs busy."""
+    return amps.size >= SPLIT_MIN and cpus() >= 2
 
 
 def _both(fn, a, b) -> None:

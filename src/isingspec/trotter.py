@@ -42,18 +42,18 @@ within a layer act on disjoint sites, so the Paulis commute past the rest
 of it. Readout noise is applied per shot, and noisy observables are
 averaged over trajectories.
 
-The trajectories run over up to statevec.cpus() processes, that is up to
-os.cpu_count() and never inside a multiprocessing child such as a sweep
-worker. This process runs the first contiguous chunk and forked workers the
-rest, each with its own 2**L state; the sums are taken in trajectory order,
-so the record does not depend on the process count.
+The trajectories run over up to statevec.cpus() processes: this process
+runs the first contiguous chunk and forked workers the rest, each with its
+own 2**L state; the sums are taken in trajectory order, so the record does
+not depend on the process count.
 
 forked_results is the one fork path: run_quench spreads its trajectories
-with it, and spectro.eta_sweep runs a sweep's ED references beside its
-quenches. It runs the first chunk of calls in this process and each later
-chunk in a forked worker, returns the results in chunk order, re-raises
-what a worker raised, and terminates and joins every worker on a failure.
-While workers run, this process's kernel passes stay on one thread.
+with it, and spectro.eta_sweep its chunks of quenches and ED references.
+It runs the first chunk of calls in this process and each later chunk in a
+forked worker, returns the results in chunk order, re-raises what a worker
+raised, and terminates and joins every worker on a failure. While workers
+run, statevec.cpus() reads 1 in each process, so none forks workers of its
+own or splits a kernel pass.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ import contextlib
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 
@@ -348,9 +349,8 @@ def forked_results(run, chunks):
     workers = []
     try:
         for chunk in chunks[1:]:
-            ctx = multiprocessing.get_context("fork")
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(send, run, chunk), daemon=True)
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = ForkProcess(target=_worker, args=(send, run, chunk), daemon=True)
             with send:  # the worker holds its own end; EOF once it exits
                 proc.start()
             workers.append((proc, recv))

@@ -120,6 +120,44 @@ def step_state(psi: np.ndarray, L: int, g: float, h: float, dt: float) -> np.nda
     return psi
 
 
+def noisy_site_expectations(
+    L: int, g: float, h: float, dt: float, n_steps: int, p1: float, p2: float
+) -> dict[str, np.ndarray]:
+    """Per-site <x>, <y>, <z> of |+...+> under noisy Trotter steps, from rho.
+
+    Returns an (n_steps + 1, L) array per axis, t = 0 included. The lab-frame
+    density matrix follows the step gate by gate: the single-site gates on
+    sites 1..L, then the odd bonds, then the even ones (the wrap bond last
+    on an odd ring). After each gate every touched site gets the uniform
+    Pauli channel rho -> (1 - p) rho + (p/3) sum_P P rho P, with p = p1 for
+    single-site gates and p2 for bonds.
+    """
+    dim = 2**L
+    plus = np.full(dim, dim**-0.5, dtype=complex)
+    rho = np.outer(plus, plus)
+    paulis = {j: [op_at(P, j, L) for P in (X, Y, Z)] for j in range(1, L + 1)}
+    u1 = scipy.linalg.expm(1j * dt * (g * Z + h * X))
+    gates = [(op_at(u1, j, L), (j,), p1) for j in range(1, L + 1)]
+    odd = [j for j in range(1, L + 1) if j % 2 == 1]
+    even = [j for j in range(1, L + 1) if j % 2 == 0]
+    if L % 2 == 1:
+        odd.remove(L)
+        even.append(L)
+    for j in odd + even:
+        k = j % L + 1
+        bond = np.cos(dt) * np.eye(dim) + 1j * np.sin(dt) * paulis[j][0] @ paulis[k][0]
+        gates.append((bond, (j, k), p2))
+    out = {axis: np.empty((n_steps + 1, L)) for axis in "xyz"}
+    for step in range(n_steps + 1):
+        for U, sites, p in gates if step else ():
+            rho = U @ rho @ U.conj().T
+            for j in sites:
+                rho = (1 - p) * rho + p / 3 * sum(P @ rho @ P for P in paulis[j])
+        for a, axis in enumerate("xyz"):
+            out[axis][step] = [np.trace(paulis[j][a] @ rho).real for j in range(1, L + 1)]
+    return out
+
+
 def zero_momentum_orbits(L: int):
     """(reps, periods, rep_of, index_of) of the translation orbits of L-bit states, by definition.
 

@@ -241,8 +241,8 @@ def test_parallel_sweep_equals_serial_bytes(tmp_path):
 
 
 def test_gate_noisy_parallel_sweep_equals_serial_bytes(tmp_path):
-    # a serial sweep forks trajectory workers for each point; a --parallel
-    # worker is a daemonic process, which may not fork, and runs them itself
+    # a serial sweep forks trajectory workers for each point; in a --parallel
+    # sweep every chunk, the CLI process's included, runs them itself
     cfg = dict(SWEEP_BASE, **{"sweep.g_list": "0.3, 0.5", "noise.enabled": "true", "noise.trajectories": 3})
     processes = {}
     for k in ("1", "2"):
@@ -470,6 +470,26 @@ def test_negative_seed_flag_exits_1_and_writes_nothing(tmp_path):
     res = run_cli("quench", "--config", f, "--seed", "-3")
     assert res.returncode == 1, res.stderr
     assert "config error" in res.stderr and "seed" in res.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
+
+
+# --parallel exists on sweep alone, and a count below 1 is one line of config error
+@pytest.mark.parametrize(
+    "command, k, shown, lines",
+    [
+        ("sweep", "0", "config error: --parallel must be at least 1, got 0", 1),
+        ("sweep", "-3", "config error: --parallel must be at least 1, got -3", 1),
+        ("quench", "2", "unrecognized arguments: --parallel 2", 2),
+    ],
+)
+def test_parallel_below_one_or_off_the_sweep_exits_1_and_writes_nothing(tmp_path, command, k, shown, lines):
+    f = write_config(
+        tmp_path / "run.cfg",
+        **{"model.L": 4, "plan.n_steps": 10, "sweep.g_list": "0.3, 0.5", "output.dir": tmp_path / "out"},
+    )
+    res = run_cli(command, "--config", f, "--parallel", k)
+    assert res.returncode == 1, res.stderr
+    assert shown in res.stderr and len(res.stderr.splitlines()) == lines, res.stderr
     assert {p.name for p in tmp_path.iterdir()} == {"run.cfg"}
 
 

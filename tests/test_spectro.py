@@ -1,10 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingspec import edsolver, spectro, trotter
+from isingspec import edsolver, spectro, statevec, trotter
 from isingspec.edsolver import EnergyLevels
 from isingspec.model import ModelParams, QuenchPlan
 from isingspec.spectro import Peak, PeakSet, TimeSeries
@@ -276,15 +277,31 @@ def test_single_point_sweep_matches_a_plain_quench():
 
 
 def test_sweep_workers_are_capped_at_the_cpu_count(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-CPU sweep must not start a pool")
+    def no_fork():
+        raise AssertionError("a one-CPU sweep must not fork")
 
-    monkeypatch.setattr(spectro.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(spectro, "get_context", no_pool)
+    monkeypatch.setattr(statevec.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", no_fork)
     template = ModelParams(4, 0.5, 0.3)
     plan = QuenchPlan(dt=0.2, n_steps=40, seed=3)
     points = spectro.eta_sweep([0.3, 0.5, 0.7], 0.3, template, plan, processes=3)
     assert [p.g for p in points] == [0.3, 0.5, 0.7]
+
+
+def test_a_sweep_of_no_points_returns_no_points():
+    assert spectro.eta_sweep([], 0.3, ModelParams(4, 0.5, 0.3), QuenchPlan(dt=0.2, n_steps=40), processes=2) == []
+
+
+@pytest.mark.parametrize("processes", [0, -3])
+def test_sweep_rejects_fewer_than_one_process_before_any_quench(monkeypatch, processes):
+    def no_quench(*args, **kwargs):
+        raise AssertionError("no quench may run for processes < 1")
+
+    monkeypatch.setattr(trotter, "run_quench", no_quench)
+    with pytest.raises(ValueError, match="processes must be at least 1"):
+        spectro.eta_sweep(
+            [0.4, 0.6], 0.3, ModelParams(4, 0.5, 0.3), QuenchPlan(dt=0.2, n_steps=40), processes=processes
+        )
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1])

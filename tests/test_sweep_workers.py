@@ -1,12 +1,14 @@
-"""A sweep's ED references in one forked worker beside its quenches.
+"""A sweep's quenches and ED references, in chunks run by trotter.forked_results.
 
-Without --parallel workers, eta_sweep runs every quench in this process and,
-when a second CPU is free and the quenches fork no trajectory workers, every
-ED reference in one forked worker. Each sweep here is compared with its
-one-CPU twin, made by reporting one CPU to statevec.cpus(). Wrappers around
-edsolver.solve_sector and trotter.run_quench reach the worker through fork.
-Tests of the --parallel pool run in a child process with a timeout, so that a
-pool that hangs fails the test instead.
+eta_sweep runs its points in min(--parallel, points, CPUs) contiguous
+chunks of quenches and ED references, the first in this process and each
+other in a forked worker. With one chunk whose quenches fork no trajectory
+workers, while a second CPU is free, one forked worker solves every ED
+reference instead. Each sweep here is compared with its one-CPU twin, made
+by reporting one CPU to statevec.cpus(). Wrappers around
+edsolver.solve_sector and trotter.run_quench reach the workers through
+fork. The --parallel CLI failure runs in a child process with a timeout, so
+that a sweep that hangs fails the test instead.
 """
 
 import json
@@ -83,6 +85,32 @@ def test_ed_worker_sweep_equals_the_one_cpu_sweep(monkeypatch, shots):
         assert b.levels.pid == os.getpid()
         assert any(p.label != "unassigned" for p in a.peaks)
         assert_equal_points(a, b)
+
+
+def test_a_parallel_sweep_runs_on_no_more_processes_than_cpus(monkeypatch):
+    # 3 points on 2 CPUs: point 0 in this process, points 1 and 2 in one worker
+    wrap_solver(monkeypatch)
+    forked = sweep(monkeypatch, 2, processes=3)
+    serial = sweep(monkeypatch, 1, processes=3)
+    pids = [p.levels.pid for p in forked]
+    assert pids[0] == os.getpid() and pids[1] == pids[2] != os.getpid()
+    for a, b in zip(forked, serial):
+        assert b.levels.pid == os.getpid()
+        assert_equal_points(a, b)
+
+
+def test_forked_workers_keep_the_blas_pin_and_one_cpu(monkeypatch):
+    # fork copies numpy's BLAS pin, so the workers need no initializer
+    monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
+    sv.pin_blas_threads()
+    probe = lambda: (os.getpid(), sv.blas_threads(), sv.cpus())  # noqa: E731
+    here, there = trotter.forked_results(probe, [[()], [()]])
+    assert multiprocessing.active_children() == []
+    assert here == (os.getpid(), 1, 1)
+    assert there[0] != os.getpid() and there[1:] == (1, 1)
+    assert sv.cpus() == 2
+    with sv.serial_passes():
+        assert sv.cpus() == 1
 
 
 def solved_here(params):
@@ -200,8 +228,8 @@ def test_cli_failures_beside_the_ed_worker_exit_2_and_write_nothing(
 
 
 def test_an_ed_failure_in_a_parallel_sweep_exits_2_and_writes_nothing(tmp_path):
-    # the pool sends a worker's exception back pickled; one that cannot be
-    # unpickled once killed the pool's result thread and hung the sweep
+    # the chunk in the CLI process fails and the worker is terminated; a
+    # worker's exception that could not be unpickled once hung the sweep
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model.L = 6\nmodel.h = 0.3\nplan.dt = 0.2\nplan.n_steps = 40\nsweep.g_list = 0.3, 0.5\n")
     script = (
