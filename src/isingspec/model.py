@@ -94,8 +94,8 @@ class QuenchPlan:
 
     shots = 0 means exact expectation values; shots > 0 draws that many
     bitstring samples per measured axis at every recorded time. The seed
-    controls every stochastic element (sampling, gate noise, readout noise)
-    through per-(trajectory, time point, axis) substreams.
+    controls every stochastic element through three streams per trajectory:
+    gate noise, sampling and readout noise.
     """
 
     dt: float

@@ -5,10 +5,11 @@ uniformly random non-identity Pauli with probability p1 (one-site gates) or p2
 (two-site gates); observables are averaged over independent trajectories.
 
 Readout is an asymmetric per-site bit flip (0->1 with p01, 1->0 with p10),
-applied only twirled: twirled_readout draws a random X per site per shot,
-undone classically, which symmetrizes the channel to an effective flip
-probability p_eff = (p01+p10)/2. Expectation values then shrink by
-(1 - 2*p_eff); trex_mitigate, which run_quench applies to every sampled
+applied only twirled: a random X per site per shot, undone classically,
+flips every bit independently with p_eff = (p01+p10)/2. run_quench draws
+that exact channel (twirled_flips); twirled_readout, the mask and the
+asymmetric flips bit by bit, is its reference. Expectation values shrink
+by (1 - 2*p_eff); trex_mitigate, which run_quench applies to every sampled
 axis, divides that out exactly.
 
 The knobs live in model.NoiseParams (re-exported here). Its default rates are
@@ -70,6 +71,16 @@ def twirled_readout(
     bits = np.asarray(bits)
     mask = rng.integers(0, 2, size=bits.shape, dtype=bits.dtype)
     return bits ^ (rng.random(bits.shape) < np.array([params.p01, params.p10]).take(bits ^ mask))
+
+
+def twirled_flips(indices: np.ndarray, L: int, params: NoiseParams, rng: np.random.Generator) -> None:
+    """The twirled readout channel on per-shot basis indices, in place: each
+    row of indices (rows, shots) in turn flips a Binomial(shots L, p_eff)
+    count of distinct bits, picked uniformly, where position i L + b is bit
+    b of shot i, so every bit flips independently with p_eff."""
+    for row in indices:
+        flips = rng.choice(row.size * L, rng.binomial(row.size * L, params.p_eff), replace=False)
+        np.bitwise_xor.at(row, flips // L, (1 << (flips % L)).astype(row.dtype))
 
 
 _ArrayLike = Union[float, np.ndarray]

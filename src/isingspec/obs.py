@@ -12,8 +12,8 @@ constant on translation orbits, so invariant_correlator_profile reads G of
 a translation-invariant state (every noiseless exact run) from its 2**L / L
 orbit weights R_a p(rep_a) (statevec.orbit_sums). Any other state (a
 gate-noisy exact trajectory) takes correlator_profile, with int8 tables.
-Sampled, one shared bit matrix serves all pairs: <z_i z_{i+r}> is the site
-estimate of the bit matrix XORed with its own roll by r.
+Sampled, t_r of each shot's basis index s gives the pair sums, as
+L - 2 popcount(s XOR rot^r(s)) averaged over the shots.
 """
 
 from __future__ import annotations
@@ -78,19 +78,17 @@ def invariant_correlator_profile(state: StateVector, sums: np.ndarray | None = N
 def correlator_profile_from_bits(bits: np.ndarray, mitigation: float = 1.0) -> np.ndarray:
     """Sampled G(r) for r = 1 .. L//2 from a shared x-basis bit matrix of shape (shots, L).
 
-    mitigation is the readout attenuation 1 - 2 p_eff. It divides the site
-    means once and the pair means <z_i z_{i+r}> by its square, the correlator
-    analog of expectation-value readout mitigation (approximate for G).
+    Pair sums come from each shot's basis index, packed from its bits.
+    mitigation is the readout attenuation 1 - 2 p_eff. It divides the
+    site means once and the pair means by its square, the correlator analog
+    of expectation-value readout mitigation (approximate for G).
     """
     L = bits.shape[1]
-    rs = range(1, L // 2 + 1)
+    s = bits @ (1 << np.arange(L))
+    flips = np.array([statevec.ring_xor_popcount(L, r, states=s).sum() for r in range(1, L // 2 + 1)])
+    pair_sums = L - 2.0 * (flips / len(bits))
     m = statevec.estimates_from_bits(bits) / mitigation
-    # row i holds site i's terms; numpy sums axis 0 row by row, i.e. in site order
-    pairs = np.stack(
-        [statevec.estimates_from_bits(bits ^ np.roll(bits, -r, axis=1)) for r in rs], axis=1
-    )
-    disconnected = np.stack([m * np.roll(m, -r) for r in rs], axis=1)
-    return (pairs / (mitigation * mitigation) - disconnected).sum(axis=0) / L
+    return (pair_sums / (mitigation * mitigation) - m[_shifts(L)] @ m) / L
 
 
 @dataclass

@@ -17,14 +17,14 @@ z of measurements, expectations and gate noise are the lab's. The raw
 kernels (apply_matrix1/2, the site layers and the phase diagonals) act on
 the stored amplitudes as they are.
 
-A per-site measurement holds one float64 array of 2**L entries besides the
-state: turn_in_place (run_quench's) turns the amplitudes in place into the
-measured basis and returns |psi|^2; sample_in_place then overwrites it with
-the CDF, and sorted draws give the index histogram. sample_index_counts and
-site_expectations do the same on a rotated copy. A translation-invariant
-state needs no such array: orbit_sums and top_site_expectations read it
-from its 2**L / L k = 0 orbit amplitudes and one top-bit overlap, and
-sample_orbits turns it in place and draws from a CDF over its orbits.
+A per-site measurement turns the amplitudes in place into the measured
+basis and reads |psi|^2 over the 2**L states into one float64 array, or,
+for a translation-invariant state, R_a |psi(rep_a)|^2 over its 2**L / L
+k = 0 orbits (turn_weights). draw_shots overwrites rows of such weights
+with their CDFs and draws per-shot basis indices by sorted uniforms.
+sample_index_counts and site_expectations read a rotated copy. orbit_sums
+and top_site_expectations read exact values of an invariant state from its
+orbit amplitudes and one top-bit overlap, without a 2**L array.
 
 Gate application is in place via bit-masked stride views; any site pair is
 allowed for two-site gates. The x-frame kernels take a layer of per-site
@@ -265,10 +265,13 @@ def apply_matrix1(state: StateVector, m: np.ndarray, site: int) -> None:
     _check_site(state.L, site)
     bit = site - 1
     v = state.amplitudes.reshape(-1, 2, 1 << bit)
-    a0 = v[:, 0, :].copy()
-    a1 = v[:, 1, :]
-    v[:, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
-    v[:, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
+    rows, cols = max(1, CHUNK >> bit), min(CHUNK, 1 << bit)
+    for a, c in itertools.product(range(0, v.shape[0], rows), range(0, v.shape[2], cols)):
+        blk = v[a : a + rows, :, c : c + cols]  # by chunks: no state-sized temporaries
+        a0 = blk[:, 0, :].copy()
+        a1 = blk[:, 1, :]
+        blk[:, 0, :] = m[0, 0] * a0 + m[0, 1] * a1
+        blk[:, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
 
 
 def apply_matrix2(state: StateVector, m: np.ndarray, site_a: int, site_b: int) -> None:
@@ -528,21 +531,29 @@ def apply_site_blocks(state: StateVector, layer: SiteLayer) -> StateVector:
     return state
 
 
-def ring_xor_popcount(L: int, r: int = 1, mask: int | None = None) -> np.ndarray:
-    """popcount((s XOR rot^r(s)) & mask) for every basis index s, as uint8.
+def index_chunks(L: int):
+    """(a, uint32 basis indices from a) over all 2**L states, 2**16 at a time."""
+    for a in range(0, 1 << L, 1 << 16):
+        yield a, np.arange(a, min(a + (1 << 16), 1 << L), dtype=np.uint32)
+
+
+def ring_xor_popcount(L: int, r: int = 1, mask: int | None = None, states: np.ndarray | None = None) -> np.ndarray:
+    """popcount((s XOR rot^r(s)) & mask) for the basis indices s in states,
+    as uint8; for all 2**L of them by default, without 2**L temporaries.
 
     rot^r moves site j + r onto site j around the ring, so bit j-1 of the
     XOR is set when sites j and j + r disagree. In the x frame that counts
     the broken sx sx bonds: sum_j sx_j sx_{j+r} = L - 2 * popcount. mask
     selects which (j, j + r) pairs count; the default is all L.
     """
-    full = (1 << L) - 1
-    s = np.arange(1 << L, dtype=np.uint32)
-    d = s >> np.uint32(r)
-    d |= (s << np.uint32(L - r)) & np.uint32(full)
-    d ^= s
-    if mask is not None and mask != full:
-        d &= np.uint32(mask)
+    if states is None:
+        out = np.empty(1 << L, dtype=np.uint8)
+        for a, s in index_chunks(L):
+            out[a : a + s.size] = ring_xor_popcount(L, r, mask, s)
+        return out
+    d = states ^ edsolver.translate(states, L, (1 << L) - 1, L - r)
+    if mask is not None:
+        d &= mask
     return np.bitwise_count(d)
 
 
@@ -651,7 +662,7 @@ def measurement_probabilities(state: StateVector, axes) -> np.ndarray:
     layer of _rotation_blocks, which is built once per axes.
     """
     axes = _normalize_axes(axes, state.L)
-    layer = _rotation_blocks(axes, None)  # the key sample_in_place uses
+    layer = _rotation_blocks(axes, None)  # the key turn_in_place uses
     amps = state.amplitudes if layer.identity else apply_site_blocks(state.copy(), layer).amplitudes
     return _probabilities(amps)
 
@@ -670,26 +681,49 @@ def _check_mass(total: float) -> float:
     return total
 
 
-def _sorted_uniforms(shots: int, rng) -> np.ndarray:
+def draw_shots(weights: np.ndarray, shots: int, rng, L: int | None = None) -> np.ndarray:
+    """Per-shot basis indices, shape (rows, shots) int64, drawn by inverse CDF
+    from each row of outcome weights, which is overwritten with its CDF.
+
+    Each row takes the next `shots` uniforms of rng, sorted, so a block draws
+    what its rows would one at a time. A row holds a weight per basis state,
+    or with L, R_a w_a over the k = 0 orbits of an L-site ring: the R_a
+    members of orbit a lie next to each other, so u picks orbit a by search
+    and its member r = floor(R_a (u - C_{a-1}) / (C_a - C_{a-1})).
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1; set plan.shots = 0 for exact values")
-    return np.sort(np.random.default_rng(rng).random(shots))
-
-
-def _sample_indices(probs: np.ndarray, shots: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Draw basis indices by inverse CDF, written over probs; returns (unique
-    indices, counts), read off the runs of the indices of sorted draws."""
-    u = _sorted_uniforms(shots, rng)
-    cdf = np.cumsum(probs, out=probs)
-    cdf /= cdf[-1]
-    draws = np.searchsorted(cdf, u, side="right")
-    ends = np.flatnonzero(np.append(draws[1:] != draws[:-1], True)) + 1  # one past each run
-    return draws[ends - 1], ends - np.append(0, ends[:-1])
+    rng = np.random.default_rng(rng)
+    cdf = np.cumsum(weights, axis=1, out=weights)
+    cdf /= [[_check_mass(total)] for total in cdf[:, -1]]
+    out = np.empty((len(cdf), shots), dtype=np.int64)
+    reps, periods = edsolver.zero_momentum_orbits(L) if L else (None, None)
+    for c, row in zip(cdf, out):
+        v = rng.random(shots)
+        v.sort()
+        a = np.searchsorted(c, v, side="right")  # v < 1 = c[-1], so c[a] > v
+        if L is None:
+            row[...] = a
+            continue
+        lo = c[a - 1]  # orbit a holds [lo, c[a]) of the CDF, its R_a members in turn
+        lo[a == 0] = 0.0
+        v -= lo  # in place, so that few shots-sized arrays are alive at once
+        v /= c[a] - lo
+        del lo
+        R = periods[a]
+        v *= R
+        R -= 1
+        r = np.minimum(v, R, out=v).astype(np.int64)
+        del v, R
+        np.take(reps, a, out=row)
+        del a
+        row[...] = edsolver.translate(row, L, (1 << L) - 1, r)
+    return out
 
 
 def sample_index_counts(state: StateVector, axes, shots: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sampled measurement in per-site bases, from a rotated copy; returns (basis indices, counts)."""
-    return _sample_indices(measurement_probabilities(state, axes), shots, rng)
+    return np.unique(draw_shots(measurement_probabilities(state, axes)[None], shots, rng), return_counts=True)
 
 
 def _turn(state: StateVector, axes, carried=None) -> None:
@@ -705,48 +739,32 @@ def turn_in_place(state: StateVector, axes, carried=None) -> np.ndarray:
     return _probabilities(state.amplitudes)
 
 
-def sample_in_place(state: StateVector, axes, shots: int, rng, carried=None) -> tuple[np.ndarray, np.ndarray]:
-    """sample_index_counts on the state's own amplitudes, turned by turn_in_place."""
-    return _sample_indices(turn_in_place(state, axes, carried), shots, rng)
-
-
-def sample_orbits(state: StateVector, axes, shots: int, rng, carried=None) -> tuple[np.ndarray, np.ndarray]:
-    """sample_in_place for a translation-invariant state (not checked)
-    turned into one axis on every site, without a 2**L array.
-
-    All R_a members of k = 0 orbit a hold w_a = |psi(rep_a)|^2, so the
-    inverse CDF lays them out next to each other: C = cumsum(R_a w_a) /
-    total. Sorted uniforms u pick an orbit a by search and its member r =
-    floor(R_a (u - C_{a-1}) / (C_a - C_{a-1})), the state translate(rep_a, r).
-    """
-    u = _sorted_uniforms(shots, rng)
+def turn_weights(state: StateVector, axes, carried=None, out=None, orbits: bool = False) -> np.ndarray:
+    """_turn, then the turned state's outcome weights (in out, if given):
+    |psi|^2 over the 2**L states or, with orbits, for a translation-invariant
+    state (not checked), R_a |psi(rep_a)|^2 over its k = 0 orbits."""
     _turn(state, axes, carried)
-    reps, periods = edsolver.zero_momentum_orbits(state.L)
-    cdf = np.cumsum(periods * np.abs(state.amplitudes[reps]) ** 2)
-    cdf /= _check_mass(cdf[-1])
-    lo = np.append(0.0, cdf[:-1])
-    a = np.searchsorted(cdf, u, side="right")  # u < 1 = cdf[-1], so cdf[a] > u
-    u -= lo[a]  # in place, so that few shots-sized arrays are alive at once
-    u /= (cdf - lo)[a]
-    R = periods[a]
-    u *= R
-    R -= 1
-    r = np.minimum(u, R, out=u).astype(np.int64)
-    del u, cdf, lo, R  # freed before translate's temporaries
-    return np.unique(edsolver.translate(reps[a], state.L, (1 << state.L) - 1, r), return_counts=True)
+    reps, periods = edsolver.zero_momentum_orbits(state.L) if orbits else (slice(None), None)
+    w = np.abs(state.amplitudes[reps], out=out)
+    w *= w
+    if orbits:
+        w *= periods
+    return w
 
 
-def bits_from_indices(indices: np.ndarray, counts: np.ndarray, L: int) -> np.ndarray:
-    """Expand an index histogram into a per-shot bit matrix, shape (shots, L):
-    each index's little-endian uint32 bytes, unpacked lowest bit first."""
-    octets = np.asarray(indices, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    rows = np.unpackbits(octets, axis=1, count=L, bitorder="little")
-    return np.repeat(rows, counts, axis=0)
+def bits_from_indices(indices: np.ndarray, counts: np.ndarray | None, L: int) -> np.ndarray:
+    """Expand a histogram (indices, counts), or with counts None one index per
+    shot in any shape, into a bit matrix, shape (..., shots, L): each index's
+    little-endian uint32 bytes, unpacked lowest bit first, stored site by site."""
+    octets = np.ascontiguousarray(indices, dtype="<u4")[..., None].view(np.uint8).swapaxes(-1, -2)
+    rows = np.unpackbits(octets, axis=-2, count=L, bitorder="little").swapaxes(-1, -2)
+    return rows if counts is None else np.repeat(rows, counts, axis=0)
 
 
 def estimates_from_bits(bits: np.ndarray) -> np.ndarray:
-    """Per-site <z> estimates, i.e. 1 - 2 * mean(bit), from integer column counts, shape (L,)."""
-    return 1.0 - 2.0 * (bits.sum(axis=0, dtype=np.int64) / len(bits))
+    """Per-site <z> estimates, i.e. 1 - 2 * mean(bit), from integer column
+    counts, shape (..., L) for bits of shape (..., shots, L)."""
+    return 1.0 - 2.0 * (bits.sum(axis=-2, dtype=np.int64) / bits.shape[-2])
 
 
 def estimates_from_indices(indices: np.ndarray, counts: np.ndarray, L: int, shots: int) -> np.ndarray:

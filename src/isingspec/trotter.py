@@ -28,19 +28,20 @@ its k = 0 orbits and top-bit overlap (statevec.top_site_expectations and
 obs.invariant_correlator_profile), its step folds all on-site phases into
 the bond diagonal, and it builds no random streams. Every other point turns
 the state in place into each axis's basis (x first, which needs no turn).
-A sampled invariant state is then drawn from on its k = 0 orbits
-(statevec.sample_orbits); a gate-noisy trajectory, which is not invariant,
-reads the outcome probabilities: their bit marginals for shots = 0, draws
-from their full CDF otherwise. The state is left in the last axis's basis,
-R; the next step's on-site layer, built once per run, is H u1 H R^dagger
-(at g = h = 0, R^dagger is a gateless layer of its own).
+An exact gate-noisy trajectory reads the bit marginals of its outcome
+probabilities; a sampled point writes its outcome weights, over the k = 0
+orbits of an invariant state, into rows that are drawn a block at a time
+(_ShotRows). The state is left in the last axis's basis, R; the next
+step's on-site layer, built once per run, is H u1 H R^dagger (at g = h = 0,
+R^dagger is a gateless layer of its own).
 
 With gate noise the bond layers stay separate diagonals (odd, even, and on
 an odd ring the wrap bond on its own), and the Paulis drawn per gate, in
 gate-list order, are applied after the layer their gate belongs to; gates
 within a layer act on disjoint sites, so the Paulis commute past the rest
-of it. Readout noise is applied per shot, and noisy observables are
-averaged over trajectories.
+of it. Each trajectory has three random streams: gate noise, the uniforms
+of its sampled rows in turn, and their readout flips (noise.twirled_flips).
+Noisy observables are averaged over trajectories.
 
 The trajectories run over up to statevec.cpus() processes: this process
 runs the first contiguous chunk and forked workers the rest, each with its
@@ -66,7 +67,7 @@ from multiprocessing.context import ForkProcess
 
 import numpy as np
 
-from . import noise as noise_mod, obs, statevec
+from . import edsolver, noise as noise_mod, obs, statevec
 from .model import ModelParams, QuenchPlan
 from .statevec import Gate, StateVector
 
@@ -212,7 +213,8 @@ def frame_layers(
             index >>= 1
             index = index.astype(np.min_scalar_type(table.size - 1), copy=False)
             index *= L + 1
-            index += np.bitwise_count(np.arange(1 << L, dtype=np.uint32))
+            for a, s in statevec.index_chunks(L):
+                index[a : a + s.size] += np.bitwise_count(s)
             site = layers[-1].blocks
             site = replace(site, left=None, right=None if right else site.right)
             layers[-1] = replace(layers[-1], blocks=site)
@@ -282,50 +284,73 @@ def _sampling_order(axes) -> list[str]:
     return sorted(axes, key=lambda ax: ax != "x")  # x needs no rotation in the x frame
 
 
-def _measure(state, axes, shots, seed, correlator, phase, tables, readout, p_mitigate):
-    """One time point: per-axis site values, and G(r) when correlator is set.
+def _measure(state, axes, correlator, phase, tables):
+    """One exact time point: per-axis site values, and G(r) when correlator is set.
 
-    Exact values of an invariant state (phase not None: no gate noise) come
-    from its k = 0 orbits and top-bit overlap times phase, and stand for
-    every site. Every other point takes one path per axis: the
-    state turned in place into the axis's basis -> outcome probabilities ->
-    exact bit marginals, or sampled: index histogram (drawn on the orbits
-    of an invariant state, else from the full CDF) -> bit matrix ->
-    twirled readout (only with readout error) -> site estimates, mitigated
-    by noise.trex_mitigate at p_mitigate (p_eff, or 0.0 when there is
-    nothing to mitigate), and, on the x axis, the correlator with the same
-    factor 1 - 2 p_mitigate. The state is left in the last axis's basis;
-    each sampled axis keeps its seed.spawn stream.
+    An invariant state (phase not None: no gate noise) is read from its k = 0
+    orbits and top-bit overlap times phase, for every site. Any other is
+    turned in place axis by axis, x first, and read from bit marginals.
     """
-    if phase is not None and shots == 0:
+    if phase is not None:
         sums = statevec.orbit_sums(state, correlator)
         G = obs.invariant_correlator_profile(state, sums) if correlator else None
         return statevec.top_site_expectations(state, phase, sums), G
-    values, G = {}, None
-    streams = dict(zip(axes, seed.spawn(len(axes)))) if shots else None
-    carried = None
+    values, G, carried = {}, None, None
     for ax in _sampling_order(axes):
-        if shots == 0:
-            probs = statevec.turn_in_place(state, ax, carried)
-            values[ax] = 1.0 - 2.0 * statevec.bit_marginals(probs, state.L)
-            if ax == "x" and correlator:  # x comes first, so the state is not turned
-                G = obs.correlator_profile(state, tables, probs, values[ax])
-            carried = ax
-            continue
-        rng = np.random.default_rng(streams[ax])
-        sample = statevec.sample_in_place if phase is None else statevec.sample_orbits
-        idx, counts = sample(state, ax, shots, rng, carried)
+        probs = statevec.turn_in_place(state, ax, carried)
+        values[ax] = 1.0 - 2.0 * statevec.bit_marginals(probs, state.L)
+        if ax == "x" and correlator:  # x comes first, so the state is not turned
+            G = obs.correlator_profile(state, tables, probs, values[ax])
         carried = ax
-        bits = statevec.bits_from_indices(idx, counts, state.L)
-        if readout is not None:
-            bits = noise_mod.twirled_readout(bits, readout, rng)
-        values[ax] = noise_mod.trex_mitigate(statevec.estimates_from_bits(bits), p_mitigate)
-        if ax == "x" and correlator:
-            G = obs.correlator_profile_from_bits(bits, 1.0 - 2.0 * p_mitigate)
-        # released before the next axis's probabilities, so that the bit
-        # matrix does not pin the heap under the next 2**L float64 array
-        del bits, idx, counts
     return values, G
+
+
+# 8-byte numbers a trajectory's sampling holds: the block's weights and shot
+# indices, and one row's four shots-sized temporaries (6 rows at L = 12, 682 shots)
+BLOCK_FLOATS = 1 << 15
+
+
+class _ShotRows:
+    """A trajectory's sampled (time point, axis) rows of outcome weights, in a
+    block that lives while it holds rows. draw takes each row's shots and
+    readout flips from the measurement and readout streams, row after row, so
+    nothing depends on the block size; then site estimates, one mitigation
+    and G(r) of x."""
+
+    def __init__(self, L, axes, shots, orbits, streams, nz, values, G):
+        self.L, self.axes, self.shots, self.orbits = L, _sampling_order(axes), shots, orbits
+        self.values, self.G, self.rng, self.flip_rng = values, G, *map(np.random.default_rng, streams)
+        self.readout = nz if nz is not None and nz.has_readout_error else None
+        self.p_mitigate = nz.p_eff if self.readout is not None and nz.mitigate else 0.0
+        width = edsolver.zero_momentum_orbits(L)[0].size if orbits else 1 << L
+        self.shape = (max(1, (BLOCK_FLOATS - 4 * shots) // (width + shots)), width)
+        self.block, self.keys = None, []  # keys: (time point, axis) of each row
+
+    def take(self, state, k, last=False):
+        """Write time point k's rows, and draw a full block, or if last, the rest."""
+        carried = None
+        for ax in self.axes:
+            if self.block is None:
+                self.block = np.empty(self.shape)
+            statevec.turn_weights(state, ax, carried, self.block[len(self.keys)], self.orbits)
+            carried = ax
+            self.keys.append((k, ax))
+            if len(self.keys) == len(self.block) or last and ax == self.axes[-1]:
+                self.draw()
+
+    def draw(self):
+        L = self.L
+        drawn = statevec.draw_shots(self.block[: len(self.keys)], self.shots, self.rng, L if self.orbits else None)
+        self.block = None
+        if self.readout is not None:
+            noise_mod.twirled_flips(drawn, L, self.readout, self.flip_rng)
+        bits = statevec.bits_from_indices(drawn, None, L)
+        estimates = noise_mod.trex_mitigate(statevec.estimates_from_bits(bits), self.p_mitigate)
+        for (k, ax), b, e in zip(self.keys, bits, estimates):
+            self.values[ax][k] = e
+            if ax == "x" and self.G is not None:
+                self.G[k] = obs.correlator_profile_from_bits(b, 1.0 - 2.0 * self.p_mitigate)
+        self.keys.clear()
 
 
 def _worker(conn, run, chunk) -> None:
@@ -390,10 +415,10 @@ def run_quench(
 
     shots = 0 records exact expectations; otherwise each recorded time point
     spends `shots` samples per measured axis (split across noise trajectories
-    when gate noise is active). The RNG substream layout is fixed per
-    (trajectory, time point, axis), so any single stream's draws do not
-    depend on how many other blocks ran before it, and the record does not
-    depend on how many processes the trajectories run on (see forked_results).
+    when gate noise is active). Each trajectory draws from its own gate,
+    measurement and readout streams, row after row, so the record depends
+    neither on the block size nor on how many processes the trajectories
+    run on (see forked_results).
     """
     global trajectory_processes
     if record_correlator and "x" not in plan.measured_axes:
@@ -413,8 +438,6 @@ def run_quench(
     # only a gate-noisy exact run reads the correlator from every pair of sites
     exact_pairs = record_correlator and gate_noise and plan.shots == 0
     tables = obs.correlator_tables(L) if exact_pairs else None
-    readout = nz if nz is not None and nz.has_readout_error else None
-    p_mitigate = nz.p_eff if readout is not None and nz.mitigate else 0.0
 
     n_traj = trajectories(plan)
     n_rec = plan.n_steps + 1
@@ -426,22 +449,22 @@ def run_quench(
         shots = plan.shots // n_traj + (1 if t < plan.shots % n_traj else 0)
         if plan.shots > 0 and shots == 0:
             return None  # more trajectories than shots; nothing to average in
-        gate_ss, meas_root = traj_ss.spawn(2) if seeded else (None, None)
+        gate_ss, *streams = traj_ss.spawn(3) if seeded else (None,) * 3
         gate_rng = np.random.default_rng(gate_ss) if gate_noise else None
         state = statevec.init_all_plus(L)  # k = 0 records it unevolved
         values = {ax: np.empty((n_rec, L)) for ax in axes}
         G = np.empty((n_rec, L // 2)) if record_correlator else None
-        # an exact run reads no measurement seeds
-        for k, meas_ss in enumerate(meas_root.spawn(n_rec) if plan.shots else [None] * n_rec):
+        rows = _ShotRows(L, axes, shots, phase is not None, streams, nz, values, G) if shots else None
+        for k in range(n_rec):
             for layer in layers if k > 0 else ():
                 layer.apply(state)
                 if gate_noise:
                     for sites in layer.gates:
                         noise_mod.apply_gate_noise(state, layer.kind, sites, nz, gate_rng)
-            point, G_k = _measure(
-                state, axes, shots, meas_ss, record_correlator,
-                phase, tables, readout, p_mitigate,
-            )
+            if rows is not None:
+                rows.take(state, k, k == n_rec - 1)
+                continue
+            point, G_k = _measure(state, axes, record_correlator, phase, tables)
             for ax in axes:
                 values[ax][k] = point[ax]
             if G is not None:

@@ -208,8 +208,8 @@ def sampled_correlator(bits: np.ndarray, mitigation: float = 1.0) -> np.ndarray:
 
 # The shot sampler as plain numpy, step by step: unsorted inverse-CDF draws
 # (sorted ones over the orbit layout), a sorting histogram, an int64 shift bit
-# matrix and a two-pass twirl. The package's samplers must make the same
-# draws and give the same arrays.
+# matrix, a two-pass twirl and the flips of the twirled channel. The
+# package's samplers must make the same draws and give the same arrays.
 
 
 def sample_indices(probs: np.ndarray, shots: int, rng: np.random.Generator):
@@ -220,9 +220,10 @@ def sample_indices(probs: np.ndarray, shots: int, rng: np.random.Generator):
     return np.unique(draws, return_counts=True)
 
 
-def sample_orbit_layout(probs: np.ndarray, shots: int, rng: np.random.Generator):
-    """sample_indices for the probs of a translation-invariant state, with the
-    members of each translation orbit laid out next to each other.
+def sample_orbit_layout(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-shot basis indices of `shots` draws from the probs of a
+    translation-invariant state, with the members of each translation orbit
+    laid out next to each other, in the order of their sorted uniforms.
 
     The orbits come in order of their reps, and member r of an orbit is its
     rep rotated up by r bits (bit b -> b + r), r = 0 .. period - 1; every
@@ -240,8 +241,7 @@ def sample_orbit_layout(probs: np.ndarray, shots: int, rng: np.random.Generator)
     share = (u - start) / (cdf[orbit] - start)
     r = np.minimum((periods[orbit] * share).astype(np.int64), periods[orbit] - 1)
     rep = reps[orbit]
-    members = ((rep << r) | (rep >> (L - r))) & (2**L - 1)
-    return np.unique(members, return_counts=True)
+    return ((rep << r) | (rep >> (L - r))) & (2**L - 1)
 
 
 def bits_from_indices(indices: np.ndarray, counts: np.ndarray, L: int) -> np.ndarray:
@@ -261,6 +261,15 @@ def twirled_readout(bits: np.ndarray, p01: float, p10: float, rng: np.random.Gen
     """readout_error between two applications of a random X mask."""
     mask = rng.integers(0, 2, size=bits.shape, dtype=bits.dtype)
     return readout_error(bits ^ mask, p01, p10, rng) ^ mask
+
+
+def twirled_flips(bits: np.ndarray, p_eff: float, rng: np.random.Generator) -> np.ndarray:
+    """The twirled readout channel as it is drawn: a Binomial(bits.size,
+    p_eff) count of distinct entries of a (shots, L) bit matrix, picked
+    uniformly by their row-major position, flipped."""
+    flat = bits.flatten()
+    flat[rng.choice(bits.size, rng.binomial(bits.size, p_eff), replace=False)] ^= 1
+    return flat.reshape(bits.shape)
 
 
 def estimates_from_bits(bits: np.ndarray) -> np.ndarray:

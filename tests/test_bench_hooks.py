@@ -28,6 +28,10 @@ LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
         ("correlate", {"plan.axes": "x,y,z", "noise.enabled": "true", "noise.trajectories": 4}),
         # noiseless and exact: every time point is read on the k = 0 orbits
         ("correlate", {}),
+        # gate- and readout-noisy, sampled: blocks of rows drawn in one pass,
+        # then the correlator from the x bits
+        ("correlate", {"plan.shots": 500, "noise.enabled": "true", "noise.trajectories": 4,
+                       "noise.p01": 0.06, "noise.p10": 0.01}),
     ],
 )
 def test_traced_launch_runs_to_completion(tmp_path, command, extra):
@@ -56,7 +60,8 @@ def test_traced_launch_runs_to_completion(tmp_path, command, extra):
         assert doc["trace"]["counts"].get("copies", 0) == 0
         assert spans.get("statevec.expect", {"calls": 0})["calls"] == 0
     if command == "correlate" and extra:
-        # the in-place path: the correlator from every pair of sites
+        # the in-place paths: the correlator from every pair of sites, or
+        # from the sampled x bits
         assert spans["obs.correlator"]["calls"] > 0
     elif command == "correlate":
         # the orbit path: no probability array and no all-pairs correlator

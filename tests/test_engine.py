@@ -184,7 +184,7 @@ def test_exact_time_point_allocates_under_a_quarter_of_the_state():
     def time_point():
         for layer in layers:
             layer.apply(state)
-        return trotter._measure(state, ("x", "y"), 0, None, True, layers[-1].phase, None, None, 0.0)
+        return trotter._measure(state, ("x", "y"), True, layers[-1].phase, None)
 
     time_point()  # warm up: builds the cached orbits and their table
     tracemalloc.start()
@@ -200,25 +200,28 @@ def test_exact_time_point_allocates_under_a_quarter_of_the_state():
 
 def test_sampled_time_point_allocates_under_a_quarter_of_the_state():
     # one noiseless sampled time point as run_quench takes it: the step that
-    # undoes the y turn, then x and y drawn on the k = 0 orbits; no 2**L
-    # float64 array of probabilities or their CDF is made
+    # undoes the y turn, then x and y written as rows of orbit weights and
+    # drawn on the k = 0 orbits; no 2**L float64 array of probabilities or
+    # their CDF is made
     L = 16
     layers = trotter.frame_layers(ModelParams(L, 0.5, 0.3), 0.4, undo=sv.readout_turn(None, "y"))
     state = sv.init_all_plus(L)
-    seed = np.random.SeedSequence(3)
+    values = {ax: np.full((2, L), np.nan) for ax in "xy"}
+    streams = np.random.SeedSequence(3).spawn(2)
+    rows = trotter._ShotRows(L, ("x", "y"), 4096, True, streams, None, values, None)
 
-    def time_point():
+    def time_point(k):
         for layer in layers:
             layer.apply(state)
-        return trotter._measure(state, ("x", "y"), 4096, seed, False, layers[-1].phase, None, None, 0.0)
+        rows.take(state, k, last=True)
 
-    time_point()  # warm up: builds the cached orbits and turn layers
+    time_point(0)  # warm up: builds the cached orbits and turn layers
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        values, G = time_point()
+        time_point(1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert G is None and set(values) == {"x", "y"}
+    assert not np.isnan(values["x"]).any() and not np.isnan(values["y"]).any()
     assert peak - base < state.amplitudes.nbytes / 4

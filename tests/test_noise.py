@@ -122,6 +122,33 @@ def test_twirl_symmetrizes_the_channel():
     assert abs(f1 - nz.p_eff) < 4 * se
 
 
+def test_twirled_flips_draw_the_channel_of_the_twirl():
+    # run_quench's readout draw against the twirl itself, bit by bit
+    # (oracles.twirled_readout), on an asymmetric channel: zeros and ones
+    # each flip at p_eff, two bits of one shot flip together at p_eff**2, and
+    # a row's flip count is Binomial(shots L, p_eff). Over 40 seeds the
+    # correct code's largest |z| was 3.1 (both bits), 2.7 (rates and count
+    # means) and 2.4 (count variances); without the twirl zeros flip at
+    # p01, 61 standard errors away.
+    nz = NoiseParams(p01=0.06, p10=0.01)
+    p, L, rows, shots = nz.p_eff, 2, 200, 1000
+    n, N = rows * shots, shots * L
+    for value in (0, 3):  # every bit 0, then every bit 1
+        indices = np.full((rows, shots), value, dtype=np.int64)
+        noise.twirled_flips(indices, L, nz, np.random.default_rng([20, value]))
+        bits = np.full((n, L), value & 1, dtype=np.uint8)
+        twirl = oracles.twirled_readout(bits, nz.p01, nz.p10, np.random.default_rng([20, value])) ^ bits
+        draws = {"flips": sv.bits_from_indices(indices ^ value, None, L), "twirl": twirl.reshape(rows, shots, L)}
+        for name, flipped in draws.items():
+            rate = flipped.reshape(n, L).mean(axis=0)
+            both = flipped.reshape(n, L).all(axis=1).mean()
+            counts = flipped.sum(axis=(1, 2))
+            assert (np.abs(rate - p) < 4.5 * np.sqrt(p * (1 - p) / n)).all(), (name, value)
+            assert abs(both - p * p) < 4.5 * np.sqrt(p * p * (1 - p * p) / n), (name, value)
+            assert abs(counts.mean() - N * p) < 4.5 * np.sqrt(N * p * (1 - p) / rows), (name, value)
+            assert abs(counts.var(ddof=1) / (N * p * (1 - p)) - 1) < 4.5 * np.sqrt(2 / (rows - 1)), (name, value)
+
+
 def test_trex_inverts_the_symmetric_channel_exactly():
     truth = np.array([-0.8, -0.1, 0.0, 0.4, 0.95])
     p_eff = 0.055
@@ -143,12 +170,15 @@ def test_run_quench_mitigates_through_trex_mitigate(monkeypatch):
     calls = []
 
     def counted(raw, p_eff, _orig=noise.trex_mitigate):
-        calls.append(p_eff)
+        calls.append((p_eff, np.shape(raw)))
         return _orig(raw, p_eff)
 
     monkeypatch.setattr(noise, "trex_mitigate", counted)
     wrapped = trotter.run_quench(params, plan)
-    assert calls == [nz.p_eff] * 8  # 2 axes x 4 time points
+    # each call mitigates a block of rows of site values
+    assert {p_eff for p_eff, _ in calls} == {nz.p_eff}
+    assert all(shape[1:] == (params.L,) for _, shape in calls)
+    assert sum(shape[0] for _, shape in calls) == 8  # 2 axes x 4 time points
     for ax in ("x", "y"):
         assert np.array_equal(wrapped.per_site[ax], plain.per_site[ax])
 

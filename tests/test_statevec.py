@@ -276,7 +276,9 @@ def test_sampler_makes_the_oracle_samplers_draws(L, mixed, shots, p01, p10, seed
     before = st.amplitudes.copy()
     samplers = {
         "copy": lambda rng: sv.sample_index_counts(st, axes, shots, rng),
-        "in place": lambda rng: sv.sample_in_place(st.copy(), axes, shots, rng),
+        "in place": lambda rng: np.unique(
+            sv.draw_shots(sv.turn_weights(st.copy(), axes)[None], shots, rng), return_counts=True
+        ),
     }
     for name, sample in samplers.items():
         rng = np.random.default_rng(seed)
@@ -294,7 +296,7 @@ def test_in_place_sampling_rotates_the_state_from_the_carried_axes():
     st = random_state(L, np.random.default_rng(8))
     held = st.copy()
     for carried, axes in ((None, "y"), ("y", "z"), ("z", ("x", "y", "z", "y", "x")), (("x", "y", "z", "y", "x"), "x")):
-        sv.sample_in_place(held, axes, 10, 0, carried)
+        sv.turn_weights(held, axes, carried)
         assert np.abs(np.abs(held.amplitudes) ** 2 - sv.measurement_probabilities(st, axes)).max() < 1e-12
     # undoing the last rotation gives the state back
     sv.apply_site_blocks(held, sv.fuse_site_matrices([sv.readout_turn(None, "x")] * L))
@@ -319,9 +321,9 @@ def test_orbit_sampler_makes_the_orbit_oracles_draws(L):
     held = st.copy()
     for carried, axis in ((None, "x"), ("x", "y"), ("y", "z"), ("z", "y")):
         expected = oracles.sample_orbit_layout(sv.measurement_probabilities(st, axis), 3000, np.random.default_rng(L))
-        got = sv.sample_orbits(held, axis, 3000, np.random.default_rng(L), carried)
-        for a, b in zip(got, expected, strict=True):
-            assert np.array_equal(a, b), axis
+        weights = sv.turn_weights(held, axis, carried, orbits=True)
+        got = sv.draw_shots(weights[None], 3000, np.random.default_rng(L), L)[0]
+        assert np.array_equal(got, expected), axis
         assert np.abs(np.abs(held.amplitudes) ** 2 - sv.measurement_probabilities(st, axis)).max() < 1e-12
 
 
@@ -341,9 +343,8 @@ def test_orbit_sampler_draws_the_outcome_probabilities(L):
     for name, st in invariant_states(L):
         for axis in "xyz":
             p = sv.measurement_probabilities(st, axis)
-            idx, counts = sv.sample_orbits(st.copy(), axis, shots, np.random.default_rng(7))
-            seen = np.zeros(2**L)
-            seen[idx] = counts
+            weights = sv.turn_weights(st.copy(), axis, orbits=True)
+            seen = np.bincount(sv.draw_shots(weights[None], shots, np.random.default_rng(7), L)[0], minlength=2**L)
             # per-index binomial bounds; over 40 seeds of all these cases the
             # correct sampler's largest |z| was 6.0 (small counts have long tails)
             bound = 7.0 * np.sqrt(shots * p * (1.0 - p)) + 1e-6
@@ -352,9 +353,11 @@ def test_orbit_sampler_draws_the_outcome_probabilities(L):
 
 def test_samplers_reject_fewer_than_one_shot():
     st = sv.init_all_plus(4)
-    for sample in (sv.sample_in_place, sv.sample_orbits):
+    with pytest.raises(ValueError, match="plan.shots = 0"):
+        sv.sample_index_counts(st, "y", 0, 1)
+    for orbits in (False, True):
         with pytest.raises(ValueError, match="plan.shots = 0"):
-            sample(st, "y", 0, 1)
+            sv.draw_shots(sv.turn_weights(st, "y", orbits=orbits)[None], 0, 1, 4 if orbits else None)
 
 
 def test_bits_from_indices_round_trip():

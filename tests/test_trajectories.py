@@ -3,10 +3,11 @@
 run_quench runs the first contiguous chunk of trajectories itself and forks
 one worker per later chunk. Each run here is compared with its one-process
 twin, made by reporting one CPU to statevec.cpus(), which every process
-count is read through. Failing runs are made by wrapping trotter._measure:
-a worker inherits the wrapper through fork, and the wrapper finds the first
-time point of trajectory t from the measurement seed, whose spawn key is
-(t, ..., k) at time point k.
+count is read through. Failing runs are made by wrapping
+trotter._ShotRows.take, which writes each sampled time point's rows: a
+worker inherits the wrapper through fork, and the wrapper finds trajectory
+t from its measurement stream, whose spawn key is (t, 1), and the time
+point from its index.
 """
 
 import multiprocessing
@@ -44,6 +45,12 @@ def assert_equal_records(a, b):
         assert np.array_equal(a.correlator, b.correlator)
 
 
+# 5 trajectories split 2 + 3
+UNEVEN = QuenchPlan(dt=0.3, n_steps=12, shots=1001, seed=5, noise=NoiseParams(p1=0.01, p2=0.02, trajectories=5))
+# 3 shots over 5 trajectories: the last two get none
+SHOTLESS = QuenchPlan(dt=0.3, n_steps=12, shots=3, seed=6, noise=NoiseParams(p1=0.01, p2=0.02, trajectories=5))
+
+
 @pytest.mark.parametrize(
     "plan, correlator",
     [
@@ -51,10 +58,8 @@ def assert_equal_records(a, b):
         (QuenchPlan(dt=0.3, n_steps=12, shots=2000, seed=3, measured_axes=("x", "y"), noise=READOUT), False),
         # gate-noisy exact: every pair of sites feeds the correlator
         (QuenchPlan(dt=0.3, n_steps=12, seed=4, measured_axes=("x", "y", "z"), noise=NOISE), True),
-        # 5 trajectories split 2 + 3
-        (QuenchPlan(dt=0.3, n_steps=12, shots=1001, seed=5, noise=NoiseParams(p1=0.01, p2=0.02, trajectories=5)), False),
-        # 3 shots over 5 trajectories: the last two get none
-        (QuenchPlan(dt=0.3, n_steps=12, shots=3, seed=6, noise=NoiseParams(p1=0.01, p2=0.02, trajectories=5)), False),
+        (UNEVEN, False),
+        (SHOTLESS, False),
     ],
     ids=["sampled-readout", "exact-correlator", "uneven", "shotless"],
 )
@@ -65,6 +70,29 @@ def test_forked_trajectories_equal_the_one_process_run(monkeypatch, plan, correl
     serial, processes = run(monkeypatch, 1, params, plan, record_correlator=correlator)
     assert processes == 1
     assert_equal_records(forked, serial)
+
+
+@pytest.mark.parametrize(
+    "params, plan, correlator",
+    [
+        # gate- and readout-noisy, sampled, with the correlator
+        (ModelParams(7, 0.5, 0.3), QuenchPlan(dt=0.3, n_steps=12, shots=2000, seed=3, measured_axes=("x", "y"), noise=READOUT), True),
+        # a noiseless correlate, drawn on the k = 0 orbits
+        (ModelParams(8, 0.5, 0.2), QuenchPlan(dt=0.25, n_steps=10, shots=4000, measured_axes=("x",), seed=4), True),
+        (ModelParams(7, 0.5, 0.3), UNEVEN, False),
+        (ModelParams(7, 0.5, 0.3), SHOTLESS, False),
+    ],
+    ids=["sampled-readout-correlator", "orbit-correlate", "uneven", "shotless"],
+)
+def test_block_size_and_process_count_change_nothing(monkeypatch, params, plan, correlator):
+    # a budget of one float holds one row per block; the default holds several
+    records = []
+    for block in (trotter.BLOCK_FLOATS, 1):
+        monkeypatch.setattr(trotter, "BLOCK_FLOATS", block)
+        for cpus in (1, 2):
+            records.append(run(monkeypatch, cpus, params, plan, record_correlator=correlator)[0])
+    for record in records[1:]:
+        assert_equal_records(records[0], record)
 
 
 def test_one_trajectory_never_forks(monkeypatch):
@@ -96,14 +124,14 @@ def test_gate_noisy_L18_workers_leave_the_parent_passes_serial(monkeypatch):
 
 
 def failing_measure(monkeypatch, trajectory, action):
-    """Make trotter._measure call action() at the first time point of `trajectory`."""
+    """Make the sampled run call action() at the first time point of `trajectory`."""
 
-    def measure(state, axes, shots, seed, *args, _orig=trotter._measure):
-        if seed.spawn_key[0] == trajectory and seed.spawn_key[-1] == 0:
+    def take(rows, state, k, *args, _orig=trotter._ShotRows.take):
+        if rows.rng.bit_generator.seed_seq.spawn_key == (trajectory, 1) and k == 0:
             action()
-        return _orig(state, axes, shots, seed, *args)
+        return _orig(rows, state, k, *args)
 
-    monkeypatch.setattr(trotter, "_measure", measure)
+    monkeypatch.setattr(trotter._ShotRows, "take", take)
 
 
 def fail():

@@ -208,11 +208,13 @@ def test_step_builders_and_exact_evolution_reject_a_bad_dt(dt):
 def reference_sampled_quench(params: ModelParams, plan: QuenchPlan) -> dict[str, np.ndarray]:
     """run_quench's sampled per-site traces from unfolded layers and copy-based sampling.
 
-    The state is never rotated: each axis, in the given order, is sampled
-    from a rotated copy, on the same seed streams and with the same weights
-    as run_quench: through sv.sample_index_counts with gate noise, and by
-    oracles.sample_orbit_layout without, since the state then stays
-    translation invariant and run_quench samples it on its orbits.
+    The state is never rotated: each axis is sampled from a rotated copy,
+    row by row in run_quench's order (time points in turn, x first), on the
+    same streams and with the same weights as run_quench: each trajectory's
+    measurement stream gives every row's uniforms and its readout stream
+    every row's flips. Draws go through oracles.sample_indices with gate
+    noise, and through oracles.sample_orbit_layout without, since the state
+    then stays translation invariant and run_quench samples it on its orbits.
     """
     L, nz = params.L, plan.noise
     gate_noise = nz is not None and nz.has_gate_noise
@@ -221,30 +223,29 @@ def reference_sampled_quench(params: ModelParams, plan: QuenchPlan) -> dict[str,
     layers = trotter.frame_layers(params, plan.dt, split_bonds=gate_noise)
     n_traj = nz.trajectories if gate_noise else 1
     n_rec = plan.n_steps + 1
+    order = sorted(plan.measured_axes, key=lambda ax: ax != "x")
     per_site = {ax: np.zeros((n_rec, L)) for ax in plan.measured_axes}
     total = 0
     for t, traj_ss in enumerate(np.random.SeedSequence(plan.seed).spawn(n_traj)):
         shots = plan.shots // n_traj + (1 if t < plan.shots % n_traj else 0)
         total += shots
-        gate_ss, meas_root = traj_ss.spawn(2)
-        gate_rng = np.random.default_rng(gate_ss)
+        gate_rng, meas_rng, flip_rng = map(np.random.default_rng, traj_ss.spawn(3))
         state = sv.init_all_plus(L)
-        for k, meas_ss in enumerate(meas_root.spawn(n_rec)):
+        for k in range(n_rec):
             for layer in layers if k > 0 else ():
                 layer.apply(state)
                 if gate_noise:
                     for sites in layer.gates:
                         noise.apply_gate_noise(state, layer.kind, sites, nz, gate_rng)
-            for ax, ss in zip(plan.measured_axes, meas_ss.spawn(len(plan.measured_axes))):
-                rng = np.random.default_rng(ss)
+            for ax in order:
+                probs = sv.measurement_probabilities(state, ax)
                 if gate_noise:
-                    drawn = sv.sample_index_counts(state, ax, shots, rng)
+                    bits = oracles.bits_from_indices(*oracles.sample_indices(probs, shots, meas_rng), L)
                 else:
-                    drawn = oracles.sample_orbit_layout(sv.measurement_probabilities(state, ax), shots, rng)
-                bits = sv.bits_from_indices(*drawn, L)
+                    bits = oracles.bits_from_indices(oracles.sample_orbit_layout(probs, shots, meas_rng), 1, L)
                 if readout is not None:
-                    bits = noise.twirled_readout(bits, readout, rng)
-                per_site[ax][k] += shots * noise.trex_mitigate(sv.estimates_from_bits(bits), p_mitigate)
+                    bits = oracles.twirled_flips(bits, readout.p_eff, flip_rng)
+                per_site[ax][k] += shots * noise.trex_mitigate(oracles.estimates_from_bits(bits), p_mitigate)
     return {ax: v / total for ax, v in per_site.items()}
 
 
@@ -268,10 +269,12 @@ def test_sampled_run_with_folded_rotations_equals_copy_based_sampling(g, h, L, a
 
 
 def take_only_the_orbit_path(monkeypatch):
-    def full_cdf(*args):
-        raise AssertionError("a noiseless state was sampled from its full CDF")
+    def orbit_weights(state, axes, carried=None, out=None, orbits=False, _orig=sv.turn_weights):
+        if not orbits:
+            raise AssertionError("a noiseless state was sampled from its full CDF")
+        return _orig(state, axes, carried, out, orbits)
 
-    monkeypatch.setattr(sv, "sample_in_place", full_cdf)
+    monkeypatch.setattr(sv, "turn_weights", orbit_weights)
 
 
 def test_readout_noisy_sampled_quench_on_the_orbits_stays_near_the_exact_values(monkeypatch):
@@ -325,11 +328,18 @@ def test_folded_layers_are_built_once_per_sampled_run(monkeypatch):
     assert counts[0.5, 3] == counts[0.5, 30] and counts[0.0, 3] == counts[0.0, 30]
 
 
-def test_sampled_run_holds_under_two_states_of_memory():
-    # the state is rotated in place and its CDF overwrites its probabilities,
-    # so no rotated copy or second 2**L float64 array is alive at the peak
+@pytest.mark.parametrize(
+    "noise_params",
+    [None, NoiseParams(p1=0.01, p2=0.05, p01=0.03, p10=0.01, trajectories=1)],
+    ids=["noiseless", "gate-and-readout-noisy"],
+)
+def test_sampled_run_holds_under_two_states_of_memory(noise_params):
+    # the state is rotated in place and its CDF overwrites its outcome
+    # weights, which live only while their block holds rows, and gate-noise
+    # Paulis are applied by chunks, so no rotated copy or second 2**L
+    # float64 array is alive at the peak
     L = 16
-    plan = QuenchPlan(dt=0.4, n_steps=2, shots=4096, measured_axes=("x", "y"))
+    plan = QuenchPlan(dt=0.4, n_steps=2, shots=4096, measured_axes=("x", "y"), noise=noise_params)
     trotter.run_quench(ModelParams(4, 0.5, 0.3), plan)  # warm up: first calls import lazily
     tracemalloc.start()
     try:
