@@ -463,17 +463,9 @@ def cmd_sweep(cfg: RunConfig, processes: int) -> dict[str, str]:
         rows.append(",".join(cells))
         table.append({"g": pt.g, "h": pt.h, "eta": pt.eta, "extracted": extracted})
 
-    prov = {
-        "isingspec": __version__,
-        "command": "sweep",
-        "model.L": cfg["model.L"],
-        "model.h": cfg["model.h"],
-        "plan.dt": cfg["plan.dt"],
-        "plan.n_steps": cfg["plan.n_steps"],
-        "plan.shots": cfg["plan.shots"],
-        "plan.seed": cfg["plan.seed"],
-        "sweep.g_list": cfg["sweep.g_list"],
-    }
+    prov = _run_provenance(cfg, "sweep")
+    del prov["model.g"]
+    prov["sweep.g_list"] = gs
     rows[:0] = [_provenance_line(prov), "g,h,eta,e1,e1_err,e2,e2_err,e3,e3_err"]
     files["sweep.csv"] = "\n".join(rows) + "\n"
     files["sweep.json"] = _json_text({"points": table}, prov)

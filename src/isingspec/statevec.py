@@ -17,12 +17,14 @@ z of measurements, expectations and gate noise are the lab's. The raw
 kernels (apply_matrix1/2, the site layers and the phase diagonals) act on
 the stored amplitudes as they are.
 
-A per-site measurement turns the amplitudes in place into the measured
-basis and reads |psi|^2 over the 2**L states into one float64 array, or,
-for a translation-invariant state, R_a |psi(rep_a)|^2 over its 2**L / L
-k = 0 orbits (turn_weights). draw_shots overwrites rows of such weights
-with their CDFs and draws per-shot basis indices by sorted uniforms.
-sample_index_counts and site_expectations read a rotated copy. orbit_sums
+turn_weights is the one per-site measurement: it turns the amplitudes in
+place into the measured basis and reads |psi|^2 over the 2**L states into
+one float64 array, or, for a translation-invariant state, R_a
+|psi(rep_a)|^2 over its 2**L / L k = 0 orbits; to_probabilities
+normalizes such weights. draw_shots overwrites rows of them with their
+CDFs and draws per-shot basis indices by sorted uniforms.
+measurement_probabilities, and through it sample_index_counts and
+site_expectations, turns a copy (none for x on every site). orbit_sums
 and top_site_expectations read exact values of an invariant state from its
 orbit amplitudes and one top-bit overlap, without a 2**L array.
 
@@ -588,8 +590,8 @@ def _orbit_table(L: int, pairs: bool) -> np.ndarray:
     table = np.empty((2 + pairs * (L // 2), reps.size))
     table[0] = periods
     for r, row in enumerate(table[1:]):  # row by row: no temporary of the table's size
-        flips = reps ^ edsolver.translate(reps, L, (1 << L) - 1, r) if r else reps
-        np.multiply(periods, (L - 2.0 * np.bitwise_count(flips)) / L, out=row)
+        broken = ring_xor_popcount(L, r, states=reps) if r else np.bitwise_count(reps)
+        np.multiply(periods, (L - 2.0 * broken) / L, out=row)
     table.setflags(write=False)
     return table
 
@@ -658,21 +660,17 @@ def measurement_probabilities(state: StateVector, axes) -> np.ndarray:
 
     axes is a single axis character (applied to all sites) or one per site.
     When no rotation is needed (x on every site) the probabilities come
-    straight from the amplitudes, otherwise from one copy rotated by the
-    layer of _rotation_blocks, which is built once per axes.
+    straight from the amplitudes, otherwise from a copy turned by
+    turn_weights.
     """
-    axes = _normalize_axes(axes, state.L)
-    layer = _rotation_blocks(axes, None)  # the key turn_in_place uses
-    amps = state.amplitudes if layer.identity else apply_site_blocks(state.copy(), layer).amplitudes
-    return _probabilities(amps)
+    turned = state if _rotation_blocks(_normalize_axes(axes, state.L), None).identity else state.copy()
+    return to_probabilities(turn_weights(turned, axes))
 
 
-def _probabilities(amps: np.ndarray) -> np.ndarray:
-    """|amps|^2, normalized, in one new float64 array."""
-    p = np.abs(amps)
-    np.square(p, out=p)
-    p /= _check_mass(p.sum())
-    return p
+def to_probabilities(weights: np.ndarray) -> np.ndarray:
+    """weights divided in place by their total, which must be positive and finite."""
+    weights /= _check_mass(weights.sum())
+    return weights
 
 
 def _check_mass(total: float) -> float:
@@ -726,24 +724,14 @@ def sample_index_counts(state: StateVector, axes, shots: int, rng) -> tuple[np.n
     return np.unique(draw_shots(measurement_probabilities(state, axes)[None], shots, rng), return_counts=True)
 
 
-def _turn(state: StateVector, axes, carried=None) -> None:
+def turn_weights(state: StateVector, axes, carried=None, out=None, orbits: bool = False) -> np.ndarray:
     """Turn the amplitudes in place from the readout rotation of the carried
-    axes (None: none) to that of axes."""
+    axes (None: none) to that of axes, then write the turned state's outcome
+    weights (in out, if given): |psi|^2 over the 2**L states or, with
+    orbits, for a translation-invariant state (not checked), R_a
+    |psi(rep_a)|^2 over its k = 0 orbits."""
     carried = carried and _normalize_axes(carried, state.L)
     apply_site_blocks(state, _rotation_blocks(_normalize_axes(axes, state.L), carried))
-
-
-def turn_in_place(state: StateVector, axes, carried=None) -> np.ndarray:
-    """_turn, then the outcome probabilities of the turned state."""
-    _turn(state, axes, carried)
-    return _probabilities(state.amplitudes)
-
-
-def turn_weights(state: StateVector, axes, carried=None, out=None, orbits: bool = False) -> np.ndarray:
-    """_turn, then the turned state's outcome weights (in out, if given):
-    |psi|^2 over the 2**L states or, with orbits, for a translation-invariant
-    state (not checked), R_a |psi(rep_a)|^2 over its k = 0 orbits."""
-    _turn(state, axes, carried)
     reps, periods = edsolver.zero_momentum_orbits(state.L) if orbits else (slice(None), None)
     w = np.abs(state.amplitudes[reps], out=out)
     w *= w
@@ -767,8 +755,8 @@ def estimates_from_bits(bits: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (bits.sum(axis=-2, dtype=np.int64) / bits.shape[-2])
 
 
-def estimates_from_indices(indices: np.ndarray, counts: np.ndarray, L: int, shots: int) -> np.ndarray:
-    """Per-site <z> estimates of an index histogram of `shots` draws, via its bit matrix."""
+def estimates_from_indices(indices: np.ndarray, counts: np.ndarray, L: int) -> np.ndarray:
+    """Per-site <z> estimates of an index histogram, via its bit matrix."""
     return estimates_from_bits(bits_from_indices(indices, counts, L))
 
 

@@ -27,21 +27,23 @@ so the state stays translation invariant: its exact values are read from
 its k = 0 orbits and top-bit overlap (statevec.top_site_expectations and
 obs.invariant_correlator_profile), its step folds all on-site phases into
 the bond diagonal, and it builds no random streams. Every other point turns
-the state in place into each axis's basis (x first, which needs no turn).
-An exact gate-noisy trajectory reads the bit marginals of its outcome
-probabilities; a sampled point writes its outcome weights, over the k = 0
-orbits of an invariant state, into rows that are drawn a block at a time
-(_ShotRows). The state is left in the last axis's basis, R; the next
-step's on-site layer, built once per run, is H u1 H R^dagger (at g = h = 0,
-R^dagger is a gateless layer of its own).
+the state in place into each axis's basis (x first, which needs no turn)
+and reads its outcome weights (statevec.turn_weights). An exact gate-noisy
+trajectory reads the bit marginals of those weights, normalized; a
+sampled point writes them, over the k = 0 orbits of an invariant state,
+into rows that are drawn a block at a time (_ShotRows). The state is left
+in the last axis's basis, R; the next step's on-site layer, built once per
+run, is H u1 H R^dagger (at g = h = 0, R^dagger is a gateless layer of its
+own).
 
 With gate noise the bond layers stay separate diagonals (odd, even, and on
-an odd ring the wrap bond on its own), and the Paulis drawn per gate, in
-gate-list order, are applied after the layer their gate belongs to; gates
-within a layer act on disjoint sites, so the Paulis commute past the rest
-of it. Each trajectory has three random streams: gate noise, the uniforms
-of its sampled rows in turn, and their readout flips (noise.twirled_flips).
-Noisy observables are averaged over trajectories.
+an odd ring the wrap bond on its own). After each layer one
+noise.apply_gate_noise call draws the Paulis of all its gates' sites, gate
+after gate in gate-list order, which are the draws of one call per gate;
+gates within a layer act on disjoint sites, so the Paulis commute past the
+rest of it. Each trajectory has three random streams: gate noise, the
+uniforms of its sampled rows in turn, and their readout flips
+(noise.twirled_flips). Noisy observables are averaged over trajectories.
 
 The trajectories run over up to statevec.cpus() processes: this process
 runs the first contiguous chunk and forked workers the rest, each with its
@@ -136,13 +138,13 @@ class FrameLayer:
     """One layer of mutually commuting gates, acting on x-frame amplitudes.
 
     Either blocks (the H u1 H matrices as a statevec.SiteLayer) or diagonal
-    (an integer popcount index and its phase table) is set. gates lists
-    each gate's sites in gate-list order; gate noise draws follow that
-    order.
+    (an integer popcount index and its phase table) is set. sites lists
+    the sites of its gates, gate after gate in gate-list order; gate noise
+    draws follow that order.
     """
 
     kind: str  # "1q" | "2q": which noise rate the gates draw
-    gates: tuple[tuple[int, ...], ...]
+    sites: tuple[int, ...]
     blocks: statevec.SiteLayer | None = None
     diagonal: tuple[np.ndarray, np.ndarray] | None = None
     phase: complex = 1.0  # r0 conj(r1) where fold_right joined D_R to the diagonal
@@ -187,8 +189,8 @@ def frame_layers(
         runs.insert(0, [])
     layers = []
     for run in runs:
-        sites = tuple(g.sites for g in run)
-        if not run or len(sites[0]) == 1:
+        sites = tuple(s for g in run for s in g.sites)
+        if not run or len(run[0].sites) == 1:
             mats = [undo] * L
             for g in run:
                 m = statevec.HADAMARD @ g.matrix @ statevec.HADAMARD
@@ -198,7 +200,7 @@ def frame_layers(
             continue
         # sum over the run's bonds of z_a z_b = n - 2 * (broken bonds)
         n = len(run)
-        index = statevec.ring_xor_popcount(L, 1, sum(1 << (a - 1) for a, _ in sites))
+        index = statevec.ring_xor_popcount(L, 1, sum(1 << (a - 1) for a in sites[::2]))
         table = np.exp(1j * step.dt * (n - 2.0 * np.arange(n + 1)))
         # without split_bonds, a layer before the one bond run is the site layer
         left, _, right = statevec.split_u2(onsite) if layers and not split_bonds else (None,) * 3
@@ -297,7 +299,7 @@ def _measure(state, axes, correlator, phase, tables):
         return statevec.top_site_expectations(state, phase, sums), G
     values, G, carried = {}, None, None
     for ax in _sampling_order(axes):
-        probs = statevec.turn_in_place(state, ax, carried)
+        probs = statevec.to_probabilities(statevec.turn_weights(state, ax, carried))
         values[ax] = 1.0 - 2.0 * statevec.bit_marginals(probs, state.L)
         if ax == "x" and correlator:  # x comes first, so the state is not turned
             G = obs.correlator_profile(state, tables, probs, values[ax])
@@ -459,8 +461,7 @@ def run_quench(
             for layer in layers if k > 0 else ():
                 layer.apply(state)
                 if gate_noise:
-                    for sites in layer.gates:
-                        noise_mod.apply_gate_noise(state, layer.kind, sites, nz, gate_rng)
+                    noise_mod.apply_gate_noise(state, layer.kind, layer.sites, nz, gate_rng)
             if rows is not None:
                 rows.take(state, k, k == n_rec - 1)
                 continue

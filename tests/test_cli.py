@@ -299,6 +299,18 @@ def test_sweep_table_has_one_row_per_point(tmp_path):
     assert [pt["g"] for pt in doc["points"]] == [0.4, 0.6]
 
 
+def test_gate_noisy_sweep_table_names_its_noise(tmp_path):
+    cfg = dict(SWEEP_BASE, **{"sweep.g_list": "0.4, 0.6", "noise.enabled": "true", "noise.trajectories": 2})
+    f = write_config(tmp_path / "s.cfg", **cfg, **{"output.dir": tmp_path / "out"})
+    res = run_cli("sweep", "--config", f)
+    assert res.returncode == 0, res.stderr
+    head = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[0].split()
+    assert "noise.enabled=true" in head
+    assert any(cell.startswith("noise.p2=") for cell in head)
+    prov = json.loads((tmp_path / "out" / "sweep.json").read_text())["provenance"]
+    assert prov["noise.enabled"] == "true" and "noise.p2" in prov and "model.g" not in prov
+
+
 @pytest.mark.parametrize("h", ["0.0", "-0.2"])
 def test_sweep_without_a_longitudinal_field_is_a_config_error(tmp_path, h):
     f = write_config(

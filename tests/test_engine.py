@@ -156,7 +156,7 @@ def test_undo_folded_step_and_turns_allocate_under_a_quarter_of_the_state(axis):
     state = sv.init_all_plus(L)
     for layer in layers:  # warm up: first calls may allocate lazily
         layer.apply(state)
-    sv.turn_in_place(state.copy(), axis)
+    sv.turn_weights(state.copy(), axis)
     sv._rotation_blocks.cache_clear()
     tracemalloc.start()
     try:
@@ -166,7 +166,7 @@ def test_undo_folded_step_and_turns_allocate_under_a_quarter_of_the_state(axis):
         step_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        probs = sv.turn_in_place(state, axis)
+        probs = sv.to_probabilities(sv.turn_weights(state, axis))
         turn_peak = tracemalloc.get_traced_memory()[1] - base - probs.nbytes
     finally:
         tracemalloc.stop()

@@ -1,5 +1,7 @@
-"""The README's "Python API sketch" runs as written, and its Config block matches the schema."""
+"""The README's "Python API sketch" runs as written, its Config block matches
+the schema, and every name its Layout table gives exists in the package."""
 
+import importlib
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from childenv import child_env
 from isingspec import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = ("model", "statevec", "trotter", "edsolver", "noise", "obs", "spectro", "cli")
 
 
 def api_sketch() -> str:
@@ -44,3 +47,26 @@ def test_readme_config_block_lists_the_schema_defaults():
         if key == "sweep.g_list":  # elided as 0.25,0.3,...,0.75
             continue
         assert parser(block[key]) == default, key
+
+
+def layout_names() -> set[str]:
+    """Backticked snake_case names in the README "Layout" table, with the
+    module a dotted one names (`trotter.forked_results`) and without a call's
+    arguments (`frame_layers(..., fold_right=True)`)."""
+    section = README.read_text(encoding="utf-8").split("## Layout", 1)[1].split("\n## ", 1)[0]
+    found = set()
+    for cell in re.findall(r"`([^`]+)`", section):
+        m = re.fullmatch(r"((?:[a-z]+\.)?[a-z]+_[a-z0-9_]*)(?:\(.*\))?", cell)
+        if m:
+            found.add(m.group(1))
+    return found
+
+
+def test_readme_layout_names_exist():
+    names = layout_names()
+    assert "turn_weights" in names and "trotter.forked_results" in names
+    modules = {m: importlib.import_module(f"isingspec.{m}") for m in MODULES}
+    for name in sorted(names):
+        owner, _, attr = name.rpartition(".")
+        where = [modules[owner]] if owner else modules.values()
+        assert any(hasattr(mod, attr) for mod in where), name

@@ -221,7 +221,7 @@ def test_sampled_estimates_converge_to_exact_expectations():
         axis = "xyz"[trial % 3]
         exact = sv.site_expectations(st, axis)
         idx, counts = sv.sample_index_counts(st, axis, shots, np.random.default_rng(trial))
-        est = sv.estimates_from_indices(idx, counts, L, shots)
+        est = sv.estimates_from_indices(idx, counts, L)
         se = np.sqrt(np.maximum(1.0 - exact**2, 1e-12) / shots)
         assert np.all(np.abs(est - exact) < 5.0 * se + 1e-12)
 
@@ -303,12 +303,13 @@ def test_in_place_sampling_rotates_the_state_from_the_carried_axes():
     assert np.abs(held.amplitudes - st.amplitudes).max() < 1e-12
 
 
-def test_turn_in_place_returns_the_probabilities_of_the_turned_state():
-    L = 5
+@pytest.mark.parametrize("L", [1, 2, 3, 5])
+def test_turned_weights_normalize_to_the_probabilities_of_the_turned_state(L):
     st = random_state(L, np.random.default_rng(8))
     held = st.copy()
-    for carried, axes in ((None, "x"), ("x", "y"), ("y", "z"), ("z", ("x", "y", "z", "y", "x"))):
-        probs = sv.turn_in_place(held, axes, carried)
+    mixed = tuple("xyzyx"[:L])
+    for carried, axes in ((None, "x"), ("x", "y"), ("y", "z"), ("z", mixed)):
+        probs = sv.to_probabilities(sv.turn_weights(held, axes, carried))
         assert not np.shares_memory(probs, held.amplitudes)
         assert np.abs(probs - sv.measurement_probabilities(st, axes)).max() < 1e-12
         assert np.abs(probs - np.abs(held.amplitudes) ** 2).max() < 1e-12

@@ -235,8 +235,7 @@ def reference_sampled_quench(params: ModelParams, plan: QuenchPlan) -> dict[str,
             for layer in layers if k > 0 else ():
                 layer.apply(state)
                 if gate_noise:
-                    for sites in layer.gates:
-                        noise.apply_gate_noise(state, layer.kind, sites, nz, gate_rng)
+                    noise.apply_gate_noise(state, layer.kind, layer.sites, nz, gate_rng)
             for ax in order:
                 probs = sv.measurement_probabilities(state, ax)
                 if gate_noise:
