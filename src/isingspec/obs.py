@@ -11,7 +11,8 @@ that gives the Trotter engine its bond diagonal. t_r and sum_i sx_i are
 constant on translation orbits, so invariant_correlator_profile reads G of
 a translation-invariant state (every noiseless exact run) from its 2**L / L
 orbit weights R_a p(rep_a) (statevec.orbit_sums). Any other state (a
-gate-noisy exact trajectory) takes correlator_profile, with int8 tables.
+gate-noisy exact trajectory) takes correlator_profile, from its x-basis
+probabilities and int8 tables.
 Sampled, t_r of each shot's basis index s gives the pair sums, as
 L - 2 popcount(s XOR rot^r(s)) averaged over the shots.
 """
@@ -33,23 +34,20 @@ def correlator_tables(L: int) -> list[np.ndarray]:
 
 
 def correlator_profile(
-    state: StateVector,
-    tables: list[np.ndarray] | None = None,
-    probs: np.ndarray | None = None,
-    sx: np.ndarray | None = None,
+    probs: np.ndarray, tables: list[np.ndarray] | None = None, sx: np.ndarray | None = None
 ) -> np.ndarray:
-    """Exact G(r) for all r = 1 .. L//2, shape (L//2,).
+    """Exact G(r) for all r = 1 .. L//2, shape (L//2,), of a state with x-basis
+    probabilities probs over its 2**L outcomes
+    (statevec.measurement_probabilities(state, "x")).
 
-    tables are correlator_tables(state.L); a caller that evaluates many
-    states of one size builds them once and passes them in. probs, the
-    state's x-basis probabilities, and sx, its <sx_i> (1 - 2 * their bit
-    marginals), are computed here unless the caller already has them.
+    tables are correlator_tables(L); a caller that evaluates many states of
+    one size builds them once and passes them in. sx, the state's <sx_i>
+    (1 - 2 * the bit marginals of probs), is computed here unless the caller
+    already has it.
     """
-    L = state.L
+    L = probs.size.bit_length() - 1
     if tables is None:
         tables = correlator_tables(L)
-    if probs is None:
-        probs = statevec.measurement_probabilities(state, "x")
     if sx is None:
         sx = 1.0 - 2.0 * statevec.bit_marginals(probs, L)
     pair_sums = np.array([float(probs @ t) for t in tables])

@@ -14,7 +14,7 @@ state |+...+> is |0...0>, every sx sx bond is diagonal, and x-basis outcome
 probabilities are |psi_x|^2 without a rotated copy. The API speaks lab
 physics: apply_gate applies a lab-frame Gate m as H m H, and the axes x, y,
 z of measurements, expectations and gate noise are the lab's. The raw
-kernels (apply_matrix1/2, the site layers and the phase diagonals) act on
+kernels (apply_matrix1, the site layers and the phase diagonals) act on
 the stored amplitudes as they are.
 
 turn_weights is the one per-site measurement: it turns the amplitudes in
@@ -73,7 +73,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 S_DAGGER = np.array([[1, 0], [0, -1j]], dtype=complex)
-_HADAMARD_2 = np.kron(HADAMARD, HADAMARD)
 # per-site readout pre-rotation by measured axis. The lab rotation R (H for
 # x, H S-dagger for y, none for z) acts on H-rotated amplitudes, so it becomes
 # R H. Only |psi|^2 is read after it, so a left phase diagonal may go: for y,
@@ -276,38 +275,21 @@ def apply_matrix1(state: StateVector, m: np.ndarray, site: int) -> None:
         blk[:, 1, :] = m[1, 0] * a0 + m[1, 1] * a1
 
 
-def apply_matrix2(state: StateVector, m: np.ndarray, site_a: int, site_b: int) -> None:
-    """Apply a 4x4 matrix (site_a on the most significant bit) in place."""
-    _check_site(state.L, site_a)
-    _check_site(state.L, site_b)
-    if site_a == site_b:
-        raise ValueError(f"duplicate gate targets ({site_a}, {site_b})")
-    ba, bb = site_a - 1, site_b - 1
-    p, q = (ba, bb) if ba > bb else (bb, ba)
-    n = state.amplitudes.size
-    v = state.amplitudes.reshape(n >> (p + 1), 2, 1 << (p - q - 1), 2, 1 << q)
-
-    def sel(ia: int, ib: int) -> np.ndarray:
-        # axis 1 is bit p, axis 3 is bit q
-        hi, lo = (ia, ib) if ba == p else (ib, ia)
-        return v[:, hi, :, lo, :]
-
-    blocks = [sel(0, 0), sel(0, 1), sel(1, 0), sel(1, 1)]
-    new = [
-        m[r, 0] * blocks[0] + m[r, 1] * blocks[1] + m[r, 2] * blocks[2] + m[r, 3] * blocks[3]
-        for r in range(4)
-    ]
-    for r, (ia, ib) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        sel(ia, ib)[...] = new[r]
-
-
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply a lab-frame Gate in place, as H m H on the x-frame amplitudes
-    ((H x H) m (H x H) on two sites), and return the same state."""
+    ((H x H) m (H x H) on two sites), and return the same state. A two-site
+    gate is one tensor contraction over the (2,)*L view of the amplitudes,
+    whose axis L - j holds site j."""
     if len(gate.sites) == 1:
         apply_matrix1(state, HADAMARD @ gate.matrix @ HADAMARD, gate.sites[0])
-    else:
-        apply_matrix2(state, _HADAMARD_2 @ gate.matrix @ _HADAMARD_2, gate.sites[0], gate.sites[1])
+        return state
+    for site in gate.sites:
+        _check_site(state.L, site)
+    hh = np.kron(HADAMARD, HADAMARD)
+    m = (hh @ gate.matrix @ hh).reshape(2, 2, 2, 2)  # (out a, out b, in a, in b)
+    axes = [state.L - site for site in gate.sites]
+    psi = np.tensordot(m, state.amplitudes.reshape((2,) * state.L), ([2, 3], axes))
+    state.amplitudes[...] = np.moveaxis(psi, (0, 1), axes).ravel()
     return state
 
 
@@ -560,13 +542,15 @@ def ring_xor_popcount(L: int, r: int = 1, mask: int | None = None, states: np.nd
 
 
 def bit_marginals(probs: np.ndarray, L: int) -> np.ndarray:
-    """sum_s probs[s] * bit_b(s) for every bit b, by halving the index range."""
-    out = np.empty(L)
+    """sum_s probs[..., s] * bit_b(s) for every bit b, shape (..., L), by
+    halving the index range. A block of rows gives each row the numbers it
+    gets alone: every sum runs along one row."""
+    out = np.empty(probs.shape[:-1] + (L,))
     q = probs
     for b in range(L - 1, -1, -1):
-        half = q.size >> 1
-        out[b] = q[half:].sum()
-        q = q[:half] + q[half:]
+        half = q.shape[-1] >> 1
+        out[..., b] = q[..., half:].sum(axis=-1)
+        q = q[..., :half] + q[..., half:]
     return out
 
 

@@ -28,10 +28,10 @@ its k = 0 orbits and top-bit overlap (statevec.top_site_expectations and
 obs.invariant_correlator_profile), its step folds all on-site phases into
 the bond diagonal, and it builds no random streams. Every other point turns
 the state in place into each axis's basis (x first, which needs no turn)
-and reads its outcome weights (statevec.turn_weights). An exact gate-noisy
-trajectory reads the bit marginals of those weights, normalized; a
-sampled point writes them, over the k = 0 orbits of an invariant state,
-into rows that are drawn a block at a time (_ShotRows). The state is left
+and writes its outcome weights (statevec.turn_weights), over the k = 0
+orbits of an invariant state, as rows of a block (_Rows) that is read a
+block at a time: exact rows (a gate-noisy trajectory) by the bit marginals
+of the normalized weights, sampled rows by drawing shots. The state is left
 in the last axis's basis, R; the next step's on-site layer, built once per
 run, is H u1 H R^dagger (at g = h = 0, R^dagger is a gateless layer of its
 own).
@@ -286,42 +286,26 @@ def _sampling_order(axes) -> list[str]:
     return sorted(axes, key=lambda ax: ax != "x")  # x needs no rotation in the x frame
 
 
-def _measure(state, axes, correlator, phase, tables):
-    """One exact time point: per-axis site values, and G(r) when correlator is set.
-
-    An invariant state (phase not None: no gate noise) is read from its k = 0
-    orbits and top-bit overlap times phase, for every site. Any other is
-    turned in place axis by axis, x first, and read from bit marginals.
-    """
-    if phase is not None:
-        sums = statevec.orbit_sums(state, correlator)
-        G = obs.invariant_correlator_profile(state, sums) if correlator else None
-        return statevec.top_site_expectations(state, phase, sums), G
-    values, G, carried = {}, None, None
-    for ax in _sampling_order(axes):
-        probs = statevec.to_probabilities(statevec.turn_weights(state, ax, carried))
-        values[ax] = 1.0 - 2.0 * statevec.bit_marginals(probs, state.L)
-        if ax == "x" and correlator:  # x comes first, so the state is not turned
-            G = obs.correlator_profile(state, tables, probs, values[ax])
-        carried = ax
-    return values, G
-
-
-# 8-byte numbers a trajectory's sampling holds: the block's weights and shot
-# indices, and one row's four shots-sized temporaries (6 rows at L = 12, 682 shots)
+# 8-byte numbers a trajectory's rows hold: the block's weights and shot
+# indices, and one row's four shots-sized temporaries (at L = 12, 6 rows of
+# 682 shots, or 8 exact rows)
 BLOCK_FLOATS = 1 << 15
 
 
-class _ShotRows:
-    """A trajectory's sampled (time point, axis) rows of outcome weights, in a
-    block that lives while it holds rows. draw takes each row's shots and
-    readout flips from the measurement and readout streams, row after row, so
-    nothing depends on the block size; then site estimates, one mitigation
-    and G(r) of x."""
+class _Rows:
+    """A trajectory's turned (time point, axis) rows of outcome weights, in a
+    block that lives while it holds rows: the one reader of a turned time
+    point. A full block, or the trajectory's last, is read in one pass.
+    Exact rows (shots = 0) are normalized and read by their bit marginals,
+    and G(r) of x from every pair of sites (tables). Sampled rows take each
+    row's shots and readout flips from the measurement and readout streams,
+    row after row, so nothing depends on the block size; then site
+    estimates, one mitigation and G(r) of x."""
 
-    def __init__(self, L, axes, shots, orbits, streams, nz, values, G):
+    def __init__(self, L, axes, shots, orbits, streams, nz, values, G, tables):
         self.L, self.axes, self.shots, self.orbits = L, _sampling_order(axes), shots, orbits
-        self.values, self.G, self.rng, self.flip_rng = values, G, *map(np.random.default_rng, streams)
+        self.values, self.G, self.tables = values, G, tables
+        self.rng, self.flip_rng = map(np.random.default_rng, streams)
         self.readout = nz if nz is not None and nz.has_readout_error else None
         self.p_mitigate = nz.p_eff if self.readout is not None and nz.mitigate else 0.0
         width = edsolver.zero_momentum_orbits(L)[0].size if orbits else 1 << L
@@ -329,7 +313,7 @@ class _ShotRows:
         self.block, self.keys = None, []  # keys: (time point, axis) of each row
 
     def take(self, state, k, last=False):
-        """Write time point k's rows, and draw a full block, or if last, the rest."""
+        """Write time point k's rows, and read a full block, or if last, the rest."""
         carried = None
         for ax in self.axes:
             if self.block is None:
@@ -338,20 +322,32 @@ class _ShotRows:
             carried = ax
             self.keys.append((k, ax))
             if len(self.keys) == len(self.block) or last and ax == self.axes[-1]:
-                self.draw()
+                self.read()
 
-    def draw(self):
+    def read(self):
+        """Read the block's rows into values and G, and free the block."""
         L = self.L
-        drawn = statevec.draw_shots(self.block[: len(self.keys)], self.shots, self.rng, L if self.orbits else None)
-        self.block = None
-        if self.readout is not None:
-            noise_mod.twirled_flips(drawn, L, self.readout, self.flip_rng)
-        bits = statevec.bits_from_indices(drawn, None, L)
-        estimates = noise_mod.trex_mitigate(statevec.estimates_from_bits(bits), self.p_mitigate)
-        for (k, ax), b, e in zip(self.keys, bits, estimates):
+        rows, self.block = self.block[: len(self.keys)], None
+        if self.shots:
+            # rows becomes the drawn indices, which frees the weights before
+            # the bits are built
+            rows = statevec.draw_shots(rows, self.shots, self.rng, L if self.orbits else None)
+            if self.readout is not None:
+                noise_mod.twirled_flips(rows, L, self.readout, self.flip_rng)
+            rows = statevec.bits_from_indices(rows, None, L)
+            estimates = noise_mod.trex_mitigate(statevec.estimates_from_bits(rows), self.p_mitigate)
+        else:
+            for row in rows:
+                statevec.to_probabilities(row)
+            estimates = 1.0 - 2.0 * statevec.bit_marginals(rows, L)
+        for (k, ax), row, e in zip(self.keys, rows, estimates):
             self.values[ax][k] = e
             if ax == "x" and self.G is not None:
-                self.G[k] = obs.correlator_profile_from_bits(b, 1.0 - 2.0 * self.p_mitigate)
+                self.G[k] = (
+                    obs.correlator_profile_from_bits(row, 1.0 - 2.0 * self.p_mitigate)
+                    if self.shots
+                    else obs.correlator_profile(row, self.tables, e)
+                )
         self.keys.clear()
 
 
@@ -438,8 +434,7 @@ def run_quench(
     layers = frame_layers(params, plan.dt, gate_noise, statevec.readout_turn(None, last), not seeded)
     phase = None if gate_noise else layers[-1].phase
     # only a gate-noisy exact run reads the correlator from every pair of sites
-    exact_pairs = record_correlator and gate_noise and plan.shots == 0
-    tables = obs.correlator_tables(L) if exact_pairs else None
+    tables = obs.correlator_tables(L) if record_correlator and gate_noise and not plan.shots else None
 
     n_traj = trajectories(plan)
     n_rec = plan.n_steps + 1
@@ -456,7 +451,7 @@ def run_quench(
         state = statevec.init_all_plus(L)  # k = 0 records it unevolved
         values = {ax: np.empty((n_rec, L)) for ax in axes}
         G = np.empty((n_rec, L // 2)) if record_correlator else None
-        rows = _ShotRows(L, axes, shots, phase is not None, streams, nz, values, G) if shots else None
+        rows = _Rows(L, axes, shots, phase is not None, streams, nz, values, G, tables) if seeded else None
         for k in range(n_rec):
             for layer in layers if k > 0 else ():
                 layer.apply(state)
@@ -465,11 +460,12 @@ def run_quench(
             if rows is not None:
                 rows.take(state, k, k == n_rec - 1)
                 continue
-            point, G_k = _measure(state, axes, record_correlator, phase, tables)
+            sums = statevec.orbit_sums(state, record_correlator)
+            point = statevec.top_site_expectations(state, phase, sums)
             for ax in axes:
                 values[ax][k] = point[ax]
             if G is not None:
-                G[k] = G_k
+                G[k] = obs.invariant_correlator_profile(state, sums)
         return (shots if plan.shots > 0 else 1.0), values, G
 
     seeds = np.random.SeedSequence(plan.seed).spawn(n_traj) if seeded else [None] * n_traj

@@ -67,7 +67,7 @@ def replay_noisy_quench(params, plan, nz):
                     noise.apply_gate_noise(state, kind, gate.sites, nz, rng)
             for ax in plan.measured_axes:
                 sums[ax][k] += sv.site_expectations(state, ax)
-            corr[k] += obs.correlator_profile(state)
+            corr[k] += obs.correlator_profile(sv.measurement_probabilities(state, "x"))
     n = nz.trajectories
     return {ax: v / n for ax, v in sums.items()}, corr / n
 
@@ -126,7 +126,8 @@ def test_x_frame_measurements_match_the_lab_frame():
     for axis in "xyz":
         expected = [oracles.site_expectation(lab, axis, j, L) for j in range(1, L + 1)]
         assert np.abs(sv.site_expectations(framed, axis) - expected).max() < 1e-12
-    assert np.abs(obs.correlator_profile(framed) - dense_correlator(lab, L)).max() < 1e-12
+    probs = sv.measurement_probabilities(framed, "x")
+    assert np.abs(obs.correlator_profile(probs) - dense_correlator(lab, L)).max() < 1e-12
 
 
 def test_noiseless_step_allocates_under_a_quarter_of_the_state():
@@ -184,7 +185,8 @@ def test_exact_time_point_allocates_under_a_quarter_of_the_state():
     def time_point():
         for layer in layers:
             layer.apply(state)
-        return trotter._measure(state, ("x", "y"), True, layers[-1].phase, None)
+        sums = sv.orbit_sums(state, True)
+        return sv.top_site_expectations(state, layers[-1].phase, sums), obs.invariant_correlator_profile(state, sums)
 
     time_point()  # warm up: builds the cached orbits and their table
     tracemalloc.start()
@@ -208,7 +210,7 @@ def test_sampled_time_point_allocates_under_a_quarter_of_the_state():
     state = sv.init_all_plus(L)
     values = {ax: np.full((2, L), np.nan) for ax in "xy"}
     streams = np.random.SeedSequence(3).spawn(2)
-    rows = trotter._ShotRows(L, ("x", "y"), 4096, True, streams, None, values, None)
+    rows = trotter._Rows(L, ("x", "y"), 4096, True, streams, None, values, None, None)
 
     def time_point(k):
         for layer in layers:

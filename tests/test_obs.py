@@ -19,20 +19,20 @@ def x_ghz(L: int) -> sv.StateVector:
 def test_product_state_has_no_connected_correlations():
     st = sv.init_all_plus(6)
     for r in range(1, 4):
-        assert abs(obs.correlator_profile(st)[r - 1]) < 1e-12
+        assert abs(obs.correlator_profile(sv.measurement_probabilities(st, "x"))[r - 1]) < 1e-12
 
 
 def test_ghz_state_is_fully_correlated():
     st = x_ghz(6)
     for r in range(1, 4):
-        assert obs.correlator_profile(st)[r - 1] == pytest.approx(1.0, abs=1e-12)
+        assert obs.correlator_profile(sv.measurement_probabilities(st, "x"))[r - 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_profile_matches_sitewise_average():
     rng = np.random.default_rng(6)
     amps = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
     st = sv.StateVector(6, amps / np.linalg.norm(amps))
-    prof = obs.correlator_profile(st)
+    prof = obs.correlator_profile(sv.measurement_probabilities(st, "x"))
     assert prof.shape == (3,)
     x = sv.site_expectations(st, "x")
     for r in range(1, 4):

@@ -156,7 +156,7 @@ def assert_one_site_values_match_every_site(st: sv.StateVector) -> None:
         assert np.abs(sv.site_expectations(st, axis) - top[axis]).max() < 1e-12
     invariant = obs.invariant_correlator_profile(st)
     assert invariant.shape == (st.L // 2,)
-    assert np.abs(invariant - obs.correlator_profile(st)).max() < 1e-12
+    assert np.abs(invariant - obs.correlator_profile(sv.measurement_probabilities(st, "x"))).max() < 1e-12
 
 
 def assert_folded_state_reads_as_the_physical_one(params: ModelParams, dt: float, n_steps: int) -> None:
@@ -169,7 +169,7 @@ def assert_folded_state_reads_as_the_physical_one(params: ModelParams, dt: float
     for axis in "xyz":
         assert np.abs(sv.site_expectations(physical, axis) - top[axis]).max() < 1e-12
     invariant = obs.invariant_correlator_profile(folded)
-    assert np.abs(invariant - obs.correlator_profile(physical)).max() < 1e-12
+    assert np.abs(invariant - obs.correlator_profile(sv.measurement_probabilities(physical, "x"))).max() < 1e-12
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -359,6 +359,17 @@ def test_samplers_reject_fewer_than_one_shot():
     for orbits in (False, True):
         with pytest.raises(ValueError, match="plan.shots = 0"):
             sv.draw_shots(sv.turn_weights(st, "y", orbits=orbits)[None], 0, 1, 4 if orbits else None)
+
+
+@pytest.mark.parametrize("L", range(1, 10))
+def test_bit_marginals_of_a_block_equal_each_row_alone(L):
+    # trotter reads a block of exact rows in one call; each row must get the
+    # numbers it got alone, to the last bit
+    rng = np.random.default_rng(L)
+    for rows in range(1, 5):
+        block = rng.random((rows, 2**L))
+        alone = np.array([sv.bit_marginals(row, L) for row in block])
+        assert np.array_equal(sv.bit_marginals(block, L), alone)
 
 
 def test_bits_from_indices_round_trip():

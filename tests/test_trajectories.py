@@ -4,7 +4,7 @@ run_quench runs the first contiguous chunk of trajectories itself and forks
 one worker per later chunk. Each run here is compared with its one-process
 twin, made by reporting one CPU to statevec.cpus(), which every process
 count is read through. Failing runs are made by wrapping
-trotter._ShotRows.take, which writes each sampled time point's rows: a
+trotter._Rows.take, which writes each turned time point's rows: a
 worker inherits the wrapper through fork, and the wrapper finds trajectory
 t from its measurement stream, whose spawn key is (t, 1), and the time
 point from its index.
@@ -79,10 +79,13 @@ def test_forked_trajectories_equal_the_one_process_run(monkeypatch, plan, correl
         (ModelParams(7, 0.5, 0.3), QuenchPlan(dt=0.3, n_steps=12, shots=2000, seed=3, measured_axes=("x", "y"), noise=READOUT), True),
         # a noiseless correlate, drawn on the k = 0 orbits
         (ModelParams(8, 0.5, 0.2), QuenchPlan(dt=0.25, n_steps=10, shots=4000, measured_axes=("x",), seed=4), True),
+        # gate-noisy and exact: rows of all 2**L probabilities, read a block
+        # at a time, with the correlator from every pair of sites
+        (ModelParams(7, 0.5, 0.3), QuenchPlan(dt=0.3, n_steps=12, seed=4, measured_axes=("x", "y", "z"), noise=NOISE), True),
         (ModelParams(7, 0.5, 0.3), UNEVEN, False),
         (ModelParams(7, 0.5, 0.3), SHOTLESS, False),
     ],
-    ids=["sampled-readout-correlator", "orbit-correlate", "uneven", "shotless"],
+    ids=["sampled-readout-correlator", "orbit-correlate", "exact-correlator", "uneven", "shotless"],
 )
 def test_block_size_and_process_count_change_nothing(monkeypatch, params, plan, correlator):
     # a budget of one float holds one row per block; the default holds several
@@ -126,12 +129,12 @@ def test_gate_noisy_L18_workers_leave_the_parent_passes_serial(monkeypatch):
 def failing_measure(monkeypatch, trajectory, action):
     """Make the sampled run call action() at the first time point of `trajectory`."""
 
-    def take(rows, state, k, *args, _orig=trotter._ShotRows.take):
+    def take(rows, state, k, *args, _orig=trotter._Rows.take):
         if rows.rng.bit_generator.seed_seq.spawn_key == (trajectory, 1) and k == 0:
             action()
         return _orig(rows, state, k, *args)
 
-    monkeypatch.setattr(trotter._ShotRows, "take", take)
+    monkeypatch.setattr(trotter._Rows, "take", take)
 
 
 def fail():
