@@ -81,15 +81,20 @@ def check_L(L: int) -> None:
 @functools.cache
 def zero_momentum_orbits(L: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only int64 (reps, periods) of the translation orbits: the states
-    that are <= each of their rotations, screened ORBIT_BLOCK at a time (no
-    2**L temporary), and the first rotation that returns each."""
+    that are <= each of their rotations, and the first rotation that returns
+    each. Only 0, the all-ones state and the odd states below 2**(L - 1) are
+    screened, ORBIT_BLOCK at a time (no 2**L temporary): an even state's
+    rotation by L - 1 is smaller, and so is a rotation that moves a 0 bit of
+    a state with its top bit set to the top."""
     mask = (1 << L) - 1
-    found = []
-    for lo in range(0, 1 << L, ORBIT_BLOCK):
-        states = np.arange(lo, min(lo + ORBIT_BLOCK, 1 << L), dtype=np.uint32)
+    half = 1 << (L - 1)
+    found = [np.zeros(1, dtype=np.uint32)]
+    for lo in range(0, half, ORBIT_BLOCK):
+        states = np.arange(lo + 1, min(lo + ORBIT_BLOCK, half), 2, dtype=np.uint32)
         for by in range(1, L):
             states = states[states <= translate(states, L, mask, by)]
         found.append(states)
+    found.append(np.full(1, mask, dtype=np.uint32))
     reps = np.concatenate(found).astype(np.int64)
     divisors = [d for d in range(1, L + 1) if L % d == 0]  # every period divides L
     periods = np.select([translate(reps, L, mask, d) == reps for d in divisors], divisors)

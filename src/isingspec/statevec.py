@@ -39,11 +39,15 @@ to the float64 view of the amplitudes; the left phases form a second
 product diagonal. A real matrix (H) needs no diagonal, and a readout turn
 drops its left one, since only |psi|^2 is read after it. Every pass runs in
 place over cache-sized chunks, so a step allocates a few chunks, never a
-state-sized temporary. From SPLIT_MIN amplitudes on, each block or diagonal
-pass runs as two independent halves on two threads (numpy releases the GIL
-in matmul), with the same per-amplitude arithmetic as the serial pass; no
-thread outlives the call, and none starts while worker processes of this
-one run (serial_passes). Exact time evolution runs in the k = 0 translation
+state-sized temporary. A state from partnered (SPLIT_MIN amplitudes on,
+two CPUs) lives in an anonymous shared mapping with a forked partner
+process that inherited the run's tables: each block or diagonal pass over it
+runs its second half there and its first here, with the same per-amplitude
+arithmetic as the serial pass. A command names the pass and its tables by
+their place in the inherited list, never sends the state, and comes back
+with None or what the pass raised. Any other array's passes run serially,
+and while the partner runs cpus() reads 1 in both processes (serial_passes),
+so neither forks workers. Exact time evolution runs in the k = 0 translation
 sector on the x-basis orbit basis and sector matrix that edsolver builds for
 ED; only the returned snapshots are expanded to 2**L amplitudes.
 """
@@ -54,13 +58,16 @@ import contextlib
 import ctypes
 import functools
 import glob
+import io
 import itertools
 import math
+import mmap
 import multiprocessing
 import os
+import pickle
 import sys
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 
@@ -85,9 +92,10 @@ _UNITARY_TOL = 1e-12
 CHUNK = 1 << 13  # amplitudes per in-place kernel chunk (128 KiB of complex128)
 PHASE_BITS = 12  # low bits of a product phase diagonal stored in full (64 KiB)
 BLOCK_SITES = 4  # sites fused into one 2**4 x 2**4 block
-SPLIT_MIN = 1 << 18  # amplitudes from which a kernel pass runs on two threads
-split_passes = 0  # kernel passes this process has run on two threads
+SPLIT_MIN = 1 << 18  # amplitudes from which partnered opens a partner process
+split_passes = 0  # kernel passes a partner process has run halves of for this one
 _serial = False  # set by serial_passes
+_partner = None  # the open _Partner, set by partnered
 
 
 # each package's bundled OpenBLAS: the library in <package>.libs and the
@@ -130,16 +138,16 @@ def blas_threads(package: str = "numpy") -> int | None:
 
 def cpus() -> int:
     """CPUs this process may keep busy: os.cpu_count(), but 1 inside any
-    multiprocessing child (a sweep chunk or trajectory worker) and inside
-    serial_passes(), while worker processes of this one hold the others."""
+    multiprocessing child (a sweep chunk, trajectory worker or partner) and
+    inside serial_passes(), while processes forked by this one hold the others."""
     return 1 if _serial or multiprocessing.parent_process() is not None else (os.cpu_count() or 1)
 
 
 @contextlib.contextmanager
 def serial_passes():
-    """Keep this process to one CPU in the block (cpus() reads 1): kernel
-    passes stay on one thread and run_quench forks no trajectory workers, as
-    while worker processes of this one hold the other CPUs."""
+    """Keep this process to one CPU in the block (cpus() reads 1): partnered
+    forks no partner and run_quench no trajectory workers, as while
+    processes forked by this one hold the other CPUs."""
     global _serial
     saved, _serial = _serial, True
     try:
@@ -148,32 +156,148 @@ def serial_passes():
         _serial = saved
 
 
-def _splits(amps: np.ndarray) -> bool:
-    """Whether a pass over amps runs as two halves on two threads: from
-    SPLIT_MIN amplitudes, when this process may keep two CPUs busy."""
-    return amps.size >= SPLIT_MIN and cpus() >= 2
+class _Unshared(Exception):
+    """A command named an array that the partner did not inherit."""
 
 
-def _both(fn, a, b) -> None:
-    """fn(a) on a new thread and fn(b) on this one; returns when both are done."""
-    global split_passes
-    errors = []
+class _Command(pickle.Pickler):
+    """Pickles a pass with each array as its place in the partner's tables."""
 
-    def run():
+    def __init__(self, file, keys):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.keys = keys
+
+    def persistent_id(self, obj):
+        if not isinstance(obj, np.ndarray):
+            return None
+        if id(obj) not in self.keys:
+            raise _Unshared
+        return self.keys[id(obj)]
+
+
+class _Tables(pickle.Unpickler):
+    """Loads a command with each array from the partner's inherited tables."""
+
+    def __init__(self, data, tables):
+        super().__init__(io.BytesIO(data))
+        self.tables = tables
+
+    def persistent_load(self, key):
+        return self.tables[key]
+
+
+def _serve(conn, other, amps, tables) -> None:
+    """The partner: run each command's pass on half 1 of amps and answer None
+    or what it raised, until this process's end of the pipe closes."""
+    other.close()  # the parent's end: EOF here once the parent closes its own
+    while True:
         try:
-            fn(a)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
+            data = conn.recv_bytes()
+        except EOFError:
+            return
+        try:
+            fn, args = _Tables(data, tables).load()
+            fn(amps, 1, *args)
+            out = None
+        except BaseException as exc:  # re-raised in the parent
+            out = exc
+        conn.send(out)
 
-    worker = threading.Thread(target=run)
-    worker.start()
+
+@dataclass
+class _Partner:
+    amps: np.ndarray
+    tables: list  # held, so that no id in keys is reused while the partner runs
+    keys: dict
+    conn: object
+    proc: ForkProcess
+
+
+def _arrays(obj):
+    """Every ndarray in obj, through tuples, lists and dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif is_dataclass(obj):
+        for field in fields(obj):
+            yield from _arrays(getattr(obj, field.name))
+
+
+@contextlib.contextmanager
+def partnered(L: int, tables=()):
+    """|+...+> (|0...0> in the x frame) on L sites, whose kernel passes split
+    with a forked partner process from SPLIT_MIN amplitudes on while this
+    process may keep two CPUs busy; otherwise a plain state.
+
+    The amplitudes live in an anonymous shared mapping, so both processes
+    see them. The partner inherits every array in tables (layers, diagonals,
+    SiteLayers) and runs the second half of each pass whose arrays are all
+    among them. It is joined when the block ends and terminated if it raises.
+    """
+    global _partner
+    if (1 << L) < SPLIT_MIN or cpus() < 2:
+        yield init_all_plus(L)
+        return
+    tables = list(_arrays(tables))
+    amps = np.frombuffer(mmap.mmap(-1, 16 << L), dtype=np.complex128)
+    amps[0] = 1.0
+    conn, child = multiprocessing.Pipe()
+    proc = ForkProcess(target=_serve, args=(child, conn, amps, tables), daemon=True)
+    with child:  # the partner holds its own end
+        proc.start()
+    _partner = _Partner(amps, tables, {id(a): i for i, a in enumerate(tables)}, conn, proc)
     try:
-        fn(b)
+        with serial_passes():
+            yield StateVector(L, amps)
+    except BaseException:
+        proc.terminate()
+        raise
     finally:
-        worker.join()
-    if errors:
-        raise errors[0]
+        _partner = None
+        conn.close()
+        proc.join()
+
+
+def _shared(amps: np.ndarray) -> bool:
+    """Whether the open partner shares amps."""
+    return _partner is not None and amps is _partner.amps
+
+
+def _split(fn, amps: np.ndarray, *args) -> None:
+    """fn(amps, part, *args) over halves part = 0 here and 1 in the partner
+    when it shares amps and inherited every array in args, else over all of
+    amps here (part None)."""
+    global split_passes
+    if not _shared(amps):
+        return fn(amps, None, *args)
+    p = _partner
+    buf = io.BytesIO()
+    try:
+        _Command(buf, p.keys).dump((fn, args))
+    except _Unshared:
+        return fn(amps, None, *args)
+    p.conn.send_bytes(buf.getbuffer())
+    try:
+        fn(amps, 0, *args)
+    finally:  # the partner's half ends before anything else touches amps
+        try:
+            out = p.conn.recv()
+        except EOFError:
+            p.proc.join()
+            raise RuntimeError(f"partner process exited with code {p.proc.exitcode} during a pass") from None
+    if out is not None:
+        raise out
     split_passes += 1
+
+
+def _half(amps: np.ndarray, part: int | None) -> tuple[np.ndarray, int]:
+    """(half part of amps, its first basis index), or (amps, 0) for part None."""
+    if part is None:
+        return amps, 0
+    n = amps.size // 2
+    return amps[part * n : (part + 1) * n], part * n
 
 
 class StateVector:
@@ -439,9 +563,19 @@ def _block_view(amps: np.ndarray, lo: int, m: np.ndarray) -> np.ndarray:
     return amps.view(np.float64).reshape(-1, len(m), 2 << lo if lo else 1)
 
 
-def _apply_blocks(amps: np.ndarray, blocks) -> None:
+def _apply_blocks(amps: np.ndarray, part, blocks) -> None:
+    amps = _half(amps, part)[0]
     for lo, _, m in blocks:
         _apply_block(_block_view(amps, lo, m), m)
+
+
+def _top_block(amps: np.ndarray, part, lo: int, m: np.ndarray) -> None:
+    """Block m on the top bit, over half part of its low columns."""
+    v = _block_view(amps, lo, m)
+    if part is not None:
+        c = v.shape[2] // 2
+        v = v[:, :, part * c : (part + 1) * c]
+    _apply_block(v, m)
 
 
 def _real_blocks(amps: np.ndarray, blocks) -> None:
@@ -452,26 +586,23 @@ def _real_blocks(amps: np.ndarray, blocks) -> None:
     the top bit along its low columns; a ring whose top block starts at
     bit 0 has no columns to split, so that block runs serially.
     """
-    if not _splits(amps):
-        _apply_blocks(amps, blocks)
+    if not _shared(amps):
+        _apply_blocks(amps, None, blocks)
         return
-    half = amps.size // 2
     for below, run in itertools.groupby(blocks, key=lambda b: 1 << (b[0] + b[1]) < amps.size):
         if below:
-            _both(functools.partial(_apply_blocks, blocks=list(run)), amps[:half], amps[half:])
+            _split(_apply_blocks, amps, tuple(run))
             continue
         for lo, _, m in run:  # blocks that hold the top bit
-            v = _block_view(amps, lo, m)
-            C = v.shape[2]
-            if C > 1:
-                _both(functools.partial(_apply_block, m=m), v[:, :, : C // 2], v[:, :, C // 2 :])
+            if lo:
+                _split(_top_block, amps, lo, m)
             else:
-                _apply_block(v, m)
+                _top_block(amps, None, lo, m)
 
 
-def _phase_pass(amps: np.ndarray, offset: int, low: np.ndarray, high: np.ndarray | None) -> None:
-    """amps[s] *= low[...] * high[...] by rows of low.size amplitudes; amps
-    starts at basis index offset."""
+def _phase_pass(amps: np.ndarray, part, low: np.ndarray, high: np.ndarray | None) -> None:
+    """amps[s] *= low[...] * high[...] by rows of low.size amplitudes."""
+    amps, offset = _half(amps, part)
     n = min(low.size, amps.size)
     for a in range(0, amps.size, n):
         row = amps[a : a + n]
@@ -481,25 +612,17 @@ def _phase_pass(amps: np.ndarray, offset: int, low: np.ndarray, high: np.ndarray
             row *= high[s // low.size]
 
 
-def _bond_pass(amps: np.ndarray, offset: int, index: np.ndarray, table: np.ndarray) -> None:
+def _bond_pass(amps: np.ndarray, part, index: np.ndarray, table: np.ndarray) -> None:
+    amps, offset = _half(amps, part)
     for a in range(0, amps.size, CHUNK):
         chunk = amps[a : a + CHUNK]
         chunk *= table.take(index[offset + a : offset + a + chunk.size])
 
 
-def _diagonal(amps: np.ndarray, pass_fn, *args) -> None:
-    """pass_fn(part, offset, *args) over amps, as two halves on two threads when it splits."""
-    if _splits(amps):
-        half = amps.size // 2
-        _both(lambda a: pass_fn(amps[a : a + half], a, *args), 0, half)
-    else:
-        pass_fn(amps, 0, *args)
-
-
 def apply_phase_index(state: StateVector, index: np.ndarray, table: np.ndarray) -> StateVector:
     """amps[s] *= table[index[s]], in place, by chunks: a diagonal stored as
     a small phase table plus an integer index instead of 2**L complex phases."""
-    _diagonal(state.amplitudes, _bond_pass, index, table)
+    _split(_bond_pass, state.amplitudes, index, table)
     return state
 
 
@@ -507,11 +630,11 @@ def apply_site_blocks(state: StateVector, layer: SiteLayer) -> StateVector:
     """Apply a SiteLayer from fuse_site_matrices to the amplitudes, in place:
     its right phase diagonal, its real blocks, then its left phase diagonal."""
     if layer.right is not None:
-        _diagonal(state.amplitudes, _phase_pass, *layer.right)
+        _split(_phase_pass, state.amplitudes, *layer.right)
     if layer.blocks:
         _real_blocks(state.amplitudes, layer.blocks)
     if layer.left is not None:
-        _diagonal(state.amplitudes, _phase_pass, *layer.left)
+        _split(_phase_pass, state.amplitudes, *layer.left)
     return state
 
 
@@ -708,14 +831,22 @@ def sample_index_counts(state: StateVector, axes, shots: int, rng) -> tuple[np.n
     return np.unique(draw_shots(measurement_probabilities(state, axes)[None], shots, rng), return_counts=True)
 
 
-def turn_weights(state: StateVector, axes, carried=None, out=None, orbits: bool = False) -> np.ndarray:
+def readout_layer(L: int, axes, carried=None) -> SiteLayer:
+    """The SiteLayer that turns L sites from the readout rotation of the
+    carried axes (None: none) to that of axes; built once per key."""
+    return _rotation_blocks(_normalize_axes(axes, L), carried and _normalize_axes(carried, L))
+
+
+def turn_weights(state: StateVector, axes, carried=None, out=None, orbits: bool = False, folded: bool = False) -> np.ndarray:
     """Turn the amplitudes in place from the readout rotation of the carried
     axes (None: none) to that of axes, then write the turned state's outcome
     weights (in out, if given): |psi|^2 over the 2**L states or, with
     orbits, for a translation-invariant state (not checked), R_a
-    |psi(rep_a)|^2 over its k = 0 orbits."""
-    carried = carried and _normalize_axes(carried, state.L)
-    apply_site_blocks(state, _rotation_blocks(_normalize_axes(axes, state.L), carried))
+    |psi(rep_a)|^2 over its k = 0 orbits. folded skips the turn's right
+    phase diagonal, which the caller applied already (trotter.frame_layers'
+    fold_right)."""
+    layer = readout_layer(state.L, axes, carried)
+    apply_site_blocks(state, replace(layer, right=None) if folded else layer)
     reps, periods = edsolver.zero_momentum_orbits(state.L) if orbits else (slice(None), None)
     w = np.abs(state.amplitudes[reps], out=out)
     w *= w

@@ -48,7 +48,10 @@ uniforms of its sampled rows in turn, and their readout flips
 The trajectories run over up to statevec.cpus() processes: this process
 runs the first contiguous chunk and forked workers the rest, each with its
 own 2**L state; the sums are taken in trajectory order, so the record does
-not depend on the process count.
+not depend on the process count. One trajectory in this process instead
+evolves a statevec.partnered state, whose partner process is forked once
+the layers and readout turns exist and splits every kernel pass from
+statevec.SPLIT_MIN amplitudes on.
 
 forked_results is the one fork path: run_quench spreads its trajectories
 with it, and spectro.eta_sweep its chunks of quenches and ED references.
@@ -172,6 +175,10 @@ def frame_layers(
     fold_right (noiseless exact runs) joins the right one, D_R, too: the
     layers then evolve D_R psi up to a global phase, which x-basis
     probabilities do not see; top-bit overlaps take the bond layer's phase.
+    With undo, fold_right (noiseless sampled runs whose first readout turn
+    is the one undo undoes) joins that turn's right phase pair instead, read
+    off undo^dagger: the x rows read between them see only |psi|^2, and the
+    turn then applies its blocks alone.
     """
     step = build_step(params, dt)
     L = step.L
@@ -204,6 +211,8 @@ def frame_layers(
         table = np.exp(1j * step.dt * (n - 2.0 * np.arange(n + 1)))
         # without split_bonds, a layer before the one bond run is the site layer
         left, _, right = statevec.split_u2(onsite) if layers and not split_bonds else (None,) * 3
+        if undo is not None:
+            right = statevec.split_u2(undo.conj().T)[2]
         right = right if fold_right else None
         phase = 1.0 if right is None else right[0] * right[1].conjugate()
         if left or right:
@@ -218,7 +227,7 @@ def frame_layers(
             for a, s in statevec.index_chunks(L):
                 index[a : a + s.size] += np.bitwise_count(s)
             site = layers[-1].blocks
-            site = replace(site, left=None, right=None if right else site.right)
+            site = replace(site, left=None, right=None if right and undo is None else site.right)
             layers[-1] = replace(layers[-1], blocks=site)
         layers.append(FrameLayer("2q", sites, diagonal=(index, table), phase=phase))
     return layers
@@ -300,10 +309,13 @@ class _Rows:
     and G(r) of x from every pair of sites (tables). Sampled rows take each
     row's shots and readout flips from the measurement and readout streams,
     row after row, so nothing depends on the block size; then site
-    estimates, one mitigation and G(r) of x."""
+    estimates, one mitigation and G(r) of x. With folded, a turn after the
+    first time point skips the right phases that frame_layers' fold_right
+    joined to the bond diagonal."""
 
-    def __init__(self, L, axes, shots, orbits, streams, nz, values, G, tables):
+    def __init__(self, L, axes, shots, orbits, streams, nz, values, G, tables, folded=False):
         self.L, self.axes, self.shots, self.orbits = L, _sampling_order(axes), shots, orbits
+        self.folded = folded
         self.values, self.G, self.tables = values, G, tables
         self.rng, self.flip_rng = map(np.random.default_rng, streams)
         self.readout = nz if nz is not None and nz.has_readout_error else None
@@ -318,7 +330,7 @@ class _Rows:
         for ax in self.axes:
             if self.block is None:
                 self.block = np.empty(self.shape)
-            statevec.turn_weights(state, ax, carried, self.block[len(self.keys)], self.orbits)
+            statevec.turn_weights(state, ax, carried, self.block[len(self.keys)], self.orbits, self.folded and k > 0)
             carried = ax
             self.keys.append((k, ax))
             if len(self.keys) == len(self.block) or last and ax == self.axes[-1]:
@@ -430,8 +442,13 @@ def run_quench(
     # a per-site measurement leaves the state in its last axis's basis; the
     # next step's first layer undoes that
     seeded = plan.shots > 0 or gate_noise
-    last = _sampling_order(axes)[-1] if seeded else None
-    layers = frame_layers(params, plan.dt, gate_noise, statevec.readout_turn(None, last), not seeded)
+    order = _sampling_order(axes) if seeded else []
+    turns = [statevec.readout_layer(L, ax, carried) for ax, carried in zip(order, [None] + order[:-1])]
+    # a noiseless sampled run whose one turned axis is the last folds that
+    # turn's right phases into the bond diagonal
+    folded = seeded and not gate_noise and sum(ax != "x" for ax in axes) == 1
+    undo = statevec.readout_turn(None, order[-1]) if seeded else None
+    layers = frame_layers(params, plan.dt, gate_noise, undo, not seeded or folded)
     phase = None if gate_noise else layers[-1].phase
     # only a gate-noisy exact run reads the correlator from every pair of sites
     tables = obs.correlator_tables(L) if record_correlator and gate_noise and not plan.shots else None
@@ -448,10 +465,10 @@ def run_quench(
             return None  # more trajectories than shots; nothing to average in
         gate_ss, *streams = traj_ss.spawn(3) if seeded else (None,) * 3
         gate_rng = np.random.default_rng(gate_ss) if gate_noise else None
-        state = statevec.init_all_plus(L)  # k = 0 records it unevolved
+        state = shared if shared is not None else statevec.init_all_plus(L)  # k = 0 records it unevolved
         values = {ax: np.empty((n_rec, L)) for ax in axes}
         G = np.empty((n_rec, L // 2)) if record_correlator else None
-        rows = _Rows(L, axes, shots, phase is not None, streams, nz, values, G, tables) if seeded else None
+        rows = _Rows(L, axes, shots, phase is not None, streams, nz, values, G, tables, folded) if seeded else None
         for k in range(n_rec):
             for layer in layers if k > 0 else ():
                 layer.apply(state)
@@ -476,15 +493,17 @@ def run_quench(
     per_site = {ax: np.zeros((n_rec, L)) for ax in axes}
     correlator = np.zeros((n_rec, L // 2)) if record_correlator else None
     weight_total = 0.0
-    for out in forked_results(trajectory, [items[a:b] for a, b in zip(cuts, cuts[1:])]):
-        if out is None:
-            continue
-        w, values, G = out
-        weight_total += w
-        for ax in axes:
-            per_site[ax] += w * values[ax]
-        if correlator is not None:
-            correlator += w * G
+    # one trajectory here splits its kernel passes with a partner process
+    with statevec.partnered(L, layers + turns) if n_traj == 1 else contextlib.nullcontext() as shared:
+        for out in forked_results(trajectory, [items[a:b] for a, b in zip(cuts, cuts[1:])]):
+            if out is None:
+                continue
+            w, values, G = out
+            weight_total += w
+            for ax in axes:
+                per_site[ax] += w * values[ax]
+            if correlator is not None:
+                correlator += w * G
 
     for ax in axes:
         per_site[ax] /= weight_total

@@ -24,7 +24,7 @@ def test_basis_representatives_are_orbit_minima():
         assert rep == min(orbit)
 
 
-@pytest.mark.parametrize("L", range(2, 17))
+@pytest.mark.parametrize("L", range(2, 19))
 def test_basis_matches_the_orbit_definition(L):
     basis = edsolver.build_zero_momentum_basis(L)
     expected = oracles.zero_momentum_orbits(L)

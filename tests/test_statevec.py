@@ -1,3 +1,6 @@
+import contextlib
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -502,9 +505,18 @@ def test_rotation_blocks_are_built_once_per_run_and_read_only(monkeypatch):
             m[0, 0] = 0.0
 
 
+@contextlib.contextmanager
+def shared_state(amps: np.ndarray, tables):
+    """A StateVector holding amps that a partner process shares (when
+    partnered opens one), which inherited the arrays of tables."""
+    with sv.partnered(amps.size.bit_length() - 1, tables) as st:
+        st.amplitudes[...] = amps
+        yield st
+
+
 @pytest.fixture
 def split_every_pass(monkeypatch):
-    """Kernel passes split at every size, as on a host with two CPUs."""
+    """A shared state's kernel passes split at every size, as on a host with two CPUs."""
     monkeypatch.setattr(sv, "SPLIT_MIN", 2)
     monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
 
@@ -526,25 +538,31 @@ def test_split_kernel_passes_match_dense_oracles(split_every_pass, L, g, h):
     hadamards = oracles.hadamard_all(np.eye(2**L))
     lab = random_state(L, rng).amplitudes
     passes = sv.split_passes
-
-    # one Trotter step, both kernels: fused site blocks and phase diagonals
-    st = sv.StateVector(L, hadamards @ lab)
-    for layer in trotter.frame_layers(ModelParams(L, g, h), 0.3, split_bonds=True):
-        layer.apply(st)
-    expected = hadamards @ oracles.step_state(lab, L, g, h, 0.3)
-    assert np.abs(st.amplitudes - expected).max() < 1e-12
-
-    # the y-rotated copy behind measurement_probabilities
-    rotated = hadamards @ st.amplitudes
-    for j in range(1, L + 1):
-        rotated = oracles.op_at(sv.HADAMARD @ sv.S_DAGGER, j, L) @ rotated
-    assert np.abs(sv.measurement_probabilities(st, "y") - np.abs(rotated) ** 2).max() < 1e-12
-
-    # distinct random unitaries per site, with identity sites in between
+    layers = trotter.frame_layers(ModelParams(L, g, h), 0.3, split_bonds=True)
     mats = [None if j % 3 == 1 else np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
             for j in range(L)]
-    st = sv.StateVector(L, lab.copy())
-    sv.apply_site_blocks(st, sv.fuse_site_matrices(mats))
+    random_layer = sv.fuse_site_matrices(mats)
+    turn = sv.readout_layer(L, "y")
+
+    # one Trotter step, both kernels: fused site blocks and phase diagonals
+    with shared_state(hadamards @ lab, [layers, random_layer, turn]) as st:
+        for layer in layers:
+            layer.apply(st)
+        expected = hadamards @ oracles.step_state(lab, L, g, h, 0.3)
+        assert np.abs(st.amplitudes - expected).max() < 1e-12
+
+        # the y-rotated copy behind measurement_probabilities (its passes
+        # run serially: the partner does not share the copy), then the same
+        # turn in place, as a sampled time point takes it
+        rotated = hadamards @ st.amplitudes
+        for j in range(1, L + 1):
+            rotated = oracles.op_at(sv.HADAMARD @ sv.S_DAGGER, j, L) @ rotated
+        assert np.abs(sv.measurement_probabilities(st, "y") - np.abs(rotated) ** 2).max() < 1e-12
+        assert np.abs(sv.to_probabilities(sv.turn_weights(st, "y")) - np.abs(rotated) ** 2).max() < 1e-12
+
+        # distinct random unitaries per site, with identity sites in between
+        st.amplitudes[...] = lab
+        sv.apply_site_blocks(st, random_layer)
     expected = lab
     for j, m in enumerate(mats, start=1):
         if m is not None:
@@ -585,12 +603,13 @@ def test_site_layer_kernel_matches_dense_site_products(data, L, split):
     for j, m in enumerate(mats, start=1):
         if m is not None:
             expected = oracles.op_at(m, j, L) @ expected
-    st = sv.StateVector(L, lab.copy())
+    layer = sv.fuse_site_matrices(mats)
     with pytest.MonkeyPatch.context() as mp:
         if split:  # as the split_every_pass fixture, which hypothesis cannot take
             mp.setattr(sv, "SPLIT_MIN", 2)
             mp.setattr(sv.os, "cpu_count", lambda: 2)
-        sv.apply_site_blocks(st, sv.fuse_site_matrices(mats))
+        with shared_state(lab, [layer]) as st:
+            sv.apply_site_blocks(st, layer)
     assert np.abs(st.amplitudes - expected).max() < 1e-12
 
 
@@ -611,12 +630,68 @@ def test_split_passes_are_byte_identical_to_serial_at_L18(monkeypatch):
     for cpus in (1, 2):
         monkeypatch.setattr(sv.os, "cpu_count", lambda: cpus)
         passes = sv.split_passes
-        st = sv.StateVector(L, amps / np.linalg.norm(amps))
-        for layer in layers:
-            layer.apply(st)
-        results.append((st.amplitudes, sv.measurement_probabilities(st, "y")))
+        with shared_state(amps / np.linalg.norm(amps), [layers, sv.readout_layer(L, "y")]) as st:
+            for layer in layers:
+                layer.apply(st)
+            results.append((st.amplitudes.copy(), sv.to_probabilities(sv.turn_weights(st, "y"))))
         assert (sv.split_passes > passes) == (cpus == 2)
     (serial_amps, serial_probs), (split_amps, split_probs) = results
     assert np.array_equal(split_amps, serial_amps)
     assert np.array_equal(split_probs, serial_probs)
+
+
+def test_a_state_the_partner_does_not_share_runs_its_passes_here(split_every_pass):
+    layers = trotter.frame_layers(ModelParams(6, 0.5, 0.3), 0.3)
+    with sv.partnered(6, layers) as shared:
+        passes = sv.split_passes
+        plain = shared.copy()
+        for layer in layers:
+            layer.apply(plain)
+        sv.apply_site_blocks(shared, sv.fuse_site_matrices([sv.HADAMARD] * 6))  # tables it did not inherit
+        assert sv.split_passes == passes
+        for layer in layers:
+            layer.apply(shared)
+        assert sv.split_passes > passes
+
+
+def l18_quench(monkeypatch, **plan):
+    monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
+    return trotter.run_quench(ModelParams(18, 0.5, 0.3), QuenchPlan(dt=0.4, n_steps=2, **plan))
+
+
+@pytest.mark.parametrize("shots", [0, 100])
+def test_a_quench_joins_its_partner_before_it_returns(monkeypatch, shots):
+    passes = sv.split_passes
+    l18_quench(monkeypatch, shots=shots, measured_axes=("x", "y"))
+    assert sv.split_passes > passes
+    assert multiprocessing.active_children() == []
+
+
+def in_partner(action):
+    """A stand-in for sv._apply_block that calls action() in the partner process."""
+
+    def apply_block(v, m, _orig=sv._apply_block):
+        if multiprocessing.parent_process() is not None:
+            action()
+        _orig(v, m)
+
+    return apply_block
+
+
+def test_a_pass_that_raises_in_the_partner_raises_here_and_leaves_no_process(monkeypatch):
+    def fail():
+        raise FloatingPointError("partner pass failed")
+
+    monkeypatch.setattr(sv, "_apply_block", in_partner(fail))
+    with pytest.raises(FloatingPointError, match="^partner pass failed$"):
+        l18_quench(monkeypatch)
+    assert multiprocessing.active_children() == []
+    assert sv._partner is None
+
+
+def test_a_partner_that_dies_is_an_error(monkeypatch):
+    monkeypatch.setattr(sv, "_apply_block", in_partner(lambda: os._exit(3)))
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        l18_quench(monkeypatch, shots=100)
+    assert multiprocessing.active_children() == []
 

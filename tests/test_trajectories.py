@@ -114,8 +114,8 @@ def test_one_trajectory_never_forks(monkeypatch):
 
 
 def test_gate_noisy_L18_workers_leave_the_parent_passes_serial(monkeypatch):
-    # two busy processes on two CPUs: the parent's kernel passes must not add
-    # a thread of their own, although its 2**18 amplitudes would split
+    # two busy processes on two CPUs: the parent's kernel passes must not fork
+    # a partner of their own, although its 2**18 amplitudes would split
     params = ModelParams(18, 0.5, 0.3)
     plan = QuenchPlan(dt=0.4, n_steps=2, measured_axes=("x", "y"), noise=NoiseParams(trajectories=2))
     passes = sv.split_passes

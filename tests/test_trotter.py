@@ -205,7 +205,7 @@ def test_step_builders_and_exact_evolution_reject_a_bad_dt(dt):
         sv.exact_evolve(sv.init_all_plus(4), p, dt=dt, n_steps=1)
 
 
-def reference_sampled_quench(params: ModelParams, plan: QuenchPlan) -> dict[str, np.ndarray]:
+def reference_sampled_quench(params: ModelParams, plan: QuenchPlan, correlator: bool = False) -> dict[str, np.ndarray]:
     """run_quench's sampled per-site traces from unfolded layers and copy-based sampling.
 
     The state is never rotated: each axis is sampled from a rotated copy,
@@ -215,6 +215,7 @@ def reference_sampled_quench(params: ModelParams, plan: QuenchPlan) -> dict[str,
     every row's flips. Draws go through oracles.sample_indices with gate
     noise, and through oracles.sample_orbit_layout without, since the state
     then stays translation invariant and run_quench samples it on its orbits.
+    With correlator, key "G" holds G(r, t) from the x bits.
     """
     L, nz = params.L, plan.noise
     gate_noise = nz is not None and nz.has_gate_noise
@@ -225,6 +226,8 @@ def reference_sampled_quench(params: ModelParams, plan: QuenchPlan) -> dict[str,
     n_rec = plan.n_steps + 1
     order = sorted(plan.measured_axes, key=lambda ax: ax != "x")
     per_site = {ax: np.zeros((n_rec, L)) for ax in plan.measured_axes}
+    if correlator:
+        per_site["G"] = np.zeros((n_rec, L // 2))
     total = 0
     for t, traj_ss in enumerate(np.random.SeedSequence(plan.seed).spawn(n_traj)):
         shots = plan.shots // n_traj + (1 if t < plan.shots % n_traj else 0)
@@ -245,12 +248,18 @@ def reference_sampled_quench(params: ModelParams, plan: QuenchPlan) -> dict[str,
                 if readout is not None:
                     bits = oracles.twirled_flips(bits, readout.p_eff, flip_rng)
                 per_site[ax][k] += shots * noise.trex_mitigate(oracles.estimates_from_bits(bits), p_mitigate)
+                if correlator and ax == "x":
+                    per_site["G"][k] += shots * obs.correlator_profile_from_bits(bits, 1.0 - 2.0 * p_mitigate)
     return {ax: v / total for ax, v in per_site.items()}
 
 
 @pytest.mark.parametrize("g, h", [(0.5, 0.3), (0.0, 0.0)])
 @pytest.mark.parametrize("L", [2, 3, 5, 8])
-@pytest.mark.parametrize("axes", [("y",), ("z",), ("y", "x"), ("x", "y", "z")])
+# every order _sampling_order yields: x first, then the others as given;
+# a noiseless run with one turned axis folds that turn's right phases
+@pytest.mark.parametrize(
+    "axes", [("y",), ("z",), ("y", "x"), ("x", "y", "z"), ("x",), ("x", "z"), ("z", "y"), ("y", "z", "x")]
+)
 @pytest.mark.parametrize("gate_noise, asymmetric", [(False, False), (False, True), (True, False), (True, True)])
 def test_sampled_run_with_folded_rotations_equals_copy_based_sampling(g, h, L, axes, gate_noise, asymmetric):
     # run_quench rotates the state in place and undoes the rotation within the
@@ -267,11 +276,26 @@ def test_sampled_run_with_folded_rotations_equals_copy_based_sampling(g, h, L, a
         assert np.array_equal(rec.per_site[ax], expected[ax]), ax
 
 
+@pytest.mark.parametrize("axes", [("x", "y"), ("y", "x", "z"), ("z", "x")])
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_sampled_correlator_read_before_a_folded_turn_equals_copy_based_sampling(axes, asymmetric):
+    # the x rows are read between the bond diagonal, which holds the y turn's
+    # right phases when y is the one turned axis, and the y turn
+    nz = NoiseParams(p1=0.0, p2=0.0, p01=0.06 if asymmetric else 0.0, p10=0.01 if asymmetric else 0.0)
+    plan = QuenchPlan(dt=0.3, n_steps=6, shots=600, seed=9, measured_axes=axes, noise=nz if asymmetric else None)
+    params = ModelParams(6, 0.5, 0.3)
+    rec = trotter.run_quench(params, plan, record_correlator=True)
+    expected = reference_sampled_quench(params, plan, correlator=True)
+    assert np.array_equal(rec.correlator, expected["G"])
+    for ax in axes:
+        assert np.array_equal(rec.per_site[ax], expected[ax]), ax
+
+
 def take_only_the_orbit_path(monkeypatch):
-    def orbit_weights(state, axes, carried=None, out=None, orbits=False, _orig=sv.turn_weights):
+    def orbit_weights(state, axes, carried=None, out=None, orbits=False, folded=False, _orig=sv.turn_weights):
         if not orbits:
             raise AssertionError("a noiseless state was sampled from its full CDF")
-        return _orig(state, axes, carried, out, orbits)
+        return _orig(state, axes, carried, out, orbits, folded)
 
     monkeypatch.setattr(sv, "turn_weights", orbit_weights)
 
