@@ -228,15 +228,10 @@ def render_trace_csv(record, prov: dict, per_site: bool) -> str:
     if per_site:
         L = record.per_site[axes[0]].shape[1]
         cols += [f"s{a}_{j}" for a in axes for j in range(1, L + 1)]
+    columns = [record.times] + [record.aggregate(a) for a in axes]
+    columns += [record.per_site[a] for a in axes] if per_site else []
     rows = [_provenance_line(prov), ",".join(cols)]
-    aggs = {a: record.aggregate(a) for a in axes}
-    for k, t in enumerate(record.times):
-        cells = [repr(float(t))] + [repr(float(aggs[a][k])) for a in axes]
-        if per_site:
-            cells += [
-                repr(float(v)) for a in axes for v in record.per_site[a][k]
-            ]
-        rows.append(",".join(cells))
+    rows += [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
     return "\n".join(rows) + "\n"
 
 
@@ -284,10 +279,7 @@ def parse_trace_csv(text: str) -> tuple[dict, np.ndarray, dict[str, np.ndarray]]
 
 def render_spectrum_csv(spectrum, prov: dict) -> str:
     rows = [_provenance_line(prov), "omega,power"]
-    rows += [
-        f"{repr(float(w))},{repr(float(p))}"
-        for w, p in zip(spectrum.omega, spectrum.power)
-    ]
+    rows += [f"{w!r},{p!r}" for w, p in np.column_stack((spectrum.omega, spectrum.power)).tolist()]
     return "\n".join(rows) + "\n"
 
 
@@ -484,9 +476,9 @@ def cmd_correlate(cfg: RunConfig) -> dict[str, str]:
     bound = 2.0 * obs.max_group_velocity(cfg["model.g"])
 
     rows = [_provenance_line(prov), "t,r,G"]
-    for k, t in enumerate(field.times):
-        for ri, r in enumerate(field.rs):
-            rows.append(f"{repr(float(t))},{int(r)},{repr(float(field.values[k, ri]))}")
+    rs = field.rs.tolist()
+    for t, values in zip(field.times.tolist(), field.values.tolist()):
+        rows += [f"{t!r},{r},{v!r}" for r, v in zip(rs, values)]
     front = {
         "threshold": float(fit.threshold),
         "velocity": None if np.isnan(fit.velocity) else float(fit.velocity),

@@ -37,16 +37,19 @@ applied as low * high[row] without a 2**L array; the rotations of 4
 neighbouring sites fuse into one real 16x16 block, applied by real matmul
 to the float64 view of the amplitudes; the left phases form a second
 product diagonal. A real matrix (H) needs no diagonal, and a readout turn
-drops its left one, since only |psi|^2 is read after it. Every pass runs in
-place over cache-sized chunks, so a step allocates a few chunks, never a
-state-sized temporary. A state from partnered (SPLIT_MIN amplitudes on,
-two CPUs) lives in an anonymous shared mapping with a forked partner
-process that inherited the run's tables: each block or diagonal pass over it
-runs its second half there and its first here, with the same per-amplitude
-arithmetic as the serial pass. A command names the pass and its tables by
-their place in the inherited list, never sends the state, and comes back
-with None or what the pass raised. Any other array's passes run serially,
-and while the partner runs cpus() reads 1 in both processes (serial_passes),
+drops its left one, since only |psi|^2 is read after it; equal matrices and
+runs of sites are split and fused once. Every pass runs in place over
+cache-sized chunks, so a step allocates a few chunks, never a state-sized
+temporary; a pass of one chunk (L <= 13) applies each block as one product,
+and a bond diagonal gathered whole (index None) as one multiply. A state
+from partnered (SPLIT_MIN amplitudes on, two CPUs) lives in an anonymous
+shared mapping with a forked partner process that inherited the run's
+tables: each block or diagonal pass over it runs its second half there and
+its first here, with the same per-amplitude arithmetic as the serial pass.
+A command names the pass and its tables by their place in the inherited
+list, never sends the state, and comes back with None or what the pass
+raised. Any other array's passes run serially, and while the partner runs
+cpus() reads 1 (serial_passes) and OpenBLAS one thread in both processes,
 so neither forks workers. Exact time evolution runs in the k = 0 translation
 sector on the x-basis orbit basis and sector matrix that edsolver builds for
 ED; only the returned snapshots are expanded to 2**L amplitudes.
@@ -78,6 +81,7 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+PAULI_XX = np.kron(PAULI_X, PAULI_X)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 S_DAGGER = np.array([[1, 0], [0, -1j]], dtype=complex)
 # per-site readout pre-rotation by measured axis. The lab rotation R (H for
@@ -117,8 +121,8 @@ def _openblas(package: str):
     return None
 
 
-def pin_blas_threads(package: str = "numpy") -> None:
-    """Run numpy's (or scipy's) OpenBLAS on one thread in this process; a no-op without it.
+def pin_blas_threads(package: str = "numpy", threads: int = 1) -> None:
+    """Run numpy's (or scipy's) OpenBLAS on `threads` threads in this process; a no-op without it.
 
     The kernels call BLAS on 16 x 16 blocks, where a second BLAS thread
     costs more than it gains, and the thread count changes the order of
@@ -126,7 +130,7 @@ def pin_blas_threads(package: str = "numpy") -> None:
     """
     ops = _openblas(package)
     if ops is not None:
-        ops[0](1)
+        ops[0](threads)
 
 
 def blas_threads(package: str = "numpy") -> int | None:
@@ -136,11 +140,26 @@ def blas_threads(package: str = "numpy") -> int | None:
     return None if ops is None else int(ops[1]())
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread in the block, and so in every process
+    forked in it; the caller's count comes back when the block ends."""
+    saved = blas_threads()
+    pin_blas_threads()
+    try:
+        yield
+    finally:
+        pin_blas_threads(threads=saved or 1)
+
+
 def cpus() -> int:
-    """CPUs this process may keep busy: os.cpu_count(), but 1 inside any
-    multiprocessing child (a sweep chunk, trajectory worker or partner) and
-    inside serial_passes(), while processes forked by this one hold the others."""
-    return 1 if _serial or multiprocessing.parent_process() is not None else (os.cpu_count() or 1)
+    """CPUs this process may keep busy: those its affinity mask allows (or
+    os.cpu_count()), but 1 inside any multiprocessing child (a sweep chunk,
+    trajectory worker or partner) and inside serial_passes(), while
+    processes forked by this one hold the others."""
+    if _serial or multiprocessing.parent_process() is not None:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @contextlib.contextmanager
@@ -234,7 +253,8 @@ def partnered(L: int, tables=()):
     The amplitudes live in an anonymous shared mapping, so both processes
     see them. The partner inherits every array in tables (layers, diagonals,
     SiteLayers) and runs the second half of each pass whose arrays are all
-    among them. It is joined when the block ends and terminated if it raises.
+    among them. Both run numpy's OpenBLAS on one thread (one_blas_thread).
+    The partner is joined when the block ends and terminated if it raises.
     """
     global _partner
     if (1 << L) < SPLIT_MIN or cpus() < 2:
@@ -245,19 +265,19 @@ def partnered(L: int, tables=()):
     amps[0] = 1.0
     conn, child = multiprocessing.Pipe()
     proc = ForkProcess(target=_serve, args=(child, conn, amps, tables), daemon=True)
-    with child:  # the partner holds its own end
-        proc.start()
-    _partner = _Partner(amps, tables, {id(a): i for i, a in enumerate(tables)}, conn, proc)
-    try:
-        with serial_passes():
+    with one_blas_thread(), serial_passes():
+        with child:  # the partner holds its own end
+            proc.start()
+        _partner = _Partner(amps, tables, {id(a): i for i, a in enumerate(tables)}, conn, proc)
+        try:
             yield StateVector(L, amps)
-    except BaseException:
-        proc.terminate()
-        raise
-    finally:
-        _partner = None
-        conn.close()
-        proc.join()
+        except BaseException:
+            proc.terminate()
+            raise
+        finally:
+            _partner = None
+            conn.close()
+            proc.join()
 
 
 def _shared(amps: np.ndarray) -> bool:
@@ -290,6 +310,11 @@ def _split(fn, amps: np.ndarray, *args) -> None:
     if out is not None:
         raise out
     split_passes += 1
+
+
+def _whole(amps: np.ndarray) -> bool:
+    """Whether a pass over amps is one CHUNK that no partner shares: one product here."""
+    return amps.size <= CHUNK and not _shared(amps)
 
 
 def _half(amps: np.ndarray, part: int | None) -> tuple[np.ndarray, int]:
@@ -374,9 +399,7 @@ def cnot_gate(control: int, target: int) -> Gate:
 
 def xx_rotation_gate(theta: float, site_a: int, site_b: int) -> Gate:
     """exp(i * theta * sx sx) on the given pair."""
-    m = math.cos(theta) * np.eye(4, dtype=complex) + 1j * math.sin(theta) * np.kron(
-        PAULI_X, PAULI_X
-    )
+    m = math.cos(theta) * np.eye(4, dtype=complex) + 1j * math.sin(theta) * PAULI_XX
     return Gate(m, (site_a, site_b), "xx")
 
 
@@ -461,6 +484,12 @@ def split_u2(m: np.ndarray):
     return _phase_pair(l0, l1), np.array([[c, -s], [s, c]]), _phase_pair(r0, r1)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two vectors or two matrices: the same products, as one broadcast."""
+    out = np.multiply.outer(a, b)
+    return out.ravel() if a.ndim == 1 else out.swapaxes(1, 2).reshape(len(a) * len(b), -1)
+
+
 def _product_diagonal(pairs) -> tuple | None:
     """prod_b pairs[b][bit_b(s)] as (low, high) factors, or None where every pair is None.
 
@@ -477,7 +506,7 @@ def _product_diagonal(pairs) -> tuple | None:
         if any(p is not None for p in group):
             d = np.ones(1, dtype=complex)
             for p in group:
-                d = np.kron(np.asarray((1, 1) if p is None else p, dtype=complex), d)
+                d = _kron(np.asarray((1, 1) if p is None else p, dtype=complex), d)
             d.setflags(write=False)
         factors.append(d)
     return tuple(factors)
@@ -513,21 +542,25 @@ def fuse_site_matrices(mats) -> SiteLayer:
     The rotations of up to BLOCK_SITES neighbouring bits are fused into one
     real block wherever one of them is not the identity. Within a block the
     highest bit is the most significant factor of the Kronecker product,
-    matching the basis-index layout.
+    matching the basis-index layout. Each distinct matrix is split, and each
+    distinct run of rotations fused, once; equal runs share one block.
     """
-    parts = [(None, None, None) if m is None else split_u2(m) for m in mats]
-    blocks = []
+    split = {id(m): m for m in mats if m is not None}
+    split = {key: split_u2(m) for key, m in split.items()}
+    parts = [(None, None, None) if m is None else split[id(m)] for m in mats]
+    blocks, fused = [], {}
     for lo in range(0, len(parts), BLOCK_SITES):
         rots = [rot for _, rot, _ in parts[lo : lo + BLOCK_SITES]]
         if all(r is None for r in rots):
             continue
-        block = np.ones((1, 1))
-        for r in rots:
-            block = np.kron(np.eye(2) if r is None else r, block)
-        if lo == 0:
-            block = np.kron(block, np.eye(2))
-        block.setflags(write=False)
-        blocks.append((lo, len(rots), block))
+        key = (lo == 0, *map(id, rots))
+        if key not in fused:
+            block = np.ones((1, 1))
+            for r in rots:
+                block = _kron(np.eye(2) if r is None else r, block)
+            fused[key] = block = _kron(block, np.eye(2)) if lo == 0 else block
+            block.setflags(write=False)
+        blocks.append((lo, len(rots), fused[key]))
     right = _product_diagonal([r for _, _, r in parts])
     return SiteLayer(right, tuple(blocks), _product_diagonal([left for left, _, _ in parts]))
 
@@ -584,8 +617,20 @@ def _real_blocks(amps: np.ndarray, blocks) -> None:
     A split pass applies each run of blocks below the top bit to the two
     halves of the array that the top bit separates, and splits a block on
     the top bit along its low columns; a ring whose top block starts at
-    bit 0 has no columns to split, so that block runs serially.
+    bit 0 has no columns to split, so that block runs serially. A one-chunk
+    pass chains one product per block, the last one into amps.
     """
+    if _whole(amps):
+        src = amps.view(np.float64)
+        for i, (lo, _, m) in enumerate(blocks):
+            out = amps.view(np.float64) if i == len(blocks) - 1 else np.empty(src.size)
+            if lo:  # the (rest, K, C) views of _block_view
+                shape = (-1, len(m), 2 << lo)
+                np.matmul(m, src.reshape(shape), out=out.reshape(shape))
+            else:
+                np.matmul(src.reshape(-1, len(m)), m.T, out=out.reshape(-1, len(m)))
+            src = out
+        return
     if not _shared(amps):
         _apply_blocks(amps, None, blocks)
         return
@@ -621,8 +666,12 @@ def _bond_pass(amps: np.ndarray, part, index: np.ndarray, table: np.ndarray) -> 
 
 def apply_phase_index(state: StateVector, index: np.ndarray, table: np.ndarray) -> StateVector:
     """amps[s] *= table[index[s]], in place, by chunks: a diagonal stored as
-    a small phase table plus an integer index instead of 2**L complex phases."""
-    _split(_bond_pass, state.amplitudes, index, table)
+    a small phase table plus an integer index instead of 2**L complex phases.
+    With index None, table is the diagonal itself, multiplied in one pass."""
+    if index is None:
+        state.amplitudes *= table
+    else:
+        _split(_bond_pass, state.amplitudes, index, table)
     return state
 
 
@@ -722,9 +771,9 @@ def top_site_expectations(state: StateVector, phase: complex = 1.0, sums=None) -
     overlap c, times phase (r0 conj(r1) after trotter.frame_layers'
     fold_right layers), gives sy = -2 Im c / n and sz = 2 Re c / n.
     """
-    n, sx = orbit_sums(state)[:2] if sums is None else sums[:2]
+    n, sx = (orbit_sums(state) if sums is None else sums)[:2].tolist()
     half = state.amplitudes.size >> 1
-    c = phase * np.vdot(state.amplitudes[:half], state.amplitudes[half:])
+    c = phase * complex(np.vdot(state.amplitudes[:half], state.amplitudes[half:]))
     return {"x": sx / n, "y": -2.0 * c.imag / n, "z": 2.0 * c.real / n}
 
 

@@ -9,17 +9,18 @@ U_odd the bond rotations exp(i dt sx sx) on bonds (1,2), (3,4), ... and
 U_even those on (2,3), (4,5), ..., (L,1). For odd L the wrap bond (L,1)
 joins the even layer so the two layers still cover all L bonds.
 
-build_step writes that step as a gate list and decompose_to_native lowers it
-to CNOTs; they describe the circuit. run_quench compiles that gate list
-(frame_layers) and evolves the x-frame amplitudes that statevec stores
-(Hadamard-rotated basis), where the polarized start state |+...+> is
-|0...0> and every sx sx bond is diagonal. The bonds commute, so
-U_odd * U_even is the single diagonal exp(i dt (L - 2 popcount(s XOR
-rot(s)))), stored as a uint8 popcount index plus a phase table. U_1q
-becomes H u1 H on every site, split as diag(left) R diag(right) with R a
-real rotation (statevec.SiteLayer): a product phase diagonal, real blocks
-of 4 sites, and a left phase diagonal that joins the bond diagonal right
-after it (its index then also counts popcount(s)).
+build_step writes that step as a gate list (one shared read-only matrix per
+gate kind) and decompose_to_native lowers it to CNOTs; they describe the
+circuit. run_quench compiles that gate list (frame_layers, which frames each
+distinct matrix once) and evolves the x-frame amplitudes that statevec
+stores (Hadamard-rotated basis), where the polarized start state |+...+> is
+|0...0> and every sx sx bond is diagonal. The bonds commute, so U_odd *
+U_even is the single diagonal exp(i dt (L - 2 popcount(s XOR rot(s)))),
+stored as a uint8 popcount index plus a phase table. U_1q becomes H u1 H on
+every site, split as diag(left) R diag(right) with R a real rotation
+(statevec.SiteLayer): a product phase diagonal, real blocks of 4 sites, and
+a left phase diagonal that joins the bond diagonal right after it (its index
+then also counts popcount(s)).
 
 run_quench applies U_step n_steps times and records observables after every
 step (and at t = 0). Without gate noise U_step commutes with translations,
@@ -59,7 +60,8 @@ It runs the first chunk of calls in this process and each later chunk in a
 forked worker, returns the results in chunk order, re-raises what a worker
 raised, and terminates and joins every worker on a failure. While workers
 run, statevec.cpus() reads 1 in each process, so none forks workers of its
-own or splits a kernel pass.
+own or splits a kernel pass, numpy's OpenBLAS runs on one thread, and each
+process runs on a CPU of its own where the affinity mask allows two or more.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from __future__ import annotations
 import contextlib
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, replace
 from multiprocessing.context import ForkProcess
 
@@ -122,17 +125,18 @@ def single_site_step_matrix(g: float, h: float, dt: float) -> np.ndarray:
 
 
 def build_step(params: ModelParams, dt: float) -> TrotterStep:
-    """Gate list [U_1q; U_odd; U_even] for one first-order step."""
+    """Gate list [U_1q; U_odd; U_even] for one first-order step; its u1 gates
+    share one read-only matrix, and so do its xx gates."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     L = params.L
-    gates: list[Gate] = []
-    if params.g != 0.0 or params.h != 0.0:
-        m1 = single_site_step_matrix(params.g, params.h, dt)
-        gates.extend(Gate(m1, (j,), "u1") for j in range(1, L + 1))
+    u1 = Gate(single_site_step_matrix(params.g, params.h, dt), (1,), "u1")
+    xx = statevec.xx_rotation_gate(dt, 1, 2)
+    for gate in (u1, xx):
+        gate.matrix.setflags(write=False)
+    gates = [replace(u1, sites=(j,)) for j in range(1, L + 1)] if params.g != 0.0 or params.h != 0.0 else []
     odds, evens = _bond_layers(L)
-    for j in odds + evens:
-        gates.append(statevec.xx_rotation_gate(dt, j, j % L + 1))
+    gates += [replace(xx, sites=(j, j % L + 1)) for j in odds + evens]
     return TrotterStep(gates, dt, L)
 
 
@@ -141,7 +145,8 @@ class FrameLayer:
     """One layer of mutually commuting gates, acting on x-frame amplitudes.
 
     Either blocks (the H u1 H matrices as a statevec.SiteLayer) or diagonal
-    (an integer popcount index and its phase table) is set. sites lists
+    (an integer popcount index and its phase table; for a state of one
+    statevec.CHUNK, index None and the gathered diagonal) is set. sites lists
     the sites of its gates, gate after gate in gate-list order; gate noise
     draws follow that order.
     """
@@ -194,14 +199,16 @@ def frame_layers(
             runs.append([gate])
     if undo is not None and len(runs[0][0].sites) == 2:
         runs.insert(0, [])
-    layers = []
+    layers, framed = [], {}  # framed: H m H (undo) of each distinct gate matrix
     for run in runs:
         sites = tuple(s for g in run for s in g.sites)
         if not run or len(run[0].sites) == 1:
             mats = [undo] * L
             for g in run:
-                m = statevec.HADAMARD @ g.matrix @ statevec.HADAMARD
-                mats[g.sites[0] - 1] = m if undo is None else m @ undo
+                if id(g.matrix) not in framed:
+                    m = statevec.HADAMARD @ g.matrix @ statevec.HADAMARD
+                    framed[id(g.matrix)] = m if undo is None else m @ undo
+                mats[g.sites[0] - 1] = framed[id(g.matrix)]
             onsite = mats[0]  # every site holds the same matrix
             layers.append(FrameLayer("1q", sites, blocks=statevec.fuse_site_matrices(mats)))
             continue
@@ -229,6 +236,8 @@ def frame_layers(
             site = layers[-1].blocks
             site = replace(site, left=None, right=None if right and undo is None else site.right)
             layers[-1] = replace(layers[-1], blocks=site)
+        if 1 << L <= statevec.CHUNK:  # one chunk: the diagonal itself, gathered once
+            index, table = None, table.take(index)
         layers.append(FrameLayer("2q", sites, diagonal=(index, table), phase=phase))
     return layers
 
@@ -363,9 +372,12 @@ class _Rows:
         self.keys.clear()
 
 
-def _worker(conn, run, chunk) -> None:
-    """A forked worker: sends run's results for chunk, or what it raised."""
+def _worker(conn, run, chunk, cpu) -> None:
+    """A forked worker: sends run's results for chunk, or what it raised. It
+    runs on CPU cpu alone, unless that is None."""
     try:
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
         out = [run(*item) for item in chunk]
     except BaseException as exc:  # re-raised in the parent
         out = exc
@@ -380,28 +392,38 @@ def forked_results(run, chunks):
     chunk. Under fork nothing is pickled on the way in, and each worker
     sends its chunk's results, or the exception it raised, through a pipe.
     On any failure the workers are terminated; none outlives the iteration.
+    While workers run, numpy's OpenBLAS runs on one thread, and on two or
+    more CPUs in this process's affinity mask, chunk i runs on the i-th
+    (cyclically); this process gets its own mask and BLAS thread count back
+    at the end, on errors too.
     """
     workers = []
+    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    place = len(chunks) > 1 and len(allowed) > 1
     try:
-        for chunk in chunks[1:]:
-            recv, send = multiprocessing.Pipe(duplex=False)
-            proc = ForkProcess(target=_worker, args=(send, run, chunk), daemon=True)
-            with send:  # the worker holds its own end; EOF once it exits
-                proc.start()
-            workers.append((proc, recv))
-        with statevec.serial_passes() if workers else contextlib.nullcontext():
-            yield from (run(*item) for item in chunks[0])
-        for proc, recv in workers:
-            try:
-                out = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"worker process exited with code {proc.exitcode} before sending results"
-                ) from None
-            if isinstance(out, BaseException):
-                raise out
-            yield from out
+        with statevec.one_blas_thread() if len(chunks) > 1 else contextlib.nullcontext():
+            for i, chunk in enumerate(chunks[1:], 1):
+                recv, send = multiprocessing.Pipe(duplex=False)
+                cpu = allowed[i % len(allowed)] if place else None
+                proc = ForkProcess(target=_worker, args=(send, run, chunk, cpu), daemon=True)
+                with send:  # the worker holds its own end; EOF once it exits
+                    proc.start()
+                workers.append((proc, recv))
+            if place:
+                os.sched_setaffinity(0, {allowed[0]})
+            with statevec.serial_passes() if workers else contextlib.nullcontext():
+                yield from (run(*item) for item in chunks[0])
+            for proc, recv in workers:
+                try:
+                    out = recv.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"worker process exited with code {proc.exitcode} before sending results"
+                    ) from None
+                if isinstance(out, BaseException):
+                    raise out
+                yield from out
     except BaseException:
         for proc, _ in workers:
             proc.terminate()
@@ -410,6 +432,8 @@ def forked_results(run, chunks):
         for proc, recv in workers:
             proc.join()
             recv.close()
+        if place:
+            os.sched_setaffinity(0, allowed)
 
 
 def trajectories(plan: QuenchPlan) -> int:

@@ -5,11 +5,19 @@ Everything here is assembled from explicit Kronecker products on the full
 meaningful. Site j occupies bit j-1 of the state index, i.e. site 1 is the
 least significant bit, matching the package convention. The references work
 in the lab frame; hadamard_all carries a lab state to the x-frame
-amplitudes that a package StateVector holds, and back.
+amplitudes that a package StateVector holds, and back. The Kronecker
+references of fuse_site_matrices and its phase diagonals are the one
+exception: they reuse the package's split_u2 and block layout, and build
+every product with np.kron, which the package's broadcast products must
+match bit for bit.
 """
+
+import dataclasses
 
 import numpy as np
 import scipy.linalg
+
+from isingspec import statevec as sv
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -275,3 +283,51 @@ def twirled_flips(bits: np.ndarray, p_eff: float, rng: np.random.Generator) -> n
 def estimates_from_bits(bits: np.ndarray) -> np.ndarray:
     """Per-site 1 - 2 * mean(bit)."""
     return 1.0 - 2.0 * bits.mean(axis=0)
+
+
+def kron_product_diagonal(pairs):
+    """statevec._product_diagonal by np.kron, one site's pair after another:
+    (low, high) over the lowest PHASE_BITS bits and those above, or None."""
+    if all(p is None for p in pairs):
+        return None
+    factors = []
+    for group in (pairs[: sv.PHASE_BITS], pairs[sv.PHASE_BITS :]):
+        d = None
+        if any(p is not None for p in group):
+            d = np.ones(1, dtype=complex)
+            for p in group:
+                d = np.kron(np.asarray((1, 1) if p is None else p, dtype=complex), d)
+        factors.append(d)
+    return tuple(factors)
+
+
+def kron_fuse_site_matrices(mats):
+    """statevec.fuse_site_matrices by np.kron: every site split by split_u2
+    on its own, and each block of BLOCK_SITES rotations built as a Kronecker
+    chain, the highest bit the most significant factor (kron(block, I2) on
+    bit 0)."""
+    parts = [(None, None, None) if m is None else sv.split_u2(m) for m in mats]
+    blocks = []
+    for lo in range(0, len(parts), sv.BLOCK_SITES):
+        rots = [rot for _, rot, _ in parts[lo : lo + sv.BLOCK_SITES]]
+        if all(r is None for r in rots):
+            continue
+        block = np.ones((1, 1))
+        for r in rots:
+            block = np.kron(np.eye(2) if r is None else r, block)
+        blocks.append((lo, len(rots), np.kron(block, np.eye(2)) if lo == 0 else block))
+    right = kron_product_diagonal([r for _, _, r in parts])
+    return sv.SiteLayer(right, tuple(blocks), kron_product_diagonal([left for left, _, _ in parts]))
+
+
+def bits(obj):
+    """obj with each ndarray as (dtype, shape, bytes) and each dataclass as
+    its fields, through tuples and lists: two results compare equal exactly
+    when their arrays match bit for bit."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if dataclasses.is_dataclass(obj):
+        return type(obj).__name__, [bits(getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (tuple, list)):
+        return [bits(x) for x in obj]
+    return obj

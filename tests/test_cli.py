@@ -250,7 +250,7 @@ def test_gate_noisy_parallel_sweep_equals_serial_bytes(tmp_path):
         res = run_cli("sweep", "--config", f, "--parallel", k)
         assert res.returncode == 0, res.stderr
         processes[k] = json.loads((tmp_path / k / "run_stats.json").read_text())["trajectory_processes"]
-    assert processes == {"1": min(3, os.cpu_count() or 1), "2": 1}
+    assert processes == {"1": min(3, statevec.cpus()), "2": 1}
     names = [p.name for p in sorted((tmp_path / "1").iterdir()) if p.name != "run_stats.json"]
     assert "trace_p01.csv" in names
     for name in names:
@@ -410,7 +410,7 @@ def test_run_stats_records_split_kernel_passes_at_18_sites(tmp_path):
     )
     assert cli.main(["quench", "--config", f]) == 0
     stats = json.loads((tmp_path / "out" / "run_stats.json").read_text())
-    kernels = 2 if (os.cpu_count() or 1) >= 2 else 1
+    kernels = min(2, statevec.cpus())
     assert stats["threads"] == {
         "blas": 1 if statevec.blas_threads() else None,
         "scipy_blas": statevec.blas_threads("scipy"),
@@ -427,7 +427,7 @@ def test_run_stats_records_trajectory_processes(tmp_path, trajectories):
     )
     assert run_cli("quench", "--config", f).returncode == 0
     stats = json.loads((tmp_path / "out" / "run_stats.json").read_text())
-    assert stats["trajectory_processes"] == min(trajectories or 1, os.cpu_count() or 1)
+    assert stats["trajectory_processes"] == min(trajectories or 1, statevec.cpus())
 
 
 @pytest.mark.parametrize("line", ["model.g = nan", "model.h = inf", "plan.dt = inf"])

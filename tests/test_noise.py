@@ -74,7 +74,7 @@ def test_gate_noise_trajectories_average_to_the_density_matrix(monkeypatch, L):
             yield out
 
     monkeypatch.setattr(trotter, "forked_results", recording)
-    monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(trotter, "trajectory_processes", 1)
     n, k = 800, 5.0
     nz = NoiseParams(p1=0.02, p2=0.08, p01=0.0, p10=0.0, trajectories=n)

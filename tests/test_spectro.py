@@ -280,7 +280,7 @@ def test_sweep_workers_are_capped_at_the_cpu_count(monkeypatch):
     def no_fork():
         raise AssertionError("a one-CPU sweep must not fork")
 
-    monkeypatch.setattr(statevec.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(statevec.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", no_fork)
     template = ModelParams(4, 0.5, 0.3)
     plan = QuenchPlan(dt=0.2, n_steps=40, seed=3)

@@ -518,7 +518,7 @@ def shared_state(amps: np.ndarray, tables):
 def split_every_pass(monkeypatch):
     """A shared state's kernel passes split at every size, as on a host with two CPUs."""
     monkeypatch.setattr(sv, "SPLIT_MIN", 2)
-    monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 def test_step_state_is_the_step_unitary_on_a_vector():
@@ -607,10 +607,49 @@ def test_site_layer_kernel_matches_dense_site_products(data, L, split):
     with pytest.MonkeyPatch.context() as mp:
         if split:  # as the split_every_pass fixture, which hypothesis cannot take
             mp.setattr(sv, "SPLIT_MIN", 2)
-            mp.setattr(sv.os, "cpu_count", lambda: 2)
+            mp.setattr(sv.os, "sched_getaffinity", lambda pid: {0, 1})
         with shared_state(lab, [layer]) as st:
             sv.apply_site_blocks(st, layer)
     assert np.abs(st.amplitudes - expected).max() < 1e-12
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=strategies.data(), L=strategies.integers(1, 17))
+def test_fused_layers_equal_the_kron_built_ones_bit_for_bit(data, L):
+    # sites draw from a small pool, so that runs repeat and share their blocks
+    pool = data.draw(strategies.lists(site_matrices, min_size=1, max_size=3))
+    mats = data.draw(strategies.lists(strategies.sampled_from(pool), min_size=L, max_size=L))
+    layer = sv.fuse_site_matrices(mats)
+    assert oracles.bits(layer) == oracles.bits(oracles.kron_fuse_site_matrices(mats))
+    for array in sv._arrays(layer):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("L", [12, 13, 14])
+def test_one_chunk_passes_equal_the_chunked_path(monkeypatch, L):
+    # L = 14 is two chunks: both runs take the chunked path
+    def layers():
+        params = ModelParams(L, 0.7, 0.3)
+        turn = sv.readout_turn(None, "y")
+        return trotter.frame_layers(params, 0.4) + trotter.frame_layers(params, 0.4, undo=turn, fold_right=True)
+
+    amps = random_state(L, np.random.default_rng(L)).amplitudes
+
+    def run(layers):
+        st = sv.StateVector(L, amps.copy())
+        for layer in layers:
+            layer.apply(st)
+        return sv.turn_weights(st, "y"), st.amplitudes
+
+    direct = layers()
+    assert all((layer.diagonal[0] is None) == (L <= 13) for layer in direct if layer.diagonal)
+    with monkeypatch.context() as mp:
+        mp.setattr(sv, "CHUNK", 1)  # bond diagonals as popcount indices at every L
+        indexed = layers()
+    monkeypatch.setattr(sv, "_whole", lambda amps: False)
+    direct, chunked = run(direct), run(indexed)
+    assert np.array_equal(direct[0], chunked[0])
+    assert np.array_equal(direct[1], chunked[1])
 
 
 def test_split_u2_stays_finite_at_a_subnormal_angle():
@@ -628,7 +667,7 @@ def test_split_passes_are_byte_identical_to_serial_at_L18(monkeypatch):
     layers = trotter.frame_layers(ModelParams(L, 1.0, 0.3), 0.4)
     results = []
     for cpus in (1, 2):
-        monkeypatch.setattr(sv.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         passes = sv.split_passes
         with shared_state(amps / np.linalg.norm(amps), [layers, sv.readout_layer(L, "y")]) as st:
             for layer in layers:
@@ -654,8 +693,24 @@ def test_a_state_the_partner_does_not_share_runs_its_passes_here(split_every_pas
         assert sv.split_passes > passes
 
 
+def write_blas_threads(amps, part):
+    """A kernel pass that writes its process's BLAS thread count into the first amplitude of its half."""
+    sv._half(amps, part)[0][0] = sv.blas_threads()
+
+
+def test_a_partner_and_its_caller_run_one_blas_thread(split_every_pass, two_blas_threads):
+    passes = sv.split_passes
+    with sv.partnered(4) as st:
+        sv._split(write_blas_threads, st.amplitudes)
+        counts = st.amplitudes[[0, 8]].real.tolist()
+        assert sv.blas_threads() == 1
+    assert sv.split_passes == passes + 1
+    assert counts == [1.0, 1.0]
+    assert sv.blas_threads() == 2
+
+
 def l18_quench(monkeypatch, **plan):
-    monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: {0, 1})
     return trotter.run_quench(ModelParams(18, 0.5, 0.3), QuenchPlan(dt=0.4, n_steps=2, **plan))
 
 

@@ -33,7 +33,7 @@ PLAN = QuenchPlan(dt=0.2, n_steps=40, seed=3)
 
 def sweep(monkeypatch, cpus, plan=PLAN, **settings):
     """eta_sweep over G_LIST as if on `cpus` CPUs."""
-    monkeypatch.setattr(sv.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     points = spectro.eta_sweep(G_LIST, 0.3, TEMPLATE, plan, **settings)
     assert multiprocessing.active_children() == []
     return points
@@ -101,7 +101,7 @@ def test_a_parallel_sweep_runs_on_no_more_processes_than_cpus(monkeypatch):
 
 def test_forked_workers_keep_the_blas_pin_and_one_cpu(monkeypatch):
     # fork copies numpy's BLAS pin, so the workers need no initializer
-    monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: {0, 1})
     sv.pin_blas_threads()
     probe = lambda: (os.getpid(), sv.blas_threads(), sv.cpus())  # noqa: E731
     here, there = trotter.forked_results(probe, [[()], [()]])
@@ -113,6 +113,24 @@ def test_forked_workers_keep_the_blas_pin_and_one_cpu(monkeypatch):
         assert sv.cpus() == 1
 
 
+def test_forks_run_one_blas_thread_each_on_its_own_cpu_and_give_both_back(two_blas_threads):
+    allowed = sorted(os.sched_getaffinity(0))
+    probe = lambda: (sv.blas_threads(), sorted(os.sched_getaffinity(0)))  # noqa: E731
+    here, there = trotter.forked_results(probe, [[()], [()]])
+    assert here[0] == there[0] == 1
+    if len(allowed) > 1:
+        assert (here[1], there[1]) == ([allowed[0]], [allowed[1]])
+    assert (sv.blas_threads(), sorted(os.sched_getaffinity(0))) == (2, allowed)
+
+    def fail():
+        raise ValueError("worker failed")
+
+    with pytest.raises(ValueError, match="^worker failed$"):
+        list(trotter.forked_results(lambda f: f(), [[(probe,)], [(fail,)]]))
+    assert multiprocessing.active_children() == []
+    assert (sv.blas_threads(), sorted(os.sched_getaffinity(0))) == (2, allowed)
+
+
 def solved_here(params):
     assert multiprocessing.parent_process() is None, "an ED reference ran in a worker"
 
@@ -120,7 +138,7 @@ def solved_here(params):
 def test_gate_noisy_sweep_starts_no_ed_worker(monkeypatch, tmp_path):
     # its trajectory workers hold the second CPU
     wrap_solver(monkeypatch, solved_here)
-    monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "model.L = 6\nmodel.h = 0.3\nplan.dt = 0.2\nplan.n_steps = 40\nsweep.g_list = 0.4, 0.6\n"
@@ -217,7 +235,7 @@ def test_cli_failures_beside_the_ed_worker_exit_2_and_write_nothing(
         wrap_quench(monkeypatch, 0.5)
     else:
         wrap_solver(monkeypatch, exit_silently if failure == "exit" else not_converged)
-    monkeypatch.setattr(sv.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model.L = 6\nmodel.h = 0.3\nplan.dt = 0.2\nplan.n_steps = 40\nsweep.g_list = 0.3, 0.5, 0.7\n")
     out = tmp_path / "out"
@@ -235,7 +253,7 @@ def test_an_ed_failure_in_a_parallel_sweep_exits_2_and_writes_nothing(tmp_path):
     script = (
         "import os\n"
         "from isingspec import cli, edsolver\n"
-        "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "def solve_sector(params, n_low=6):\n"
         "    raise edsolver.ConvergenceError('eigensolver residual 1.00e-03 exceeds 1e-08', 1e-3)\n"
         "edsolver.solve_sector = solve_sector\n"

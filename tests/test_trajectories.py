@@ -28,7 +28,7 @@ READOUT = NoiseParams(p1=0.01, p2=0.02, p01=0.03, p10=0.01, trajectories=4, miti
 
 def run(monkeypatch, cpus, params, plan, **kwargs):
     """run_quench as if on `cpus` CPUs; returns the record and the process count."""
-    monkeypatch.setattr(sv.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(trotter, "trajectory_processes", 1)
     record = trotter.run_quench(params, plan, **kwargs)
     assert multiprocessing.active_children() == []
@@ -181,7 +181,7 @@ def test_cli_failures_exit_as_the_serial_run_and_write_nothing(monkeypatch, tmp_
     cfg.write_text("model.L = 6\nplan.n_steps = 6\nplan.shots = 500\nnoise.enabled = true\nnoise.trajectories = 5\n")
     codes = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(sv.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         out = tmp_path / f"out{cpus}"
         codes[cpus] = cli.main(["quench", "--config", str(cfg), "--out", str(out)])
         assert "trajectory failed" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies
 
 import oracles
 from isingspec import noise, obs
@@ -53,6 +54,38 @@ def test_step_gate_budget():
     assert counts["1q"] == 6
     assert counts["2q"] == 6
     assert counts["cnot"] == 0
+
+
+def test_a_steps_gates_share_one_read_only_matrix_per_kind():
+    step = trotter.build_step(ModelParams(5, 0.5, 0.3), 0.2)
+    for name in ("u1", "xx"):
+        assert len({id(g.matrix) for g in step.gates if g.name == name}) == 1
+    for gate in step.gates:
+        with pytest.raises(ValueError):
+            gate.matrix[0, 0] = 0.0
+
+
+couplings = strategies.one_of(strategies.just(0.0), strategies.floats(-2.0, 2.0))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    L=strategies.sampled_from([*range(2, 14), 16]),
+    g=couplings,
+    h=couplings,
+    dt=strategies.floats(0.01, 1.0),
+    split_bonds=strategies.booleans(),
+    undo=strategies.sampled_from([None, "y", "z"]),
+    fold_right=strategies.booleans(),
+)
+def test_frame_layers_equal_the_kron_built_layers_bit_for_bit(L, g, h, dt, split_bonds, undo, fold_right):
+    assume(not (split_bonds and fold_right))  # run_quench folds only without gate noise
+    args = (ModelParams(L, g, h), dt, split_bonds, sv.readout_turn(None, undo) if undo else None, fold_right)
+    layers = trotter.frame_layers(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sv, "fuse_site_matrices", oracles.kron_fuse_site_matrices)
+        expected = trotter.frame_layers(*args)
+    assert oracles.bits(layers) == oracles.bits(expected)
 
 
 def test_native_decomposition_preserves_the_unitary():
