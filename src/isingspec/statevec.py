@@ -41,18 +41,22 @@ drops its left one, since only |psi|^2 is read after it; equal matrices and
 runs of sites are split and fused once. Every pass runs in place over
 cache-sized chunks, so a step allocates a few chunks, never a state-sized
 temporary; a pass of one chunk (L <= 13) applies each block as one product,
-and a bond diagonal gathered whole (index None) as one multiply. A state
-from partnered (SPLIT_MIN amplitudes on, two CPUs) lives in an anonymous
-shared mapping with a forked partner process that inherited the run's
-tables: each block or diagonal pass over it runs its second half there and
-its first here, with the same per-amplitude arithmetic as the serial pass.
-A command names the pass and its tables by their place in the inherited
-list, never sends the state, and comes back with None or what the pass
-raised. Any other array's passes run serially, and while the partner runs
-cpus() reads 1 (serial_passes) and OpenBLAS one thread in both processes,
-so neither forks workers. Exact time evolution runs in the k = 0 translation
-sector on the x-basis orbit basis and sector matrix that edsolver builds for
-ED; only the returned snapshots are expanded to 2**L amplitudes.
+and a bond diagonal gathered whole (index None) as one multiply. Exact
+time evolution runs in the k = 0 translation sector on the x-basis orbit
+basis and sector matrix that edsolver builds for ED; only the returned
+snapshots are expanded to 2**L amplitudes.
+
+_forked is the one fork path, for trotter's workers and the partner: each
+forked child answers every request with a result or the exception it
+raised, which is raised here, and one that dies is a RuntimeError. Children
+are terminated on any error and always joined, and while they live cpus()
+reads 1 (serial_passes) and OpenBLAS runs one thread in every process. A
+state from partnered (SPLIT_MIN amplitudes on, two CPUs) lives in an
+anonymous shared mapping with one such child: each listed block or diagonal
+pass over it runs its second half there and its first here, with the same
+per-amplitude arithmetic as the serial pass. A request is the pass's index
+in the list, which the run builds before the fork; a pass over another
+array runs serially, and an unlisted pass over the shared state raises.
 """
 
 from __future__ import annotations
@@ -61,15 +65,13 @@ import contextlib
 import ctypes
 import functools
 import glob
-import io
 import itertools
 import math
 import mmap
 import multiprocessing
 import os
-import pickle
 import sys
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 from multiprocessing.context import ForkProcess
 
 import numpy as np
@@ -99,7 +101,7 @@ BLOCK_SITES = 4  # sites fused into one 2**4 x 2**4 block
 SPLIT_MIN = 1 << 18  # amplitudes from which partnered opens a partner process
 split_passes = 0  # kernel passes a partner process has run halves of for this one
 _serial = False  # set by serial_passes
-_partner = None  # the open _Partner, set by partnered
+_partner = None  # (amps, child, index of passes, passes) while partnered runs a partner
 
 
 # each package's bundled OpenBLAS: the library in <package>.libs and the
@@ -164,151 +166,143 @@ def cpus() -> int:
 
 @contextlib.contextmanager
 def serial_passes():
-    """Keep this process to one CPU in the block (cpus() reads 1): partnered
-    forks no partner and run_quench no trajectory workers, as while
-    processes forked by this one hold the other CPUs."""
+    """Keep this process to one CPU in the block, as while processes forked
+    by this one hold the others: cpus() reads 1, so partnered forks no
+    partner and run_quench no trajectory workers, and numpy's OpenBLAS runs
+    one thread (one_blas_thread)."""
     global _serial
     saved, _serial = _serial, True
     try:
-        yield
+        with one_blas_thread():
+            yield
     finally:
         _serial = saved
 
 
-class _Unshared(Exception):
-    """A command named an array that the partner did not inherit."""
+class _Child:
+    """A forked process that answers each request this process sends it
+    with serve(request), or with what that raised (see _forked)."""
+
+    def __init__(self, serve):
+        self.conn, end = multiprocessing.Pipe()
+        self.proc = ForkProcess(target=_answer, args=(end, self.conn, serve), daemon=True)
+        with end:  # the child holds its own end
+            self.proc.start()
+
+    def recv(self):
+        """The answer to the oldest request; what serve raised is raised here."""
+        try:
+            out = self.conn.recv()
+        except EOFError:
+            self.proc.join()
+            raise RuntimeError(f"forked process exited with code {self.proc.exitcode} before it answered") from None
+        if isinstance(out, BaseException):
+            raise out
+        return out
 
 
-class _Command(pickle.Pickler):
-    """Pickles a pass with each array as its place in the partner's tables."""
-
-    def __init__(self, file, keys):
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self.keys = keys
-
-    def persistent_id(self, obj):
-        if not isinstance(obj, np.ndarray):
-            return None
-        if id(obj) not in self.keys:
-            raise _Unshared
-        return self.keys[id(obj)]
-
-
-class _Tables(pickle.Unpickler):
-    """Loads a command with each array from the partner's inherited tables."""
-
-    def __init__(self, data, tables):
-        super().__init__(io.BytesIO(data))
-        self.tables = tables
-
-    def persistent_load(self, key):
-        return self.tables[key]
-
-
-def _serve(conn, other, amps, tables) -> None:
-    """The partner: run each command's pass on half 1 of amps and answer None
-    or what it raised, until this process's end of the pipe closes."""
+def _answer(conn, other, serve) -> None:
+    """A _Child: answer each request until the parent closes its end."""
     other.close()  # the parent's end: EOF here once the parent closes its own
     while True:
         try:
-            data = conn.recv_bytes()
+            request = conn.recv()
         except EOFError:
             return
         try:
-            fn, args = _Tables(data, tables).load()
-            fn(amps, 1, *args)
-            out = None
+            out = serve(request)
         except BaseException as exc:  # re-raised in the parent
             out = exc
         conn.send(out)
 
 
-@dataclass
-class _Partner:
-    amps: np.ndarray
-    tables: list  # held, so that no id in keys is reused while the partner runs
-    keys: dict
-    conn: object
-    proc: ForkProcess
+@contextlib.contextmanager
+def _forked(serve, n: int = 1):
+    """n forked _Child processes that answer requests with serve, for the
+    block: the one fork path. serve and what it reads reach them by fork, so
+    only requests and answers are pickled. While they live every process
+    runs serial_passes; on any error they are terminated, and they are
+    always joined before the block ends."""
+    children = []
+    with serial_passes() if n else contextlib.nullcontext():
+        try:
+            for _ in range(n):
+                children.append(_Child(serve))
+            yield children
+        except BaseException:
+            for child in children:
+                child.proc.terminate()
+            raise
+        finally:
+            for child in children:  # every end first: a later child holds copies of the earlier ones
+                child.conn.close()
+            for child in children:
+                child.proc.join()
 
 
-def _arrays(obj):
-    """Every ndarray in obj, through tuples, lists and dataclass fields."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _arrays(item)
-    elif is_dataclass(obj):
-        for field in fields(obj):
-            yield from _arrays(getattr(obj, field.name))
+def kernel_passes(table) -> list:
+    """The kernel passes (fn, args) that _split may run for a SiteLayer
+    (apply_site_blocks) or a bond diagonal (index, table) (apply_phase_index),
+    for partnered to list."""
+    if not isinstance(table, SiteLayer):
+        return [(_bond_pass, table)]
+    passes = [(_phase_pass, d) for d in (table.right, table.left) if d is not None]
+    if table.blocks:
+        passes += [(_apply_blocks, (table.blocks,)), (_top_block, table.blocks[-1:])]
+    return passes
 
 
 @contextlib.contextmanager
-def partnered(L: int, tables=()):
-    """|+...+> (|0...0> in the x frame) on L sites, whose kernel passes split
-    with a forked partner process from SPLIT_MIN amplitudes on while this
-    process may keep two CPUs busy; otherwise a plain state.
+def partnered(L: int, passes=()):
+    """|+...+> (|0...0> in the x frame) on L sites, whose listed kernel
+    passes split with a forked partner process from SPLIT_MIN amplitudes on
+    while this process may keep two CPUs busy; otherwise a plain state.
 
     The amplitudes live in an anonymous shared mapping, so both processes
-    see them. The partner inherits every array in tables (layers, diagonals,
-    SiteLayers) and runs the second half of each pass whose arrays are all
-    among them. Both run numpy's OpenBLAS on one thread (one_blas_thread).
-    The partner is joined when the block ends and terminated if it raises.
+    see them. passes lists the (fn, args) the run may split (kernel_passes
+    of its layers), and the partner is sent the index of each pass in it.
     """
     global _partner
     if (1 << L) < SPLIT_MIN or cpus() < 2:
         yield init_all_plus(L)
         return
-    tables = list(_arrays(tables))
+    passes = list(passes)
     amps = np.frombuffer(mmap.mmap(-1, 16 << L), dtype=np.complex128)
     amps[0] = 1.0
-    conn, child = multiprocessing.Pipe()
-    proc = ForkProcess(target=_serve, args=(child, conn, amps, tables), daemon=True)
-    with one_blas_thread(), serial_passes():
-        with child:  # the partner holds its own end
-            proc.start()
-        _partner = _Partner(amps, tables, {id(a): i for i, a in enumerate(tables)}, conn, proc)
+
+    def serve(i):
+        fn, args = passes[i]
+        fn(amps, 1, *args)
+
+    with _forked(serve) as (child,):
+        # passes holds the listed arrays, so that no id in the index is reused
+        _partner = amps, child, {(fn, *map(id, args)): i for i, (fn, args) in enumerate(passes)}, passes
         try:
             yield StateVector(L, amps)
-        except BaseException:
-            proc.terminate()
-            raise
         finally:
             _partner = None
-            conn.close()
-            proc.join()
 
 
 def _shared(amps: np.ndarray) -> bool:
     """Whether the open partner shares amps."""
-    return _partner is not None and amps is _partner.amps
+    return _partner is not None and amps is _partner[0]
 
 
 def _split(fn, amps: np.ndarray, *args) -> None:
     """fn(amps, part, *args) over halves part = 0 here and 1 in the partner
-    when it shares amps and inherited every array in args, else over all of
-    amps here (part None)."""
+    when it shares amps, else over all of amps here (part None)."""
     global split_passes
     if not _shared(amps):
         return fn(amps, None, *args)
-    p = _partner
-    buf = io.BytesIO()
-    try:
-        _Command(buf, p.keys).dump((fn, args))
-    except _Unshared:
-        return fn(amps, None, *args)
-    p.conn.send_bytes(buf.getbuffer())
+    _, child, index, _ = _partner
+    i = index.get((fn, *map(id, args)))
+    if i is None:
+        raise LookupError(f"partnered did not list this {fn.__name__} pass over its state")
+    child.conn.send(i)
     try:
         fn(amps, 0, *args)
     finally:  # the partner's half ends before anything else touches amps
-        try:
-            out = p.conn.recv()
-        except EOFError:
-            p.proc.join()
-            raise RuntimeError(f"partner process exited with code {p.proc.exitcode} during a pass") from None
-    if out is not None:
-        raise out
+        child.recv()
     split_passes += 1
 
 
@@ -597,13 +591,17 @@ def _block_view(amps: np.ndarray, lo: int, m: np.ndarray) -> np.ndarray:
 
 
 def _apply_blocks(amps: np.ndarray, part, blocks) -> None:
+    """blocks over amps, or with part, those below its top bit over half part."""
+    size = amps.size
     amps = _half(amps, part)[0]
-    for lo, _, m in blocks:
-        _apply_block(_block_view(amps, lo, m), m)
+    for lo, k, m in blocks:
+        if part is None or 1 << (lo + k) < size:
+            _apply_block(_block_view(amps, lo, m), m)
 
 
-def _top_block(amps: np.ndarray, part, lo: int, m: np.ndarray) -> None:
-    """Block m on the top bit, over half part of its low columns."""
+def _top_block(amps: np.ndarray, part, block) -> None:
+    """block (lo, k, m) on the top bit, over half part of its low columns."""
+    lo, _, m = block
     v = _block_view(amps, lo, m)
     if part is not None:
         c = v.shape[2] // 2
@@ -631,18 +629,14 @@ def _real_blocks(amps: np.ndarray, blocks) -> None:
                 np.matmul(src.reshape(-1, len(m)), m.T, out=out.reshape(-1, len(m)))
             src = out
         return
-    if not _shared(amps):
-        _apply_blocks(amps, None, blocks)
-        return
-    for below, run in itertools.groupby(blocks, key=lambda b: 1 << (b[0] + b[1]) < amps.size):
-        if below:
-            _split(_apply_blocks, amps, tuple(run))
-            continue
-        for lo, _, m in run:  # blocks that hold the top bit
-            if lo:
-                _split(_top_block, amps, lo, m)
-            else:
-                _top_block(amps, None, lo, m)
+    lo, k, _ = blocks[-1]
+    top = _shared(amps) and 1 << (lo + k) == amps.size  # a block on the top bit, split apart
+    if len(blocks) > top:
+        _split(_apply_blocks, amps, blocks)
+    if top and lo:
+        _split(_top_block, amps, blocks[-1])
+    elif top:
+        _top_block(amps, None, blocks[-1])
 
 
 def _phase_pass(amps: np.ndarray, part, low: np.ndarray, high: np.ndarray | None) -> None:
@@ -886,16 +880,15 @@ def readout_layer(L: int, axes, carried=None) -> SiteLayer:
     return _rotation_blocks(_normalize_axes(axes, L), carried and _normalize_axes(carried, L))
 
 
-def turn_weights(state: StateVector, axes, carried=None, out=None, orbits: bool = False, folded: bool = False) -> np.ndarray:
+def turn_weights(state: StateVector, axes, carried=None, out=None, orbits: bool = False, layer=None) -> np.ndarray:
     """Turn the amplitudes in place from the readout rotation of the carried
     axes (None: none) to that of axes, then write the turned state's outcome
     weights (in out, if given): |psi|^2 over the 2**L states or, with
     orbits, for a translation-invariant state (not checked), R_a
-    |psi(rep_a)|^2 over its k = 0 orbits. folded skips the turn's right
-    phase diagonal, which the caller applied already (trotter.frame_layers'
-    fold_right)."""
-    layer = readout_layer(state.L, axes, carried)
-    apply_site_blocks(state, replace(layer, right=None) if folded else layer)
+    |psi(rep_a)|^2 over its k = 0 orbits. layer, if given, is that turn as
+    the caller built it: trotter's runs pass their own, without the right
+    phase diagonal where frame_layers' fold_right applied it already."""
+    apply_site_blocks(state, readout_layer(state.L, axes, carried) if layer is None else layer)
     reps, periods = edsolver.zero_momentum_orbits(state.L) if orbits else (slice(None), None)
     w = np.abs(state.amplitudes[reps], out=out)
     w *= w

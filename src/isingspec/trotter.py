@@ -46,32 +46,23 @@ rest of it. Each trajectory has three random streams: gate noise, the
 uniforms of its sampled rows in turn, and their readout flips
 (noise.twirled_flips). Noisy observables are averaged over trajectories.
 
-The trajectories run over up to statevec.cpus() processes: this process
-runs the first contiguous chunk and forked workers the rest, each with its
-own 2**L state; the sums are taken in trajectory order, so the record does
-not depend on the process count. One trajectory in this process instead
-evolves a statevec.partnered state, whose partner process is forked once
-the layers and readout turns exist and splits every kernel pass from
-statevec.SPLIT_MIN amplitudes on.
-
-forked_results is the one fork path: run_quench spreads its trajectories
-with it, and spectro.eta_sweep its chunks of quenches and ED references.
-It runs the first chunk of calls in this process and each later chunk in a
-forked worker, returns the results in chunk order, re-raises what a worker
-raised, and terminates and joins every worker on a failure. While workers
-run, statevec.cpus() reads 1 in each process, so none forks workers of its
-own or splits a kernel pass, numpy's OpenBLAS runs on one thread, and each
-process runs on a CPU of its own where the affinity mask allows two or more.
+The trajectories run over up to statevec.cpus() processes, by
+forked_results: this process runs the first contiguous chunk and a worker
+forked by statevec._forked each later one, on a CPU of its own where the
+affinity mask allows two or more; spectro.eta_sweep spreads its quenches
+and ED references the same way. Each holds its own 2**L state, and the sums
+are taken in trajectory order, so the record does not depend on the
+process count. One trajectory in this process instead evolves a
+statevec.partnered state, forked once its layers and readout turns (_turns,
+which _Rows applies) are listed as kernel passes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
-from multiprocessing.context import ForkProcess
 
 import numpy as np
 
@@ -161,6 +152,11 @@ class FrameLayer:
         if self.diagonal is None:
             return statevec.apply_site_blocks(state, self.blocks)
         return statevec.apply_phase_index(state, *self.diagonal)
+
+    @property
+    def passes(self) -> list:
+        """apply's kernel passes, for statevec.partnered."""
+        return statevec.kernel_passes(self.blocks if self.diagonal is None else self.diagonal)
 
 
 def frame_layers(
@@ -310,21 +306,31 @@ def _sampling_order(axes) -> list[str]:
 BLOCK_FLOATS = 1 << 15
 
 
+def _turns(L: int, order, folded: bool) -> list:
+    """(axis, turn, later turn) for each axis of a sampled time point, in
+    order: the readout turn from the axis before it, and the turn after the
+    first time point, without the right phases that frame_layers' fold_right
+    joined to the bond diagonal where folded."""
+    turns = []
+    for ax, carried in zip(order, [None, *order[:-1]]):
+        turn = statevec.readout_layer(L, ax, carried)
+        turns.append((ax, turn, replace(turn, right=None) if folded else turn))
+    return turns
+
+
 class _Rows:
     """A trajectory's turned (time point, axis) rows of outcome weights, in a
     block that lives while it holds rows: the one reader of a turned time
-    point. A full block, or the trajectory's last, is read in one pass.
-    Exact rows (shots = 0) are normalized and read by their bit marginals,
-    and G(r) of x from every pair of sites (tables). Sampled rows take each
-    row's shots and readout flips from the measurement and readout streams,
-    row after row, so nothing depends on the block size; then site
-    estimates, one mitigation and G(r) of x. With folded, a turn after the
-    first time point skips the right phases that frame_layers' fold_right
-    joined to the bond diagonal."""
+    point, which takes the run's turns (_turns). A full block, or the
+    trajectory's last, is read in one pass. Exact rows (shots = 0) are
+    normalized and read by their bit marginals, and G(r) of x from every
+    pair of sites (tables). Sampled rows take each row's shots and readout
+    flips from the measurement and readout streams, row after row, so
+    nothing depends on the block size; then site estimates, one mitigation
+    and G(r) of x."""
 
-    def __init__(self, L, axes, shots, orbits, streams, nz, values, G, tables, folded=False):
-        self.L, self.axes, self.shots, self.orbits = L, _sampling_order(axes), shots, orbits
-        self.folded = folded
+    def __init__(self, L, turns, shots, orbits, streams, nz, values, G, tables):
+        self.L, self.turns, self.shots, self.orbits = L, turns, shots, orbits
         self.values, self.G, self.tables = values, G, tables
         self.rng, self.flip_rng = map(np.random.default_rng, streams)
         self.readout = nz if nz is not None and nz.has_readout_error else None
@@ -335,14 +341,12 @@ class _Rows:
 
     def take(self, state, k, last=False):
         """Write time point k's rows, and read a full block, or if last, the rest."""
-        carried = None
-        for ax in self.axes:
+        for ax, turn, later in self.turns:
             if self.block is None:
                 self.block = np.empty(self.shape)
-            statevec.turn_weights(state, ax, carried, self.block[len(self.keys)], self.orbits, self.folded and k > 0)
-            carried = ax
+            statevec.turn_weights(state, ax, None, self.block[len(self.keys)], self.orbits, later if k else turn)
             self.keys.append((k, ax))
-            if len(self.keys) == len(self.block) or last and ax == self.axes[-1]:
+            if len(self.keys) == len(self.block) or last and ax == self.turns[-1][0]:
                 self.read()
 
     def read(self):
@@ -372,68 +376,33 @@ class _Rows:
         self.keys.clear()
 
 
-def _worker(conn, run, chunk, cpu) -> None:
-    """A forked worker: sends run's results for chunk, or what it raised. It
-    runs on CPU cpu alone, unless that is None."""
-    try:
-        if cpu is not None:
-            os.sched_setaffinity(0, {cpu})
-        out = [run(*item) for item in chunk]
-    except BaseException as exc:  # re-raised in the parent
-        out = exc
-    with conn:
-        conn.send(out)
-
-
 def forked_results(run, chunks):
     """run(*item) for every item of chunks, in order.
 
-    This process runs chunks[0] while a forked process runs each later
-    chunk. Under fork nothing is pickled on the way in, and each worker
-    sends its chunk's results, or the exception it raised, through a pipe.
-    On any failure the workers are terminated; none outlives the iteration.
-    While workers run, numpy's OpenBLAS runs on one thread, and on two or
-    more CPUs in this process's affinity mask, chunk i runs on the i-th
-    (cyclically); this process gets its own mask and BLAS thread count back
-    at the end, on errors too.
+    This process runs chunks[0] while a worker forked by statevec._forked
+    runs each later chunk and sends its results. On two or more CPUs in
+    this process's affinity mask, chunk i runs on the i-th (cyclically)
+    while workers run; this process gets its own mask back at the end, on
+    errors too.
     """
-    workers = []
     allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     place = len(chunks) > 1 and len(allowed) > 1
-    try:
-        with statevec.one_blas_thread() if len(chunks) > 1 else contextlib.nullcontext():
-            for i, chunk in enumerate(chunks[1:], 1):
-                recv, send = multiprocessing.Pipe(duplex=False)
-                cpu = allowed[i % len(allowed)] if place else None
-                proc = ForkProcess(target=_worker, args=(send, run, chunk, cpu), daemon=True)
-                with send:  # the worker holds its own end; EOF once it exits
-                    proc.start()
-                workers.append((proc, recv))
-            if place:
-                os.sched_setaffinity(0, {allowed[0]})
-            with statevec.serial_passes() if workers else contextlib.nullcontext():
-                yield from (run(*item) for item in chunks[0])
-            for proc, recv in workers:
-                try:
-                    out = recv.recv()
-                except EOFError:
-                    proc.join()
-                    raise RuntimeError(
-                        f"worker process exited with code {proc.exitcode} before sending results"
-                    ) from None
-                if isinstance(out, BaseException):
-                    raise out
-                yield from out
-    except BaseException:
-        for proc, _ in workers:
-            proc.terminate()
-        raise
-    finally:
-        for proc, recv in workers:
-            proc.join()
-            recv.close()
+
+    def results(i):
         if place:
-            os.sched_setaffinity(0, allowed)
+            os.sched_setaffinity(0, {allowed[i % len(allowed)]})
+        return (run(*item) for item in chunks[i])
+
+    with statevec._forked(lambda i: list(results(i)), len(chunks) - 1) as workers:
+        try:
+            for i, worker in enumerate(workers, 1):
+                worker.conn.send(i)
+            yield from results(0)
+            for worker in workers:
+                yield from worker.recv()
+        finally:
+            if place:
+                os.sched_setaffinity(0, allowed)
 
 
 def trajectories(plan: QuenchPlan) -> int:
@@ -467,10 +436,10 @@ def run_quench(
     # next step's first layer undoes that
     seeded = plan.shots > 0 or gate_noise
     order = _sampling_order(axes) if seeded else []
-    turns = [statevec.readout_layer(L, ax, carried) for ax, carried in zip(order, [None] + order[:-1])]
     # a noiseless sampled run whose one turned axis is the last folds that
     # turn's right phases into the bond diagonal
     folded = seeded and not gate_noise and sum(ax != "x" for ax in axes) == 1
+    turns = _turns(L, order, folded)
     undo = statevec.readout_turn(None, order[-1]) if seeded else None
     layers = frame_layers(params, plan.dt, gate_noise, undo, not seeded or folded)
     phase = None if gate_noise else layers[-1].phase
@@ -492,7 +461,7 @@ def run_quench(
         state = shared if shared is not None else statevec.init_all_plus(L)  # k = 0 records it unevolved
         values = {ax: np.empty((n_rec, L)) for ax in axes}
         G = np.empty((n_rec, L // 2)) if record_correlator else None
-        rows = _Rows(L, axes, shots, phase is not None, streams, nz, values, G, tables, folded) if seeded else None
+        rows = _Rows(L, turns, shots, phase is not None, streams, nz, values, G, tables) if seeded else None
         for k in range(n_rec):
             for layer in layers if k > 0 else ():
                 layer.apply(state)
@@ -518,7 +487,9 @@ def run_quench(
     correlator = np.zeros((n_rec, L // 2)) if record_correlator else None
     weight_total = 0.0
     # one trajectory here splits its kernel passes with a partner process
-    with statevec.partnered(L, layers + turns) if n_traj == 1 else contextlib.nullcontext() as shared:
+    passes = [p for layer in layers for p in layer.passes]
+    passes += [p for _, turn, _ in turns for p in statevec.kernel_passes(turn)]
+    with statevec.partnered(L, passes) if n_traj == 1 else contextlib.nullcontext() as shared:
         for out in forked_results(trajectory, [items[a:b] for a, b in zip(cuts, cuts[1:])]):
             if out is None:
                 continue

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import pytest
@@ -18,11 +19,13 @@ def one_blas_thread():
 @pytest.fixture(autouse=True)
 def blas_threads_and_affinity_kept():
     """Fail a test that leaves numpy's BLAS thread count or this process's
-    CPU affinity changed: every fork helper must give both back."""
+    CPU affinity changed, or a child process alive: the fork helper must
+    give both back and join every child before its call ends."""
     before = statevec.blas_threads(), _affinity(0)
     yield
     after = statevec.blas_threads(), _affinity(0)
     assert after == before, f"BLAS threads and CPU affinity {before} became {after}"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

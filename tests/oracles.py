@@ -331,3 +331,15 @@ def bits(obj):
     if isinstance(obj, (tuple, list)):
         return [bits(x) for x in obj]
     return obj
+
+
+def arrays(obj):
+    """Every ndarray in obj, through tuples, lists and dataclass fields, as bits walks them."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from arrays(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from arrays(x)

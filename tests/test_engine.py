@@ -210,7 +210,7 @@ def test_sampled_time_point_allocates_under_a_quarter_of_the_state():
     state = sv.init_all_plus(L)
     values = {ax: np.full((2, L), np.nan) for ax in "xy"}
     streams = np.random.SeedSequence(3).spawn(2)
-    rows = trotter._Rows(L, ("x", "y"), 4096, True, streams, None, values, None, None)
+    rows = trotter._Rows(L, trotter._turns(L, ["x", "y"], False), 4096, True, streams, None, values, None, None)
 
     def time_point(k):
         for layer in layers:

@@ -505,11 +505,16 @@ def test_rotation_blocks_are_built_once_per_run_and_read_only(monkeypatch):
             m[0, 0] = 0.0
 
 
+def listed(*layers):
+    """The kernel passes of FrameLayers and SiteLayers, for sv.partnered."""
+    return [p for layer in layers for p in (layer.passes if isinstance(layer, trotter.FrameLayer) else sv.kernel_passes(layer))]
+
+
 @contextlib.contextmanager
-def shared_state(amps: np.ndarray, tables):
+def shared_state(amps: np.ndarray, layers):
     """A StateVector holding amps that a partner process shares (when
-    partnered opens one), which inherited the arrays of tables."""
-    with sv.partnered(amps.size.bit_length() - 1, tables) as st:
+    partnered opens one), which lists the kernel passes of layers."""
+    with sv.partnered(amps.size.bit_length() - 1, listed(*layers)) as st:
         st.amplitudes[...] = amps
         yield st
 
@@ -545,7 +550,7 @@ def test_split_kernel_passes_match_dense_oracles(split_every_pass, L, g, h):
     turn = sv.readout_layer(L, "y")
 
     # one Trotter step, both kernels: fused site blocks and phase diagonals
-    with shared_state(hadamards @ lab, [layers, random_layer, turn]) as st:
+    with shared_state(hadamards @ lab, [*layers, random_layer, turn]) as st:
         for layer in layers:
             layer.apply(st)
         expected = hadamards @ oracles.step_state(lab, L, g, h, 0.3)
@@ -621,7 +626,7 @@ def test_fused_layers_equal_the_kron_built_ones_bit_for_bit(data, L):
     mats = data.draw(strategies.lists(strategies.sampled_from(pool), min_size=L, max_size=L))
     layer = sv.fuse_site_matrices(mats)
     assert oracles.bits(layer) == oracles.bits(oracles.kron_fuse_site_matrices(mats))
-    for array in sv._arrays(layer):
+    for array in oracles.arrays(layer):
         assert not array.flags.writeable
 
 
@@ -669,7 +674,7 @@ def test_split_passes_are_byte_identical_to_serial_at_L18(monkeypatch):
     for cpus in (1, 2):
         monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         passes = sv.split_passes
-        with shared_state(amps / np.linalg.norm(amps), [layers, sv.readout_layer(L, "y")]) as st:
+        with shared_state(amps / np.linalg.norm(amps), [*layers, sv.readout_layer(L, "y")]) as st:
             for layer in layers:
                 layer.apply(st)
             results.append((st.amplitudes.copy(), sv.to_probabilities(sv.turn_weights(st, "y"))))
@@ -681,12 +686,13 @@ def test_split_passes_are_byte_identical_to_serial_at_L18(monkeypatch):
 
 def test_a_state_the_partner_does_not_share_runs_its_passes_here(split_every_pass):
     layers = trotter.frame_layers(ModelParams(6, 0.5, 0.3), 0.3)
-    with sv.partnered(6, layers) as shared:
+    with sv.partnered(6, listed(*layers)) as shared:
         passes = sv.split_passes
         plain = shared.copy()
         for layer in layers:
             layer.apply(plain)
-        sv.apply_site_blocks(shared, sv.fuse_site_matrices([sv.HADAMARD] * 6))  # tables it did not inherit
+        with pytest.raises(LookupError, match="did not list"):  # a pass over the shared state that was not listed
+            sv.apply_site_blocks(shared, sv.fuse_site_matrices([sv.HADAMARD] * 6))
         assert sv.split_passes == passes
         for layer in layers:
             layer.apply(shared)
@@ -700,7 +706,7 @@ def write_blas_threads(amps, part):
 
 def test_a_partner_and_its_caller_run_one_blas_thread(split_every_pass, two_blas_threads):
     passes = sv.split_passes
-    with sv.partnered(4) as st:
+    with sv.partnered(4, [(write_blas_threads, ())]) as st:
         sv._split(write_blas_threads, st.amplitudes)
         counts = st.amplitudes[[0, 8]].real.tolist()
         assert sv.blas_threads() == 1
