@@ -266,7 +266,6 @@ def partnered(L: int, passes=()):
     if (1 << L) < SPLIT_MIN or cpus() < 2:
         yield init_all_plus(L)
         return
-    passes = list(passes)
     amps = np.frombuffer(mmap.mmap(-1, 16 << L), dtype=np.complex128)
     amps[0] = 1.0
 
@@ -290,7 +289,8 @@ def _shared(amps: np.ndarray) -> bool:
 
 def _split(fn, amps: np.ndarray, *args) -> None:
     """fn(amps, part, *args) over halves part = 0 here and 1 in the partner
-    when it shares amps, else over all of amps here (part None)."""
+    when it shares amps, else over all of amps here (part None). A pass over
+    the shared state that partnered did not list raises LookupError."""
     global split_passes
     if not _shared(amps):
         return fn(amps, None, *args)
